@@ -183,9 +183,6 @@ class QuadraticExtension(Field):
     def from_int(self, n):
         return (self.base.from_int(n), self.base.zero())
 
-    def from_base(self, a):
-        return (a, self.base.zero())
-
     def add(self, x, y):
         return (self.base.add(x[0], y[0]), self.base.add(x[1], y[1]))
 

@@ -11,6 +11,7 @@ restricts scalars to the base field first.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .fields import Field, QQ, PrimeField, QuadraticExtension
 from .poly import PolyRing, Polynomial
@@ -268,7 +269,7 @@ def univariate_roots(field: Field, coeffs):
     if field == QQ:
         denom = 1
         for c in coeffs:
-            denom = denom * c.denominator // _gcd(denom, c.denominator)
+            denom = denom * c.denominator // gcd(denom, c.denominator)
         ints = [int(c * denom) for c in coeffs]
         roots = set()
         k = 0
@@ -288,12 +289,6 @@ def univariate_roots(field: Field, coeffs):
                         roots.add(cand)
         return sorted(roots)
     raise AlgebraError(f"root finding not supported over {field.name}")
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n):

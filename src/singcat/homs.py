@@ -1,9 +1,15 @@
 """Hom, Ext, stable Hom, Yoneda extensions, MCM tests for FPModules.
 
-All spaces of module maps are handled as matrix subquotients: a space of
-h x w matrices over R spanned by generators U modulo a null space V, both
-obtained from syzygy computations.  Finite k-bases come from Groebner
-staircases; graded degree-0 bases are available when source and target carry
+Every space of module maps is a MatrixSubquotient: a space of h x w
+matrices over R spanned by generators U modulo a null space V, flattened
+column-major into R^{hw}.  Hom, stable Hom and Ext^p build U and V through
+one path (_subquotient): cocycles phi: F_p -> N with phi o d_{p+1} in
+rel(N), modulo rel(N) in each column and the maps psi o d_p, so Hom(M, N)
+is the p = 0 case of Ext.  The matrix factorization homology of
+matfac.mf_stable_hom uses the same two helpers: _flat places polynomial
+entries into a flattened h-row block, and _syzygy_heads cuts syzygies to
+their first k coordinates.  Finite k-bases come from Groebner staircases;
+graded degree-0 bases are available when source and target carry
 generator degrees.
 
 Stable Hom follows the free-cover recipe: Hom(M,N) modulo the image of
@@ -13,7 +19,7 @@ Hom(M, R^{g_N}) -> Hom(M,N) induced by the generator surjection R^{g_N} -> N.
 from __future__ import annotations
 
 from .findim import FiniteDimAlgebra
-from .modules import FPModule, FreeResolution
+from .modules import FPModule, FreeResolution, mat_mul
 from .modgb import SubmoduleGB, vec_from_polys, vec_to_polys
 from .quotient import QuotientRing
 
@@ -34,6 +40,27 @@ def _matrix_to_vec(cols):
     return vec_from_polys(flat)
 
 
+def _flat(h, entries):
+    """Flattened vector (column-major, h rows) of the matrix with the given
+    (column, row, polynomial) entries."""
+    out = {}
+    for j, i, p in entries:
+        for m, c in p.terms.items():
+            out[(j * h + i, m)] = c
+    return out
+
+
+def _syzygy_heads(gb: SubmoduleGB, k: int):
+    """Syzygies of gb's generator list cut to their first k coordinates;
+    the cuts that vanish are dropped."""
+    out = []
+    for s in gb.syzygies():
+        head = {(p, m): c for (p, m), c in s.items() if p < k}
+        if head:
+            out.append(head)
+    return out
+
+
 def _vec_to_matrix(ring, vec, nrows, ncols):
     polys = vec_to_polys(ring.ambient, vec, nrows * ncols)
     return [[ring.normal_form(polys[j * nrows + i]) for i in range(nrows)]
@@ -43,7 +70,9 @@ def _vec_to_matrix(ring, vec, nrows, ncols):
 class MatrixSubquotient:
     """Space of h x w matrices over R: span(U) / span(V), U and V flattened.
 
-    Optional row/column generator degrees enable graded degree-d bases.
+    The one subquotient object: every Hom, Ext^p, stable Hom and matrix
+    factorization homology space is one of these.  Optional row/column
+    generator degrees enable graded degree-d bases.
     """
 
     def __init__(self, ring: QuotientRing, nrows: int, ncols: int, U, V,
@@ -57,6 +86,7 @@ class MatrixSubquotient:
         self.col_degrees = col_degrees
         self._big = None
         self._pres = None
+        self._gbV = None
 
     def _position_degrees(self):
         if self.row_degrees is None or self.col_degrees is None:
@@ -75,11 +105,7 @@ class MatrixSubquotient:
 
     def pres_gb(self) -> SubmoduleGB:
         if self._pres is None:
-            W = []
-            for s in self.big_gb().syzygies():
-                w = {(p, m): c for (p, m), c in s.items() if p < len(self.U)}
-                if w:
-                    W.append(w)
+            W = _syzygy_heads(self.big_gb(), len(self.U))
             self._pres = SubmoduleGB(self.ring.ambient, len(self.U), W,
                                      pad_polys=self.ring.gb)
         return self._pres
@@ -147,7 +173,7 @@ class MatrixSubquotient:
         return out
 
     def _null_gb(self) -> SubmoduleGB:
-        if getattr(self, "_gbV", None) is None:
+        if self._gbV is None:
             self._gbV = SubmoduleGB(self.ring.ambient, self.nrows * self.ncols,
                                     self.V, pad_polys=self.ring.gb)
         return self._gbV
@@ -164,62 +190,51 @@ class MatrixSubquotient:
 
 
 # ---------------------------------------------------------------------------
-# Hom spaces
+# The shared subquotient path
 
 
-def _hom_generators(M: FPModule, N: FPModule, modulo_relations: bool):
-    """Generators of matrices phi with phi o d_M landing in rel(N)-span
-    (modulo_relations=True) or in the ideal only (False: maps to the free
-    cover R^{g_N})."""
-    ring = M.ring
-    h, g = N.ngens, M.ngens
-    rM = len(M.relations)
-    if rM == 0:
-        units = []
-        for j in range(g):
-            for i in range(h):
-                units.append({(j * h + i, (0,) * ring.ambient.nvars): ring.field.one()})
-        return units
-    L_images = []
-    for j in range(g):
-        for i in range(h):
-            vec = {}
-            for l, col in enumerate(M.relations):
-                p = col[j]
-                for m, c in p.terms.items():
-                    vec[(l * h + i, m)] = c
-            L_images.append(vec)
-    T = []
-    if modulo_relations:
-        for l in range(rM):
-            for t in N.relations:
-                vec = {}
-                for i, p in enumerate(t):
-                    for m, c in p.terms.items():
-                        vec[(l * h + i, m)] = c
-                if vec:
-                    T.append(vec)
-    B0 = SubmoduleGB(ring.ambient, h * rM, L_images + T, pad_polys=ring.gb)
-    U = []
-    for s in B0.syzygies():
-        u = {(p, m): c for (p, m), c in s.items() if p < g * h}
-        if u:
-            U.append(u)
-    return U
+def _unit_images(h, r, d):
+    """E o d for each matrix unit E = E_ij: R^r -> R^h, j-major; d is a list
+    of columns in R^r."""
+    return [_flat(h, [(l, i, col[j]) for l, col in enumerate(d)])
+            for j in range(r) for i in range(h)]
 
 
-def _coboundaries(M: FPModule, N: FPModule):
-    h, g = N.ngens, M.ngens
-    V = []
-    for j in range(g):
-        for t in N.relations:
-            vec = {}
-            for i, p in enumerate(t):
-                for m, c in p.terms.items():
-                    vec[(j * h + i, m)] = c
+def _relation_blocks(h, ncols, relations):
+    """Each relation column placed in each of ncols columns; zeros dropped."""
+    out = []
+    for l in range(ncols):
+        for t in relations:
+            vec = _flat(h, [(l, i, p) for i, p in enumerate(t)])
             if vec:
-                V.append(vec)
-    return V
+                out.append(vec)
+    return out
+
+
+def _cocycles(ring: QuotientRing, h, r, d_next, relations):
+    """Generators of the h x r matrices phi with phi o d_next in the span of
+    the relation columns (in R^h) plus the ideal."""
+    if not d_next:
+        return [_flat(h, [(j, i, ring.one())]) for j in range(r) for i in range(h)]
+    gens = _unit_images(h, r, d_next) + _relation_blocks(h, len(d_next), relations)
+    gb = SubmoduleGB(ring.ambient, h * len(d_next), gens, pad_polys=ring.gb)
+    return _syzygy_heads(gb, r * h)
+
+
+def _subquotient(N: FPModule, r, d_next, null_extra, col_degrees):
+    """Cocycles phi: R^r -> N (phi o d_next in rel(N)) modulo rel(N) in each
+    column and the extra null generators."""
+    ring, h = N.ring, N.ngens
+    if r == 0:
+        return MatrixSubquotient(ring, h, 0, [], [])
+    U = _cocycles(ring, h, r, d_next, N.relations)
+    V = _relation_blocks(h, r, N.relations) + null_extra
+    return MatrixSubquotient(ring, h, r, U, V,
+                             row_degrees=N.gen_degrees, col_degrees=col_degrees)
+
+
+# ---------------------------------------------------------------------------
+# Hom spaces
 
 
 class MorphismSpace:
@@ -262,27 +277,14 @@ class MorphismSpace:
         Columns are lists over target generators; composition is matrix
         product over R followed by normal form."""
         ring = self.M.ring
-        h = len(phi_cols[0]) if phi_cols else 0
-        out = []
-        for col in psi_cols:
-            acc = [ring.zero() for _ in range(h)]
-            for i_mid, entry in enumerate(col):
-                if entry.is_zero():
-                    continue
-                for i in range(h):
-                    acc[i] = acc[i] + phi_cols[i_mid][i] * entry
-            out.append([ring.normal_form(p) for p in acc])
-        return out
+        return [[ring.normal_form(p) for p in col]
+                for col in mat_mul(ring, psi_cols, phi_cols)]
 
     def verify_bases_are_morphisms(self) -> bool:
         """Exact check: every basis matrix sends rel(M) into rel(N)-span."""
         relN_gb = self.N.rel_gb()
         for mat in self.basis_matrices():
-            for col in self.M.relations:
-                image = [self.M.ring.zero() for _ in range(self.N.ngens)]
-                for j, entry in enumerate(col):
-                    for i in range(self.N.ngens):
-                        image[i] = image[i] + mat[j][i] * entry
+            for image in mat_mul(self.M.ring, self.M.relations, mat):
                 if not relN_gb.contains(vec_from_polys(image)):
                     return False
         return True
@@ -310,11 +312,7 @@ class MorphismSpace:
 
     def presentation(self) -> FPModule:
         """Hom as an FPModule on the U-generators (module mode)."""
-        W = []
-        for s in self.msq.big_gb().syzygies():
-            w = {(p, m): c for (p, m), c in s.items() if p < len(self.msq.U)}
-            if w:
-                W.append(w)
+        W = self.msq.pres_gb().gens
         cols = [vec_to_polys(self.M.ring.ambient, w, len(self.msq.U)) for w in W]
         return FPModule(self.M.ring, len(self.msq.U), cols)
 
@@ -323,13 +321,10 @@ def hom_space(M: FPModule, N: FPModule, stable: bool = False,
               mode: str = "auto") -> MorphismSpace:
     if M.ring != N.ring:
         raise HomError("modules live over different rings")
-    h, g = N.ngens, M.ngens
-    U = _hom_generators(M, N, modulo_relations=True)
-    V = _coboundaries(M, N)
-    if stable:
-        V = V + _hom_generators(M, N, modulo_relations=False)
-    msq = MatrixSubquotient(M.ring, h, g, U, V,
-                            row_degrees=N.gen_degrees, col_degrees=M.gen_degrees)
+    # stable: also null the maps M -> R^{g_N} -> N through the free cover
+    free_cover = (_cocycles(M.ring, N.ngens, M.ngens, M.relations, [])
+                  if stable else [])
+    msq = _subquotient(N, M.ngens, M.relations, free_cover, M.gen_degrees)
     if mode == "module":
         return MorphismSpace(M, N, msq, "module", stable)
     if mode == "graded0":
@@ -363,69 +358,14 @@ def stable_hom(M: FPModule, N: FPModule) -> MorphismSpace:
 
 
 def _ext_subquotient(M: FPModule, N: FPModule, p: int, res: FreeResolution):
-    """Ext^p(M, N) as a matrix subquotient of Hom(F_p, N)."""
-    ring = M.ring
-    h = N.ngens
-    r_p = res.rank(p)
-    if r_p == 0:
-        return MatrixSubquotient(ring, h, 0, [], [])
-    d_next = res.differential(p + 1)
-    r_next = len(d_next)
-    if r_next == 0:
-        U = []
-        for j in range(r_p):
-            for i in range(h):
-                U.append({(j * h + i, (0,) * ring.ambient.nvars): ring.field.one()})
-    else:
-        L_images = []
-        for j in range(r_p):
-            for i in range(h):
-                vec = {}
-                for l, col in enumerate(d_next):
-                    poly = col[j]
-                    for m, c in poly.terms.items():
-                        vec[(l * h + i, m)] = c
-                L_images.append(vec)
-        T = []
-        for l in range(r_next):
-            for t in N.relations:
-                vec = {}
-                for i, poly in enumerate(t):
-                    for m, c in poly.terms.items():
-                        vec[(l * h + i, m)] = c
-                if vec:
-                    T.append(vec)
-        B0 = SubmoduleGB(ring.ambient, h * r_next, L_images + T, pad_polys=ring.gb)
-        U = []
-        for s in B0.syzygies():
-            u = {(q, m): c for (q, m), c in s.items() if q < r_p * h}
-            if u:
-                U.append(u)
-    V = []
-    for j in range(r_p):
-        for t in N.relations:
-            vec = {}
-            for i, poly in enumerate(t):
-                for m, c in poly.terms.items():
-                    vec[(j * h + i, m)] = c
-            if vec:
-                V.append(vec)
+    """Ext^p(M, N) as a matrix subquotient of Hom(F_p, N): cocycles modulo
+    rel(N) and the coboundaries psi o d_p."""
+    coboundaries = []
     if p >= 1:
-        d_p = res.differential(p)
-        r_prev = res.rank(p - 1)
-        for jprev in range(r_prev):
-            for i in range(h):
-                vec = {}
-                for l, col in enumerate(d_p):
-                    poly = col[jprev]
-                    for m, c in poly.terms.items():
-                        vec[(l * h + i, m)] = c
-                if vec:
-                    V.append(vec)
-    row_degs = N.gen_degrees
-    col_degs = res.step_degrees[p] if res.step_degrees[p] is not None else None
-    return MatrixSubquotient(ring, h, r_p, U, V,
-                             row_degrees=row_degs, col_degrees=col_degs)
+        coboundaries = [v for v in _unit_images(N.ngens, res.rank(p - 1),
+                                                res.differential(p)) if v]
+    return _subquotient(N, res.rank(p), res.differential(p + 1), coboundaries,
+                        res.step_degrees[p])
 
 
 def ext_dims(M: FPModule, N: FPModule, p_max: int, p_min: int = 0):
@@ -505,21 +445,13 @@ class Extension:
         gens = incl_vecs + [vec_from_polys(c) for c in self.E.relations]
         gb = SubmoduleGB(ring.ambient, self.E.ngens, gens, pad_polys=ring.gb)
         relA_gb = self.A.rel_gb()
-        for s in gb.syzygies():
-            ker_elt = [ring.zero()] * gA
-            hit = False
-            for (pidx, m), c in s.items():
-                if pidx < gA:
-                    hit = True
-                    ker_elt[pidx] = ker_elt[pidx] + ring.ambient.monomial(m, c)
-            if hit and not relA_gb.contains(vec_from_polys(ker_elt)):
+        for ker_elt in _syzygy_heads(gb, gA):
+            if not relA_gb.contains(ker_elt):
                 return False
-        # ker(proj) subset image(incl) + rel(E)
-        target_gens = incl_vecs + [vec_from_polys(c) for c in self.E.relations]
-        tgt = SubmoduleGB(ring.ambient, self.E.ngens, target_gens, pad_polys=ring.gb)
+        # ker(proj) subset image(incl) + rel(E), the span of the same gens
         for relcol in self.B.relations:
             lifted = [ring.normal_form(p) for p in relcol] + [ring.zero()] * gA
-            if not tgt.contains(vec_from_polys(lifted)):
+            if not gb.contains(vec_from_polys(lifted)):
                 return False
         return True
 

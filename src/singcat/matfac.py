@@ -10,35 +10,23 @@ Stable Hom dimensions are the homology of the Z/2-graded Hom complex
     (u, v) -> (A'v + uB, B'u + vA)     [odd -> even]
     (a, b) -> (A'b - aA, B'a - bB)     [even -> odd]
 
-computed exactly as a subquotient of a free S-module, so no degree bounds
-enter: morphisms modulo homotopy in even degree, maps to the shift in odd.
+computed exactly, so no degree bounds enter: morphisms modulo homotopy in
+even degree, maps to the shift in odd.  Each homology space ker(d_out) /
+im(d_in) is a homs.MatrixSubquotient over the free ring S, the same object
+that carries every Hom, Ext and stable Hom space of modules.
 """
 
 from __future__ import annotations
 
 from .poly import PolyRing, Polynomial
 from .quotient import QuotientRing
-from .modules import FPModule, _prune_columns, _sort_columns
+from .modules import FPModule, _prune_columns, _sort_columns, mat_mul
 from .modgb import SubmoduleGB, vec_from_polys, vec_to_polys
+from .homs import MatrixSubquotient, _flat, _syzygy_heads
 
 
 class MFError(ValueError):
     pass
-
-
-def _mat_mul(ring: PolyRing, A, B):
-    n = len(A)
-    m = len(B[0]) if B else 0
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            s = ring.zero()
-            for k in range(len(B)):
-                s = s + A[i][k] * B[k][j]
-            row.append(s)
-        out.append(row)
-    return out
 
 
 def _is_f_identity(ring: PolyRing, M, f: Polynomial) -> bool:
@@ -70,8 +58,8 @@ class MatrixFactorization:
             return False
         if self.size == 0:
             return True
-        return (_is_f_identity(self.ring, _mat_mul(self.ring, self.A, self.B), self.f)
-                and _is_f_identity(self.ring, _mat_mul(self.ring, self.B, self.A), self.f))
+        return (_is_f_identity(self.ring, mat_mul(self.ring, self.A, self.B), self.f)
+                and _is_f_identity(self.ring, mat_mul(self.ring, self.B, self.A), self.f))
 
     def shift(self) -> "MatrixFactorization":
         return MatrixFactorization(self.ring, self.f, self.B, self.A, check=False)
@@ -260,116 +248,25 @@ def mf_from_module(M: FPModule) -> MatrixFactorization:
 # stable homs via the Z/2-graded Hom complex
 
 
-def _flatten_index(nrows, i, j):
-    return j * nrows + i
-
-
-def _build_even_to_odd(ring, X, Y):
-    """Columns of d0: (alpha, beta) -> (A'beta - alpha A, B'alpha - beta B)."""
+def _hom_complex_columns(X, Y, blocks):
+    """Columns of one differential of the Z/2-graded Hom complex.  Both of
+    its ends are pairs of m x n matrices, stored as one m x 2n matrix
+    [block 0 | block 1].  blocks[s] lists the terms (t, L, R) of the image
+    of a matrix unit E in source block s: L.E (L an m x m matrix of Y) or
+    E.R (R an n x n matrix of X), added into target block t."""
     n, m = X.size, Y.size
-    blk = m * n
     cols = []
-    # alpha unit at (i0, j0): Hom(X0, Y0)
-    for j0 in range(n):
-        for i0 in range(m):
-            vec = {}
-            # component 1 entry (i0, l) -= A[j0][l]
-            for l in range(n):
-                p = X.A[j0][l]
-                for mon, c in p.terms.items():
-                    key = (_flatten_index(m, i0, l), mon)
-                    vec[key] = ring.field.add(vec.get(key, ring.field.zero()),
-                                              ring.field.neg(c))
-            # component 2 entry (k, j0) += B'[k][i0]
-            for k in range(m):
-                p = Y.B[k][i0]
-                for mon, c in p.terms.items():
-                    key = (blk + _flatten_index(m, k, j0), mon)
-                    vec[key] = ring.field.add(vec.get(key, ring.field.zero()), c)
-            cols.append({k: v for k, v in vec.items() if not ring.field.is_zero(v)})
-    # beta unit at (k0, l0): Hom(X1, Y1)
-    for l0 in range(n):
-        for k0 in range(m):
-            vec = {}
-            # component 1 entry (i, l0) += A'[i][k0]
-            for i in range(m):
-                p = Y.A[i][k0]
-                for mon, c in p.terms.items():
-                    key = (_flatten_index(m, i, l0), mon)
-                    vec[key] = ring.field.add(vec.get(key, ring.field.zero()), c)
-            # component 2 entry (k0, j) -= B[l0][j]
-            for j in range(n):
-                p = X.B[l0][j]
-                for mon, c in p.terms.items():
-                    key = (blk + _flatten_index(m, k0, j), mon)
-                    vec[key] = ring.field.add(vec.get(key, ring.field.zero()),
-                                              ring.field.neg(c))
-            cols.append({k: v for k, v in vec.items() if not ring.field.is_zero(v)})
+    for terms in blocks:
+        for c in range(n):
+            for r in range(m):  # the unit E with a one at (r, c)
+                entries = []
+                for t, L, R in terms:
+                    if L is not None:  # (L.E)[k][c] = L[k][r]
+                        entries += [(t * n + c, k, L[k][r]) for k in range(m)]
+                    else:              # (E.R)[r][l] = R[c][l]
+                        entries += [(t * n + l, r, R[c][l]) for l in range(n)]
+                cols.append(_flat(m, entries))
     return cols
-
-
-def _build_odd_to_even(ring, X, Y):
-    """Columns of d1: (u, v) -> (A'v + uB, B'u + vA): u: X1 -> Y0, v: X0 -> Y1."""
-    n, m = X.size, Y.size
-    blk = m * n
-    cols = []
-    # u unit at (i0, k0): Hom(X1, Y0)
-    for k0 in range(n):
-        for i0 in range(m):
-            vec = {}
-            # component 1 (to Hom(X0, Y0)) entry (i0, j) += B[k0][j]
-            for j in range(n):
-                p = X.B[k0][j]
-                for mon, c in p.terms.items():
-                    key = (_flatten_index(m, i0, j), mon)
-                    vec[key] = ring.field.add(vec.get(key, ring.field.zero()), c)
-            # component 2 (to Hom(X1, Y1)) entry (k, k0) += B'[k][i0]
-            for k in range(m):
-                p = Y.B[k][i0]
-                for mon, c in p.terms.items():
-                    key = (blk + _flatten_index(m, k, k0), mon)
-                    vec[key] = ring.field.add(vec.get(key, ring.field.zero()), c)
-            cols.append({k: v for k, v in vec.items() if not ring.field.is_zero(v)})
-    # v unit at (k0, j0): Hom(X0, Y1)
-    for j0 in range(n):
-        for k0 in range(m):
-            vec = {}
-            # component 1 entry (i, j0) += A'[i][k0]
-            for i in range(m):
-                p = Y.A[i][k0]
-                for mon, c in p.terms.items():
-                    key = (_flatten_index(m, i, j0), mon)
-                    vec[key] = ring.field.add(vec.get(key, ring.field.zero()), c)
-            # component 2 entry (k0, l) += A[j0][l]
-            for l in range(n):
-                p = X.A[j0][l]
-                for mon, c in p.terms.items():
-                    key = (blk + _flatten_index(m, k0, l), mon)
-                    vec[key] = ring.field.add(vec.get(key, ring.field.zero()), c)
-            cols.append({k: v for k, v in vec.items() if not ring.field.is_zero(v)})
-    return cols
-
-
-def _homology_dim(ring: PolyRing, npos, d_out_cols, d_in_cols):
-    """dim_k of ker(d_out)/im(d_in) inside S^npos (exact, no truncation)."""
-    if npos == 0:
-        return 0
-    gb_out = SubmoduleGB(ring, npos, d_out_cols)
-    U = gb_out.syzygies()
-    # syzygy coords live on the source positions of d_out = our npos
-    kernel_gens = []
-    for s in U:
-        kernel_gens.append(dict(s))
-    sub = SubmoduleGB(ring, npos, kernel_gens + d_in_cols)
-    W = []
-    for s in sub.syzygies():
-        w = {(p, m): c for (p, m), c in s.items() if p < len(kernel_gens)}
-        if w:
-            W.append(w)
-    pres = SubmoduleGB(ring, len(kernel_gens), W)
-    if not kernel_gens:
-        return 0
-    return pres.quotient_dim()
 
 
 def mf_stable_hom(X: MatrixFactorization, Y: MatrixFactorization):
@@ -381,13 +278,23 @@ def mf_stable_hom(X: MatrixFactorization, Y: MatrixFactorization):
         raise MFError("factorizations must share ring and potential")
     if X.size == 0 or Y.size == 0:
         return (0, 0)
-    ring = X.ring
+    S = X.ring
+
+    def neg(M):
+        return [[-p for p in row] for row in M]
+
+    # (a, b) -> (A'b - aA, B'a - bB) and (u, v) -> (A'v + uB, B'u + vA)
+    d0 = _hom_complex_columns(X, Y, [[(0, None, neg(X.A)), (1, Y.B, None)],
+                                     [(0, Y.A, None), (1, None, neg(X.B))]])
+    d1 = _hom_complex_columns(X, Y, [[(0, None, X.B), (1, Y.B, None)],
+                                     [(0, Y.A, None), (1, None, X.A)]])
+    free = QuotientRing(S, [])
     npos = 2 * X.size * Y.size
-    d0 = _build_even_to_odd(ring, X, Y)
-    d1 = _build_odd_to_even(ring, X, Y)
-    even = _homology_dim(ring, npos, d0, d1)
-    odd = _homology_dim(ring, npos, d1, d0)
-    if even is None or odd is None:
+    dims = []
+    for d_out, d_in in ((d0, d1), (d1, d0)):
+        kernel = _syzygy_heads(SubmoduleGB(S, npos, d_out), npos)
+        dims.append(MatrixSubquotient(free, Y.size, 2 * X.size, kernel, d_in).dim())
+    if None in dims:
         raise MFError("infinite-dimensional stable hom: the singular locus "
                       "of the potential is not isolated on the support")
-    return (even, odd)
+    return tuple(dims)

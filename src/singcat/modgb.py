@@ -18,10 +18,6 @@ from .poly import PolyRing, Polynomial, mon_mul, mon_div, mon_divides, mon_lcm
 Vec = dict  # (pos, monomial) -> coefficient
 
 
-def vec_zero() -> Vec:
-    return {}
-
-
 def vec_is_zero(v: Vec) -> bool:
     return not v
 

@@ -13,23 +13,36 @@ from .quotient import QuotientRing
 from .modgb import SubmoduleGB, vec_from_polys, vec_to_polys
 
 
-def column_vec(col):
-    return vec_from_polys(col)
-
-
 def syzygies(ring: QuotientRing, columns):
     """Generators of the syzygy module of the given columns over the ring.
 
-    Each column is a list of polynomials in the ambient ring; the result
-    columns S satisfy M*S = 0 modulo the defining ideal and generate every
-    such relation."""
+    Each column is a list of polynomials in the ambient ring, read modulo
+    the defining ideal; the result columns S satisfy M*S = 0 modulo the
+    ideal and generate every such relation."""
     if not columns:
         return []
     npos = len(columns[0])
-    vecs = [vec_from_polys([ring.normal_form(p) for p in col]) for col in columns]
+    vecs = [vec_from_polys(col) for col in columns]
     gb = SubmoduleGB(ring.ambient, npos, vecs, pad_polys=ring.gb)
     return [[ring.normal_form(p) for p in vec_to_polys(ring.ambient, s, len(columns))]
             for s in gb.syzygies()]
+
+
+def mat_mul(ring, A, B):
+    """Product A*B of row-major matrices of ambient polynomials, skipping
+    zero entries of A; no normal form is taken.  For matrices stored by
+    columns, cols(A*B) = mat_mul(ring, cols(B), cols(A))."""
+    ncols = len(B[0]) if B else 0
+    out = []
+    for row in A:
+        acc = [ring.zero()] * ncols
+        for a, brow in zip(row, B):
+            if a.is_zero():
+                continue
+            for j, b in enumerate(brow):
+                acc[j] = acc[j] + a * b
+        out.append(acc)
+    return out
 
 
 class FPModule:
@@ -191,15 +204,9 @@ class FreeResolution:
     def verify_complex(self) -> bool:
         ring = self.module.ring
         for p in range(2, len(self.diffs) + 1):
-            prev = self.differential(p - 1)
-            cur = self.differential(p)
-            for col in cur:
-                acc = [ring.zero() for _ in range(self.ranks[p - 2])]
-                for j, c in enumerate(col):
-                    for i in range(self.ranks[p - 2]):
-                        acc[i] = acc[i] + prev[j][i] * c
-                if not all(ring.is_zero(a) for a in acc):
-                    return False
+            prod = mat_mul(ring, self.differential(p), self.differential(p - 1))
+            if not all(ring.is_zero(a) for col in prod for a in col):
+                return False
         return True
 
     def periodic_pair_is_factorization(self) -> bool:
@@ -214,24 +221,14 @@ class FreeResolution:
         B = self.differential(i + 2)
         if len(A) != len(B) or (A and len(A) != len(A[0])):
             return False
-        for j in range(len(B)):
-            acc = [ring.ambient.zero() for _ in range(len(A[0]))]
-            for k in range(len(A)):
-                for t in range(len(A[0])):
-                    acc[t] = acc[t] + A[k][t] * B[j][k]
-            if acc != [f if t == j else ring.ambient.zero()
-                       for t in range(len(acc))]:
+        for j, col in enumerate(mat_mul(ring, B, A)):
+            if col != [f if t == j else ring.zero() for t in range(len(col))]:
                 return False
         return True
 
 
-def _syzygy_columns(ring: QuotientRing, cols, npos):
-    vecs = [vec_from_polys(c) for c in cols]
-    gb = SubmoduleGB(ring.ambient, npos, vecs, pad_polys=ring.gb)
-    syz = gb.syzygies()
-    out = [[ring.normal_form(p) for p in vec_to_polys(ring.ambient, s, len(cols))]
-           for s in syz]
-    out = _prune_columns(ring, out, len(cols))
+def _syzygy_columns(ring: QuotientRing, cols):
+    out = _prune_columns(ring, syzygies(ring, cols), len(cols))
     return _sort_columns(ring, out)
 
 
@@ -247,7 +244,7 @@ def _resolve(module: FPModule, length: int) -> FreeResolution:
         if periodic_from is not None and step >= periodic_from + 2:
             nxt = diffs[-2]
         else:
-            nxt = _syzygy_columns(ring, diffs[-1], ranks[step - 1])
+            nxt = _syzygy_columns(ring, diffs[-1])
         diffs.append(nxt)
         ranks.append(len(nxt))
         degrees.append(_column_degrees(ring, nxt, degrees[-1]))

@@ -13,6 +13,7 @@ cones and arbitrary Weil divisors uniformly.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .fields import QQ
 from .linalg import Matrix, rank as mat_rank
@@ -20,19 +21,6 @@ from .linalg import Matrix, rank as mat_rank
 
 class ToricError(ValueError):
     pass
-
-
-def _gcd_list(v):
-    g = 0
-    for x in v:
-        g = _gcd(g, abs(x))
-    return g
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _dot(m, u):
@@ -112,7 +100,7 @@ class Fan:
         for u in self.rays:
             if len(u) != rank:
                 raise ToricError("ray arity mismatch")
-            g = _gcd_list(u)
+            g = gcd(*u)
             if g == 0:
                 raise ToricError("zero ray")
             if g != 1:
@@ -144,9 +132,9 @@ class Fan:
             n = [ker.rows[i][0] for i in range(self.rank)]
             den = 1
             for v in n:
-                den = den * v.denominator // _gcd(den, v.denominator)
+                den = den * v.denominator // gcd(den, v.denominator)
             n = [int(v * den) for v in n]
-            g = _gcd_list(n)
+            g = gcd(*n)
             n = tuple(v // g for v in n)
             for cand in (n, tuple(-v for v in n)):
                 if cand in seen:

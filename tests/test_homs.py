@@ -105,6 +105,30 @@ def test_module_mode_presentation():
         H.dim  # module mode carries no k-basis
 
 
+def test_hom_is_ext_zero():
+    # Hom(M, N) is the p = 0 case of Ext: the same generators U, the same
+    # null generators V, and so the same dimension
+    from singcat.models import node_curve, branch_module_z, branch_module_w
+    B = node_curve()
+    C = cone_ring()
+    modes = set()
+    for pair in ((branch_module_z(B), branch_module_w(B)),
+                 (cone_L1(C), cone_L2(C))):
+        for M in pair:
+            for N in pair:
+                H = hom_space(M, N)
+                E = ext_space(M, N, 0)
+                assert H.msq.U == E.U
+                assert H.msq.V == E.V
+                if H.mode == "full":
+                    assert H.dim == E.dim()
+                else:
+                    assert H.mode == "graded0"
+                    assert H.dim == E.graded_dim(0)
+                modes.add(H.mode)
+    assert modes == {"full", "graded0"}
+
+
 # -- Ext ---------------------------------------------------------------------
 
 

@@ -5,7 +5,7 @@ non-commutative deformation towers."""
 
 from .fields import QQ, GF, QuadraticExtension, field_by_name
 from .poly import PolyRing, Polynomial
-from .linalg import Matrix, matrix_solve
+from .linalg import Matrix
 from .quotient import QuotientRing, parse_ring
 from .modgb import groebner_basis
 from .modules import FPModule, FreeResolution

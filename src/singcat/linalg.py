@@ -140,13 +140,3 @@ def solve(m: Matrix, rhs) -> list | None:
         x[pc] = red.rows[i][m.ncols]
     return x
 
-
-def matrix_solve(m: Matrix, mode: str):
-    """Single-entry dispatcher: mode in {rank, kernel_basis, rref}."""
-    if mode == "rank":
-        return rank(m)
-    if mode == "kernel_basis":
-        return kernel_basis(m)
-    if mode == "rref":
-        return rref(m)[0]
-    raise ValueError(f"unknown mode {mode!r}")

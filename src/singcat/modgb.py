@@ -9,9 +9,18 @@ forms, membership certificates, and a generating set of syzygies at once.
 Computations over a quotient ring S/I are handled by padding the generator
 list with f*e_i for the ideal generators f; pad coefficients are dropped
 from certificates and syzygies.
+
+One reducer, `_reduce_full`, serves Buchberger's algorithm, normal forms
+of module elements and `poly_normal_form`.  The reduced basis comes from a
+minimal basis by reducing each tail once.  One staircase enumerator,
+`_standard_monomials`, gives the standard monomials of each position, all
+of them or those of one degree; the quotient dimensions are the lengths of
+those lists, with None for an infinite staircase.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from .poly import PolyRing, Polynomial, mon_mul, mon_div, mon_divides, mon_lcm
 
@@ -63,6 +72,25 @@ def vec_to_polys(ring: PolyRing, v: Vec, npos: int):
     return [Polynomial(ring, t) for t in polys]
 
 
+def _reduce_full(F, key, v: Vec, by_pos) -> Vec:
+    """Remainder of v modulo the (lead, vector) pairs of by_pos, indexed by
+    lead position: every term is reduced, largest first under key; the
+    result lists its terms in decreasing order."""
+    work = dict(v)
+    result: Vec = {}
+    while work:
+        lead = max(work, key=key)
+        p, m = lead
+        for blead, g in by_pos.get(p, ()):
+            if mon_divides(blead[1], m):
+                c = F.neg(F.div(work[lead], g[blead]))
+                vec_add_into(F, work, g, c, mon_div(m, blead[1]))
+                break
+        else:
+            result[lead] = work.pop(lead)
+    return result
+
+
 class SubmoduleGB:
     """Reduced graph-module Groebner basis for a generator list in S^npos."""
 
@@ -110,26 +138,6 @@ class SubmoduleGB:
         vec_add_into(F, out, v, F.neg(F.inv(v[lv])), mon_div(m, mv))
         return out
 
-    def _reduce_full(self, v: Vec, basis_by_pos) -> Vec:
-        F = self.field
-        work = dict(v)
-        result: Vec = {}
-        while work:
-            lead = max(work, key=self._key)
-            p, m = lead
-            hit = None
-            for (lp, lm), g in basis_by_pos.get(p, ()):
-                if mon_divides(lm, m):
-                    hit = ((lp, lm), g)
-                    break
-            if hit is None:
-                result[lead] = work.pop(lead)
-                continue
-            (lp, lm), g = hit
-            c = F.neg(F.div(work[lead], g[(lp, lm)]))
-            vec_add_into(F, work, g, c, mon_div(m, lm))
-        return result
-
     def _buchberger(self, gens):
         F = self.field
         basis = []
@@ -145,7 +153,7 @@ class SubmoduleGB:
         seeds = [g for g in gens if g]
         leads = []
         for g in seeds:
-            g = self._reduce_full(g, by_pos)
+            g = _reduce_full(F, self._key, g, by_pos)
             if g:
                 leads.append(push(g))
         import heapq
@@ -165,32 +173,28 @@ class SubmoduleGB:
             li, u = basis[i]
             lj, v = basis[j]
             s = self._spair(li, u, lj, v)
-            s = self._reduce_full(s, by_pos)
+            s = _reduce_full(F, self._key, s, by_pos)
             if s:
                 lead = push(s)
                 k = len(basis) - 1
                 for t in range(k):
                     if basis[t][0][0] == lead[0]:
                         heapq.heappush(pairs, pair_entry(k, t))
-        # autoreduce to the unique reduced basis
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(basis)):
-                lead, v = basis[i]
-                others: dict = {}
-                for j, (l2, w) in enumerate(basis):
-                    if j != i:
-                        others.setdefault(l2[0], []).append((l2, w))
-                r = self._reduce_full(v, others)
-                if r != v:
-                    changed = True
-                    if r:
-                        l = self._lead(r)
-                        basis[i] = (l, vec_scale(F, r, F.inv(r[l])))
-                    else:
-                        basis.pop(i)
-                    break
+        # A minimal basis (no lead divides another at its position), then one
+        # pass of tail reduction modulo it, gives the unique reduced basis.
+        # Leads are distinct: each element was reduced by all earlier ones.
+        minimal: dict = {}
+        for lead, v in basis:
+            if not any(l2 != lead and mon_divides(l2[1], lead[1])
+                       for l2, _w in by_pos[lead[0]]):
+                minimal.setdefault(lead[0], []).append((lead, v))
+        basis = []
+        for group in minimal.values():
+            for lead, v in group:
+                tail = dict(v)
+                reduced = {lead: tail.pop(lead)}
+                reduced.update(_reduce_full(F, self._key, tail, minimal))
+                basis.append((lead, reduced))
         basis.sort(key=lambda lv: self._key(lv[0]), reverse=True)
         return basis
 
@@ -203,8 +207,7 @@ class SubmoduleGB:
         positions 0..ngens-1 such that v = nf + sum cert_j * gens_j modulo
         the padded ideal part.
         """
-        w = {k: c for k, c in v.items()}
-        red = self._reduce_full(w, self._by_pos)
+        red = _reduce_full(self.field, self._key, v, self._by_pos)
         nf = {k: c for k, c in red.items() if k[0] < self.npos}
         if not with_cert:
             return nf
@@ -221,18 +224,8 @@ class SubmoduleGB:
     def main_lead_monomials(self):
         """Leading monomials of the span, grouped per main position."""
         if self._main_leads is None:
-            per = [[] for _ in range(self.npos)]
-            for (p, m), _v in self.basis:
-                if p < self.npos:
-                    per[p].append(m)
-            # drop redundant multiples
-            self._main_leads = []
-            for mons in per:
-                keep = []
-                for m in mons:
-                    if not any(mon_divides(o, m) for o in mons if o != m):
-                        keep.append(m)
-                self._main_leads.append(keep)
+            self._main_leads = [[lead[1] for lead, _v in self._by_pos.get(p, ())]
+                                for p in range(self.npos)]
         return self._main_leads
 
     def syzygies(self):
@@ -248,71 +241,34 @@ class SubmoduleGB:
             self._syz = out
         return self._syz
 
-    # -- staircase dimensions --------------------------------------------------
+    # -- staircase bases and dimensions -----------------------------------------
 
-    def _position_finite(self, mons) -> bool:
-        nv = self.ring.nvars
-        for i in range(nv):
-            if not any(all(e == 0 for j, e in enumerate(m) if j != i) and m[i] > 0
-                       for m in mons):
-                if nv == 0:
-                    continue
-                return False
-        return True
-
-    def _std_monomials_at(self, mons, bound=None):
-        """Monomials not divisible by any of mons (requires finiteness)."""
-        nv = self.ring.nvars
-        if nv == 0:
-            return [()] if mons == [] else []
-        box = []
-        for i in range(nv):
-            pures = [m[i] for m in mons
-                     if all(e == 0 for j, e in enumerate(m) if j != i) and m[i] > 0]
-            box.append(min(pures))
+    def _staircase(self, degree=None, pos_degrees=None):
+        """(position, monomial) pairs of the standard monomials of
+        S^npos / span: all of them, or those of internal degree `degree`
+        when e_i has degree pos_degrees[i]; None if there are infinitely
+        many."""
         out = []
-
-        def rec(prefix):
-            i = len(prefix)
-            if i == nv:
-                m = tuple(prefix)
-                if not any(mon_divides(g, m) for g in mons):
-                    out.append(m)
-                return
-            for e in range(box[i]):
-                rec(prefix + [e])
-
-        rec([])
+        for p, mons in enumerate(self.main_lead_monomials()):
+            want = None if degree is None else degree - pos_degrees[p]
+            std = _standard_monomials(self.ring, mons, want)
+            if std is None:
+                return None
+            out.extend((p, m) for m in std)
         return out
 
     def quotient_dim(self):
         """dim_k of S^npos / span, or None if infinite."""
-        total = 0
-        for mons in self.main_lead_monomials():
-            if not mons:
-                return None if self.ring.nvars > 0 else total + 1
-            zero = (0,) * self.ring.nvars
-            if zero in mons:
-                continue
-            if not self._position_finite(mons):
-                return None
-            total += len(self._std_monomials_at(mons))
-        return total
+        std = self._staircase()
+        return None if std is None else len(std)
 
     def quotient_std_monomials(self):
-        """List of (position, monomial) spanning S^npos / span over k."""
-        out = []
-        for p, mons in enumerate(self.main_lead_monomials()):
-            if not mons:
-                raise ValueError(f"position {p} is free: infinite dimension")
-            zero = (0,) * self.ring.nvars
-            if zero in mons:
-                continue
-            if not self._position_finite(mons):
-                raise ValueError(f"position {p}: infinite staircase")
-            for m in self._std_monomials_at(mons):
-                out.append((p, m))
-        return out
+        """List of (position, monomial) spanning S^npos / span over k;
+        ValueError if the staircase is infinite."""
+        std = self._staircase()
+        if std is None:
+            raise ValueError("infinite staircase: the quotient has no finite k-basis")
+        return std
 
     def quotient_graded_dim(self, degree: int, pos_degrees):
         """dim_k of the graded piece of S^npos / span in the given degree.
@@ -320,32 +276,31 @@ class SubmoduleGB:
         pos_degrees[i] is the internal degree of basis vector e_i; monomial
         degrees use the ring's grading weights.  Works for infinite staircases.
         """
-        count = 0
-        for p, mons in enumerate(self.main_lead_monomials()):
-            zero = (0,) * self.ring.nvars
-            if zero in mons:
-                continue
-            want = degree - pos_degrees[p]
-            if want < 0:
-                continue
-            for m in _monomials_of_weighted_degree(self.ring, want):
-                if not any(mon_divides(g, m) for g in mons):
-                    count += 1
-        return count
+        return len(self._staircase(degree, pos_degrees))
 
     def quotient_graded_monomials(self, degree: int, pos_degrees):
-        out = []
-        for p, mons in enumerate(self.main_lead_monomials()):
-            zero = (0,) * self.ring.nvars
-            if zero in mons:
-                continue
-            want = degree - pos_degrees[p]
-            if want < 0:
-                continue
-            for m in _monomials_of_weighted_degree(self.ring, want):
-                if not any(mon_divides(g, m) for g in mons):
-                    out.append((p, m))
-        return out
+        """The standard monomials behind quotient_graded_dim."""
+        return self._staircase(degree, pos_degrees)
+
+
+def _standard_monomials(ring: PolyRing, leads, degree=None):
+    """Monomials divisible by none of `leads`: all of them, or those of
+    weighted degree `degree`; None if there are infinitely many."""
+    if degree is None:
+        # finite iff each variable has a pure power among the leads; the
+        # smallest such exponents bound a box holding the whole staircase
+        box = []
+        for i in range(ring.nvars):
+            pures = [m[i] for m in leads if m[i] == sum(m)]
+            if not pures:
+                return None
+            box.append(min(pures))
+        candidates = itertools.product(*map(range, box))
+    elif degree < 0:
+        return []
+    else:
+        candidates = _monomials_of_weighted_degree(ring, degree)
+    return [m for m in candidates if not any(mon_divides(g, m) for g in leads)]
 
 
 def _monomials_of_weighted_degree(ring: PolyRing, d: int):
@@ -402,38 +357,10 @@ def groebner_basis(generators, order: str | None = None):
 def poly_normal_form(p: Polynomial, gb_polys) -> Polynomial:
     """Normal form of p against a list of polynomials (assumed a GB)."""
     ring = p.ring
-    gb = [g for g in gb_polys if not g.is_zero()]
-    if not gb:
+    index = [((0, g.lead_monomial()), vec_from_polys([g]))
+             for g in gb_polys if not g.is_zero()]
+    if not index:
         return p
-    F = ring.field
-    key = ring.order_key
-    leads = [(g.lead_monomial(), g.lead_coeff(), g) for g in gb]
-    work = dict(p.terms)
-    result: dict = {}
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        hit = None
-        for lm, lc, g in leads:
-            if mon_divides(lm, m):
-                hit = (lm, lc, g)
-                break
-        if hit is None:
-            result[m] = c
-            continue
-        lm, lc, g = hit
-        factor = F.neg(F.div(c, lc))
-        shift = mon_div(m, lm)
-        work[m] = c
-        for mm, cc in g.terms.items():
-            kmon = mon_mul(mm, shift)
-            add = F.mul(factor, cc)
-            if kmon in work:
-                s = F.add(work[kmon], add)
-                if F.is_zero(s):
-                    del work[kmon]
-                else:
-                    work[kmon] = s
-            else:
-                work[kmon] = add
-    return Polynomial(ring, result)
+    key = lambda t, ok=ring.order_key: ok(t[1])
+    nf = _reduce_full(ring.field, key, vec_from_polys([p]), {0: index})
+    return Polynomial(ring, {m: c for (_pos, m), c in nf.items()})

@@ -1,9 +1,11 @@
 """Finitely presented modules over affine quotient rings, and free resolutions.
 
 An FPModule is coker(R^r -> R^g) given by relation columns.  Syzygy steps are
-pruned of redundant generators and sorted canonically, so resolution tails
-over hypersurface rings tend to repeat literally; when d_{i+2} = d_i is
-detected the resolution is extended by copying.
+pruned of redundant generators in one forward pass and sorted canonically,
+so resolution tails over hypersurface rings tend to repeat literally; when
+d_{i+2} = d_i is detected the resolution is extended by copying.  A module
+caches its resolution, and a request for a longer one extends the cached
+one instead of starting again.
 """
 
 from __future__ import annotations
@@ -169,19 +171,17 @@ def _canon_col_key(ring: QuotientRing, col):
 
 
 def _prune_columns(ring: QuotientRing, cols, npos):
-    """Drop columns lying in the span of the others (plus the ideal)."""
+    """Drop columns lying in the span of the others (plus the ideal), in one
+    forward pass: column i goes if the columns still kept, other than i,
+    span it.  Dropping a column only shrinks the span of the rest, so a
+    column kept once stays kept."""
     cols = [c for c in cols if any(not p.is_zero() for p in c)]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(cols)):
-            others = [vec_from_polys(c) for j, c in enumerate(cols) if j != i]
-            gb = SubmoduleGB(ring.ambient, npos, others, pad_polys=ring.gb)
-            if gb.contains(vec_from_polys(cols[i])):
-                cols.pop(i)
-                changed = True
-                break
-    return cols
+    keep = [True] * len(cols)
+    for i, col in enumerate(cols):
+        others = [vec_from_polys(c) for j, c in enumerate(cols) if keep[j] and j != i]
+        gb = SubmoduleGB(ring.ambient, npos, others, pad_polys=ring.gb)
+        keep[i] = not gb.contains(vec_from_polys(col))
+    return [c for c, k in zip(cols, keep) if k]
 
 
 class FreeResolution:
@@ -233,22 +233,27 @@ def _syzygy_columns(ring: QuotientRing, cols):
 
 
 def _resolve(module: FPModule, length: int) -> FreeResolution:
+    """Resolution with `length` differentials.  A shorter cached resolution
+    is extended: each step depends only on the steps before it."""
     ring = module.ring
-    diffs = [module.relations]
-    ranks = [module.ngens, len(module.relations)]
-    degrees = [module.gen_degrees]
-    degrees.append(_column_degrees(ring, module.relations, module.gen_degrees))
-    periodic_from = None
-    step = 1
-    while step < length:
-        if periodic_from is not None and step >= periodic_from + 2:
+    res = module._resolution
+    if res is None:
+        diffs = [module.relations]
+        ranks = [module.ngens, len(module.relations)]
+        degrees = [module.gen_degrees,
+                   _column_degrees(ring, module.relations, module.gen_degrees)]
+        periodic_from = None
+    else:
+        diffs, ranks = list(res.diffs), list(res.ranks)
+        degrees, periodic_from = list(res.step_degrees), res.periodic_from
+    while len(diffs) < length:
+        if periodic_from is not None and len(diffs) >= periodic_from + 2:
             nxt = diffs[-2]
         else:
             nxt = _syzygy_columns(ring, diffs[-1])
         diffs.append(nxt)
         ranks.append(len(nxt))
         degrees.append(_column_degrees(ring, nxt, degrees[-1]))
-        step += 1
         if periodic_from is None and len(diffs) >= 3:
             for i in range(1, len(diffs) - 1):
                 if diffs[i + 1] == diffs[i - 1] and ranks[i + 1] == ranks[i - 1]:

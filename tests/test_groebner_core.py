@@ -101,6 +101,39 @@ def test_syzygy_cone_ring_oracle():
         assert span.contains(v)
 
 
+def test_padded_module_bases_are_reduced(monkeypatch):
+    # every basis built while resolving the cone and node presentations and
+    # computing Homs between them: graph-module bases padded by the ideal
+    from singcat import models
+    from singcat.homs import hom_space
+    from singcat.poly import mon_divides
+    built = []
+    init = SubmoduleGB.__init__
+
+    def recording_init(self, *args, **kw):
+        init(self, *args, **kw)
+        built.append(self)
+
+    monkeypatch.setattr(SubmoduleGB, "__init__", recording_init)
+    C, N, B = models.cone_ring(), models.node_surface(), models.node_curve()
+    L1, L2 = models.cone_L1(C), models.cone_L2(C)
+    for M in (L1, L2, models.cone_power_ideal(C, 3),
+              models.node_point_module(N), models.branch_module_z(B)):
+        M.resolve(3)
+    hom_space(L1, L2, mode="graded0")
+    hom_space(models.node_point_module(N), models.node_point_module(N))
+    padded = [gb for gb in built if gb.pads]
+    assert len(padded) > 30
+    for gb in padded:
+        leads = [lead for lead, _v in gb.basis]
+        for lead, v in gb.basis:
+            assert v[lead] == gb.field.one() and max(v, key=gb._key) == lead
+            for t in v:
+                # a lead divides only its own lead term
+                divisors = [l2 for l2 in leads if l2[0] == t[0] and mon_divides(l2[1], t[1])]
+                assert divisors == ([lead] if t == lead else []), (lead, t)
+
+
 def test_membership_certificate():
     R = PolyRing(QQ, ["x", "y"])
     g1 = R.parse("x^2-y")

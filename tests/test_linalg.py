@@ -1,17 +1,17 @@
 import random
 
 from singcat.fields import QQ, GF
-from singcat.linalg import Matrix, rank, rref, kernel_basis, solve, matrix_solve
+from singcat.linalg import Matrix, rank, rref, kernel_basis, solve
 
 
 def test_identity_rank():
     m = Matrix.identity(QQ, 3)
-    assert matrix_solve(m, "rank") == 3
+    assert rank(m) == 3
 
 
 def test_zero_matrix_kernel():
     m = Matrix.zero(QQ, 2, 3)
-    k = matrix_solve(m, "kernel_basis")
+    k = kernel_basis(m)
     assert k.ncols == 3
     assert rank(k) == 3
 

@@ -106,3 +106,22 @@ def test_direct_sum():
     kk = k.direct_sum(k)
     assert kk.ngens == 2
     assert kk.k_dim() == 2
+
+
+def test_modules_over_the_field_itself():
+    # over Q[] every position of a free module carries exactly the monomial 1
+    from singcat.homs import ext_dims, hom_space
+    R = parse_ring("Q[]")
+    k2, k3 = FPModule.free(R, 2), FPModule.free(R, 3)
+    assert k2.k_dim() == 2
+    assert hom_space(k2, k2).dim == 4
+    assert ext_dims(k2, k3, 0) == {0: 6}
+
+
+def test_prune_keeps_earliest_irredundant_columns():
+    from singcat.modules import _prune_columns
+    R = parse_ring("Q[x,y]")
+    x, y = R.parse("x"), R.parse("y")
+    for cols in ([[x], [R.parse("x^2")], [y], [R.parse("x*y")]],
+                 [[R.parse("x^2")], [x], [y]]):
+        assert _prune_columns(R, cols, 1) == [[x], [y]]

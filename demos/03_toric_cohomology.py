@@ -1,8 +1,8 @@
 """Exact sheaf cohomology on complete toric threefolds.
 
 Divisor classes are ray-coefficient vectors; cohomology is assembled
-character by character from the Cech complex of the chart cover, grouped
-into sign chambers.  Weil divisors that are not Cartier (the rank-one
+character by character, grouped into sign chambers, from the complex of
+the rays on which the character is negative.  Weil divisors that are not Cartier (the rank-one
 classes on the quadric cone) are handled by exactly the same formula.
 """
 

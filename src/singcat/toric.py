@@ -1,22 +1,26 @@
 """Complete rational fans, torus-invariant divisors, and exact sheaf
 cohomology of Weil divisor classes.
 
-Cohomology uses the Cech complex of the cover by maximal-cone charts: the
-graded piece at a character m only sees which rays satisfy <m, u> >= -a,
-so characters are grouped by that sign vector.  Each sign chamber is an
+The graded piece H^p(O(D))_m only sees which rays satisfy <m, u> >= -a, so
+characters are grouped by that sign vector.  By Cox-Little-Schenck, *Toric
+Varieties*, Thm 9.1.3, the piece is the reduced cohomology H~^{p-1} of the
+complex on the remaining "negative" rays whose faces are the subsets lying
+in a common cone; that profile is memoized per fan.  Each sign chamber is an
 integral polyhedron; feasibility, boundedness, and coordinate bounds come
-from exact Fourier-Motzkin elimination, and the reduced profile of a
-chamber is memoized per fan.  This treats arbitrary (also non-simplicial)
-cones and arbitrary Weil divisors uniformly.
+from exact Fourier-Motzkin elimination.  This treats arbitrary (also
+non-simplicial) cones and arbitrary Weil divisors uniformly.  Completeness
+is decided exactly: the cones must pairwise meet in a common face, be
+full-dimensional, and pair up across every facet.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from itertools import combinations, product
+from math import ceil, floor, gcd
 
 from .fields import QQ
-from .linalg import Matrix, rank as mat_rank
+from .linalg import Matrix, kernel_basis, rank as mat_rank, solve
 
 
 class ToricError(ValueError):
@@ -107,9 +111,9 @@ class Fan:
                 raise ToricError(f"ray {u} is not primitive")
         if len(set(self.rays)) != len(self.rays):
             raise ToricError("duplicate rays")
-        self._facet_normals = {}
+        self._facets = {}
         for c in self.max_cones:
-            self._facet_normals[c] = self._cone_facets(c)
+            self._facets[c] = self._cone_facets(c)
             if not self._strongly_convex(c):
                 raise ToricError(f"cone {c} is not strongly convex")
         self._profile_memo = {}
@@ -118,15 +122,14 @@ class Fan:
     # -- cone geometry ---------------------------------------------------------
 
     def _cone_facets(self, cone):
-        """Facet normals (inward) of a full- or lower-dimensional cone."""
+        """Ray sets of the facets of a full- or lower-dimensional cone."""
         pts = [self.rays[i] for i in cone]
-        normals = []
+        facets = []
         seen = set()
-        from itertools import combinations
-        for sub in combinations(range(len(pts)), max(self.rank - 1, 1)):
-            mat = Matrix(QQ, [[Fraction(x) for x in pts[i]] for i in sub])
-            from .linalg import kernel_basis
-            ker = kernel_basis(mat)
+        for sub in combinations(range(len(pts)), self.rank - 1):
+            rows = [[Fraction(x) for x in pts[i]] for i in sub]
+            ker = (kernel_basis(Matrix(QQ, rows)) if rows
+                   else Matrix.identity(QQ, self.rank))
             if ker.ncols != 1:
                 continue
             n = [ker.rows[i][0] for i in range(self.rank)]
@@ -142,68 +145,56 @@ class Fan:
                 vals = [_dot(cand, p) for p in pts]
                 if all(v >= 0 for v in vals):
                     seen.add(cand)
-                    normals.append(cand)
-        return normals
+                    facets.append(tuple(i for i, v in zip(cone, vals) if v == 0))
+        return facets
 
     def _strongly_convex(self, cone) -> bool:
         # a strictly positive functional exists on the rays
         cons = [(list(self.rays[i]), 1) for i in cone]
         return fm_feasible(cons, self.rank)
 
-    def cone_contains(self, cone, point) -> bool:
-        """Membership for a rational point, via facet normals and span."""
-        pts = [self.rays[i] for i in cone]
-        mat = Matrix(QQ, [[Fraction(x) for x in p] for p in pts])
-        aug = Matrix(QQ, mat.rows + [[Fraction(x) for x in point]])
-        if mat_rank(aug) != mat_rank(mat):
-            return False
-        return all(_dot(n, point) >= 0 for n in self._facet_normals[cone])
-
     def walls(self):
         """Codimension-one faces shared by exactly two maximal cones,
         as (rayset tuple, cone index pair)."""
-        from itertools import combinations
         found = {}
         for idx, c in enumerate(self.max_cones):
-            for n in self._facet_normals[c]:
-                rayset = tuple(sorted(i for i in c if _dot(n, self.rays[i]) == 0))
+            for rayset in self._facets[c]:
                 if len(rayset) >= self.rank - 1:
                     found.setdefault(rayset, set()).add(idx)
         return {rs: tuple(sorted(v)) for rs, v in found.items() if len(v) == 2}
 
-    def is_complete(self, samples: int = 60) -> bool:
-        """Wall pairing plus a deterministic sampled covering test."""
-        if self._complete is not None:
-            return self._complete
-        ok = True
-        for rs, owners in self.walls().items():
-            if len(owners) != 2:
-                ok = False
-        # every facet of every maximal cone must be a shared wall
-        shared = self.walls()
-        for idx, c in enumerate(self.max_cones):
-            for n in self._facet_normals[c]:
-                rayset = tuple(sorted(i for i in c if _dot(n, self.rays[i]) == 0))
-                if rayset not in shared:
-                    ok = False
-        if ok:
-            import random
-            rng = random.Random(20240817)
-            for _ in range(samples):
-                pt = [Fraction(rng.randint(-97, 97), rng.randint(1, 13)) for _ in range(self.rank)]
-                if all(x == 0 for x in pt):
-                    continue
-                if not any(self.cone_contains(c, pt) for c in self.max_cones):
-                    ok = False
-                    break
-        self._complete = ok
-        return ok
+    def _check_fan_axiom(self):
+        """Every two maximal cones meet in a common face: some m vanishes on
+        their shared rays and is positive on the first cone's other rays and
+        negative on the second's."""
+        for c1, c2 in combinations(self.max_cones, 2):
+            cons = []
+            for i in set(c1) | set(c2):
+                u = list(self.rays[i])
+                neg = [-x for x in u]
+                if i not in c2:
+                    cons.append((u, 1))
+                elif i not in c1:
+                    cons.append((neg, 1))
+                else:
+                    cons += [(u, 0), (neg, 0)]
+            if not fm_feasible(cons, self.rank):
+                raise ToricError(f"cones {c1} and {c2} do not meet in a "
+                                 "common face: not a fan")
 
-    def face_rayset(self, cone_subset):
-        common = set(self.max_cones[cone_subset[0]])
-        for i in cone_subset[1:]:
-            common &= set(self.max_cones[i])
-        return tuple(sorted(common))
+    def is_complete(self) -> bool:
+        """Exact: raises ToricError if the cones do not form a fan; True iff
+        every maximal cone is full-dimensional and each of its facets is a
+        wall of exactly two maximal cones (then the support is closed and
+        has no boundary, so it is the whole space)."""
+        if self._complete is None:
+            self._check_fan_axiom()
+            walls = self.walls()
+            self._complete = all(
+                mat_rank(Matrix.from_int_rows(QQ, [self.rays[i] for i in c]))
+                == self.rank and all(f in walls for f in self._facets[c])
+                for c in self.max_cones)
+        return self._complete
 
     def __repr__(self):
         return (f"Fan({self.name}: rank {self.rank}, {len(self.rays)} rays, "
@@ -246,51 +237,43 @@ class TDivisor:
 
 
 def _cech_profile(fan: Fan, plus_rays: frozenset):
-    """(h^0..h^rank) of the indicator Cech complex for one sign pattern."""
+    """(h^0..h^rank) of O(D) in a degree m whose sign pattern is plus_rays,
+    the rays with <m, u> >= -a.
+
+    Cox-Little-Schenck, *Toric Varieties*, Thm 9.1.3: H^p(O(D))_m is the
+    reduced cohomology H~^{p-1} of the union, over the cones, of the convex
+    hulls of their negative rays.  That union has the homotopy type of the
+    simplicial complex whose faces are the empty face and every set of
+    negative rays lying in a common cone, which has at most one vertex per
+    ray.
+    """
     memo = fan._profile_memo
     if plus_rays in memo:
         return memo[plus_rays]
-    from itertools import combinations
-    t = len(fan.max_cones)
-    # active subsets by size; activity only grows with subset size
-    levels = []
-    for p in range(t):
-        active = []
-        for sub in combinations(range(t), p + 1):
-            rays = fan.face_rayset(sub)
-            if all(i in plus_rays for i in rays):
-                active.append(sub)
-        levels.append({sub: k for k, sub in enumerate(active)})
-    dims = []
+    faces = set()
+    for c in fan.max_cones:
+        neg = [i for i in c if i not in plus_rays]
+        for k in range(len(neg) + 1):
+            faces.update(combinations(neg, k))
+    top = max(map(len, faces))
+    levels = [sorted(f for f in faces if len(f) == k) for k in range(top + 1)]
+    # ranks[k]: coboundary from the faces with k rays to those with k + 1
     ranks = []
-    for p in range(len(levels) - 1):
-        src, tgt = levels[p], levels[p + 1]
-        if not src or not tgt:
-            ranks.append(0)
-            continue
-        rows = [[QQ.zero()] * len(src) for _ in range(len(tgt))]
-        for sub, col in src.items():
-            for extra in range(t):
-                if extra in sub:
-                    continue
-                bigger = tuple(sorted(sub + (extra,)))
-                if bigger not in tgt:
-                    continue
-                sign = (-1) ** bigger.index(extra)
-                rows[tgt[bigger]][col] = QQ.add(rows[tgt[bigger]][col],
-                                                QQ.from_int(sign))
-        ranks.append(mat_rank(Matrix(QQ, rows)))
+    for k in range(top):
+        col = {f: j for j, f in enumerate(levels[k])}
+        rows = []
+        for g in levels[k + 1]:
+            row = [0] * len(col)
+            for j in range(k + 1):
+                row[col[g[:j] + g[j + 1:]]] = (-1) ** j
+            rows.append(row)
+        ranks.append(mat_rank(Matrix.from_int_rows(QQ, rows)))
     ranks.append(0)
-    out = []
-    for p in range(len(levels)):
-        d = len(levels[p])
-        r_out = ranks[p] if p < len(ranks) else 0
-        r_in = ranks[p - 1] if p >= 1 else 0
-        out.append(d - r_out - r_in)
-    while len(out) < fan.rank + 1:
-        out.append(0)
+    out = [len(levels[k]) - ranks[k] - (ranks[k - 1] if k else 0)
+           for k in range(top + 1)]
+    out += [0] * (fan.rank + 1 - len(out))
     if any(h != 0 for h in out[fan.rank + 1:]):
-        raise ToricError("Cech cohomology above the rank: inconsistent fan")
+        raise ToricError("cohomology above the rank: inconsistent fan")
     profile = tuple(out[: fan.rank + 1])
     memo[plus_rays] = profile
     return profile
@@ -330,24 +313,11 @@ def cohomology(fan: Fan, D: TDivisor):
                 raise ToricError("unbounded chamber with nonzero cohomology: "
                                  "fan cannot be complete")
             bounds.append((lo, hi))
-        count = 0
-        import math
-        ranges = [range(math.ceil(lo), math.floor(hi) + 1) for lo, hi in bounds]
-
-        def scan(prefix):
-            nonlocal count
-            k = len(prefix)
-            if k == fan.rank:
-                if all(_dot(c, prefix) >= r for c, r in cons):
-                    count += 1
-                return
-            for val in ranges[k]:
-                scan(prefix + [val])
-
-        scan([])
-        if count:
-            for p in range(fan.rank + 1):
-                total[p] += count * profile[p]
+        ranges = [range(ceil(lo), floor(hi) + 1) for lo, hi in bounds]
+        count = sum(1 for m in product(*ranges)
+                    if all(_dot(c, m) >= r for c, r in cons))
+        for p in range(fan.rank + 1):
+            total[p] += count * profile[p]
     return tuple(total)
 
 
@@ -377,7 +347,6 @@ def intersect_curve(D: TDivisor, wall, fan: Fan | None = None) -> int:
     cols = [fan.rays[i] for i in wall]
     mat = Matrix(QQ, [[Fraction(cols[j][k]) for j in range(len(cols))]
                       for k in range(fan.rank)])
-    from .linalg import solve
     alpha = solve(mat, [Fraction(x) for x in rhs])
     if alpha is None:
         raise ToricError("wall relation is not solvable")
@@ -512,7 +481,6 @@ def class_group(fan: Fan) -> ClassGroup:
 
 def weil_is_cartier(fan: Fan, D: TDivisor) -> bool:
     """True iff D is integrally linear on every maximal cone."""
-    from .linalg import solve
     for cone in fan.max_cones:
         rows = [[Fraction(x) for x in fan.rays[i]] for i in cone]
         rhs = [Fraction(-D.coeffs[i]) for i in cone]

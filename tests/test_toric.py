@@ -1,10 +1,14 @@
 """Fans, divisors, cohomology, intersection numbers, class groups."""
 
+from itertools import combinations
+
 import pytest
 
+from singcat.fields import QQ
+from singcat.linalg import Matrix, rank
 from singcat.toric import (Fan, TDivisor, ToricError, fan_library, cohomology,
                            intersect_curve, class_group, weil_is_cartier,
-                           canonical_divisor, divisor_from_combo)
+                           canonical_divisor, divisor_from_combo, _cech_profile)
 
 
 def test_library_shapes():
@@ -37,6 +41,64 @@ def test_incomplete_fan_rejected():
     assert not affine.is_complete()
     with pytest.raises(ToricError):
         cohomology(affine, TDivisor(affine, [0, 0]))
+
+
+def test_winding_fan_is_not_a_fan():
+    # five 2-cones winding twice around the origin: every ray sits on
+    # exactly two cones, but (0, 1) and (2, 3) overlap
+    fan = Fan(2, [(1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)],
+              [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    with pytest.raises(ToricError) as err:
+        cohomology(fan, TDivisor(fan, [0] * 5))
+    assert "(0, 1)" in str(err.value) and "(2, 3)" in str(err.value)
+
+
+def test_rank_one_fans():
+    p1 = Fan(1, [(1,), (-1,)], [(0,), (1,)], "P1")
+    assert p1.is_complete()
+    for a in range(-3, 4):
+        assert cohomology(p1, TDivisor(p1, [a, 0])) == (max(a + 1, 0), max(-a - 1, 0))
+    assert not Fan(1, [(1,)], [(0,)], "half-line").is_complete()
+
+
+def _nerve_cech_profile(fan, plus_rays):
+    """Reference: the Cech complex of the maximal-cone cover, in which a set
+    of cones is active when every ray of their common face is in plus_rays."""
+    t = len(fan.max_cones)
+    levels = []
+    for p in range(t):
+        active = [sub for sub in combinations(range(t), p + 1)
+                  if set.intersection(*(set(fan.max_cones[i]) for i in sub))
+                  <= plus_rays]
+        levels.append({sub: k for k, sub in enumerate(active)})
+    ranks = []
+    for src, tgt in zip(levels, levels[1:]):
+        rows = [[0] * len(src) for _ in tgt]
+        for sub, col in src.items():
+            for extra in set(range(t)) - set(sub):
+                bigger = tuple(sorted(sub + (extra,)))
+                if bigger in tgt:
+                    rows[tgt[bigger]][col] += (-1) ** bigger.index(extra)
+        ranks.append(rank(Matrix.from_int_rows(QQ, rows)) if src and tgt else 0)
+    ranks.append(0)
+    out = [len(levels[p]) - ranks[p] - (ranks[p - 1] if p else 0)
+           for p in range(t)]
+    out += [0] * (fan.rank + 1 - len(out))
+    assert not any(out[fan.rank + 1:])
+    return tuple(out[:fan.rank + 1])
+
+
+def test_profile_matches_nerve_cech_complex():
+    # every sign pattern, realised by a character or not; blowupP3_2pts
+    # (2^8 nerve simplices) is left to the acceptance rows
+    for name in ["P2", "P1xP1", "P3", "blowupP3_1pt",
+                 "coneP1xP1_projective", "coneP1xP1_smallres"]:
+        fan, _d, _w = fan_library(name)
+        s = len(fan.rays)
+        for mask in range(1 << s):
+            plus = frozenset(i for i in range(s) if mask >> i & 1)
+            assert _cech_profile(fan, plus) == _nerve_cech_profile(fan, plus), \
+                (name, sorted(plus))
 
 
 def test_structure_sheaf_cohomology():

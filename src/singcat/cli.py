@@ -3,7 +3,8 @@
 Subcommands: groebner, ext, stable-hom, mf, knorrer, toric-cohomology,
 intersect, sod-verify, ncdef, reproduce.  Reports are JSON (schema
 singcat-report/1); exit codes: 0 computed/verified, 1 claim falsified,
-2 input error.
+2 input error, 3 internal error (a broken invariant of the program, reported
+with an "internal error:" prefix).
 """
 
 from __future__ import annotations
@@ -13,6 +14,9 @@ import json
 import re
 import sys
 from fractions import Fraction
+
+from .errors import InvariantError
+from .fields import QuadraticExtension, RationalField
 
 
 def _sanitize(obj):
@@ -26,6 +30,16 @@ def _sanitize(obj):
     if hasattr(obj, "terms"):  # polynomial
         return repr(obj)
     return obj
+
+
+def _field_value(field, c):
+    """A field element as a report leaf: a Q value, integral or not, as its
+    `a` or `a/b` string, a K[i] value as a pair, an F_p value as a number."""
+    if isinstance(field, QuadraticExtension):
+        return [_field_value(field.base, x) for x in c]
+    if isinstance(field, RationalField):
+        return str(c)
+    return c
 
 
 def emit(report, out=None):
@@ -266,8 +280,9 @@ def cmd_ncdef(args):
         "algebra_labels": alg.labels,
     }
     if rep.outcome == "terminated":
-        report["structure_constants"] = [[_sanitize(v) for v in row]
-                                         for row in alg.mult_table]
+        report["structure_constants"] = [
+            [[_field_value(alg.field, c) for c in v] for v in row]
+            for row in alg.mult_table]
     emit(report, args.report)
     return 0
 
@@ -372,6 +387,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

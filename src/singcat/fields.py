@@ -1,8 +1,10 @@
 """Exact coefficient fields: Q, prime fields F_p, and a quadratic extension K[i].
 
-Field objects operate on raw element values (Fraction for Q, int for F_p,
-pairs for K[i]) so that polynomials and matrices can store plain values.
-All arithmetic is exact; division by zero raises ZeroDivisionError.
+Field objects operate on raw element values so that polynomials and
+matrices can store plain values: an element of Q is an int when it is
+integral and a Fraction otherwise, an element of F_p is an int, and an
+element of K[i] is a pair.  All arithmetic is exact, Q included: no
+operation returns a float.  Division by zero raises ZeroDivisionError.
 """
 
 from __future__ import annotations
@@ -69,34 +71,56 @@ class Field:
         return self.name
 
 
+def _rational(x):
+    """x as an element of Q: its numerator if it is an integral Fraction."""
+    if x.__class__ is int or x.denominator != 1:
+        return x
+    return x.numerator
+
+
 class RationalField(Field):
+    """Q.  Integral elements are ints, so that the common case of integer
+    coefficients never builds a Fraction; the others are Fractions."""
+
     name = "Q"
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def one(self):
-        return Fraction(1)
+        return 1
 
     def from_int(self, n):
-        return Fraction(n)
+        return _rational(Fraction(n))
 
     def from_fraction(self, num, den=1):
-        return Fraction(num, den)
+        return _rational(Fraction(num, den))
 
     def add(self, a, b):
-        return a + b
+        return _rational(a + b)
 
     def neg(self, a):
         return -a
 
     def mul(self, a, b):
-        return a * b
+        return _rational(a * b)
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("division by zero in Q")
-        return 1 / a
+        num, den = a.numerator, a.denominator
+        if num == 1 or num == -1:
+            return num * den
+        return Fraction(den, num)
+
+    def div(self, a, b):
+        if b == 0:
+            raise ZeroDivisionError("division by zero in Q")
+        if a.__class__ is int and b.__class__ is int:
+            q, r = divmod(a, b)
+            if r == 0:
+                return q
+        return _rational(Fraction(a, b))
 
     def is_zero(self, a):
         return a == 0

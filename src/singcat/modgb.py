@@ -20,6 +20,7 @@ those lists, with None for an infinite staircase.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 
 from .poly import PolyRing, Polynomial, mon_mul, mon_div, mon_divides, mon_lcm
@@ -150,13 +151,10 @@ class SubmoduleGB:
             by_pos.setdefault(lead[0], []).append((lead, v))
             return lead
 
-        seeds = [g for g in gens if g]
-        leads = []
-        for g in seeds:
+        for g in gens:
             g = _reduce_full(F, self._key, g, by_pos)
             if g:
-                leads.append(push(g))
-        import heapq
+                push(g)
 
         def pair_entry(i, j):
             li, lj = basis[i][0], basis[j][0]

@@ -16,6 +16,7 @@ the iteration vanishes.
 
 from __future__ import annotations
 
+from .errors import InvariantError
 from .findim import FiniteDimAlgebra
 from .homs import (InfiniteDimensionError, MatrixSubquotient, ext_space,
                    hom_space)
@@ -303,8 +304,8 @@ def run(collection: SimpleCollection, max_iter: int = 8) -> TerminationReport:
         states.append(state)
         trajectory.append(state.dim_R())
         if trajectory[-1] <= trajectory[-2]:
-            raise DeformationError("dim R failed to grow strictly at step "
-                                   f"{state.step}")
+            raise InvariantError("dim R failed to grow strictly at step "
+                                 f"{state.step}")
     if state.is_terminated():
         return TerminationReport("terminated", state.step, trajectory, states)
     return TerminationReport("non-terminated", max_iter, trajectory, states)

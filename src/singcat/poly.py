@@ -2,7 +2,9 @@
 
 Monomials are exponent tuples.  A polynomial is a mapping monomial -> nonzero
 coefficient together with its ambient ring.  Term order is a property of the
-ring and is used for leading-term queries and printing.
+ring and is used for leading-term queries and printing.  Each ring computes
+the order key of a monomial once and keeps it: `ring.order_key(m)` is a
+dict lookup after the first call.
 """
 
 from __future__ import annotations
@@ -43,6 +45,20 @@ def lex_key(m: Monomial):
 ORDER_KEYS = {"grevlex": grevlex_key, "lex": lex_key}
 
 
+class _OrderKeys(dict):
+    """monomial -> order key, each computed on first lookup."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key):
+        super().__init__()
+        self.key = key
+
+    def __missing__(self, m):
+        k = self[m] = self.key(m)
+        return k
+
+
 class PolyRing:
     """Polynomial ring k[x_1..x_n] with a monomial order and grading weights."""
 
@@ -55,7 +71,7 @@ class PolyRing:
         if order not in ORDER_KEYS:
             raise ValueError(f"unknown monomial order {order!r}")
         self.order = order
-        self.order_key = ORDER_KEYS[order]
+        self.order_key = _OrderKeys(ORDER_KEYS[order]).__getitem__
         self.weights = tuple(weights) if weights is not None else (1,) * len(self.variables)
         if len(self.weights) != len(self.variables):
             raise ValueError("weight vector arity mismatch")

@@ -19,6 +19,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, floor, gcd
 
+from .errors import InvariantError
 from .fields import QQ
 from .linalg import Matrix, kernel_basis, rank as mat_rank, solve
 
@@ -273,7 +274,7 @@ def _cech_profile(fan: Fan, plus_rays: frozenset):
            for k in range(top + 1)]
     out += [0] * (fan.rank + 1 - len(out))
     if any(h != 0 for h in out[fan.rank + 1:]):
-        raise ToricError("cohomology above the rank: inconsistent fan")
+        raise InvariantError("cohomology above the rank: inconsistent fan")
     profile = tuple(out[: fan.rank + 1])
     memo[plus_rays] = profile
     return profile

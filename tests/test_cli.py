@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from singcat import ncdef
 from singcat.cli import main, parse_module_arg, parse_mf_arg
 from singcat.quotient import parse_ring
 
@@ -34,6 +35,15 @@ def test_groebner_command(capsys):
                            "--gens", "x^2; x*y+y^2")
     assert code == 0
     assert "y^3" in report["basis"]
+
+
+def test_groebner_prints_rational_coefficients(capsys):
+    code, report = run_cli(capsys, "groebner", "--ring", "Q[x,y,z]", "--gens",
+                           "2*x^2-3*y*z; 5*x*y-z^2; y^3-7*x*z")
+    assert code == 0
+    assert report["basis"] == ["x*z^3-1575/4*y*z^2", "z^4-525/2*x*z^2",
+                               "y^3-7*x*z", "y^2*z-2/15*x*z^2", "x^2-3/2*y*z",
+                               "x*y-1/5*z^2"]
 
 
 def test_toric_cohomology_command(capsys):
@@ -129,6 +139,41 @@ def test_ncdef_command(capsys, tmp_path):
     report = json.loads(out.read_text())
     assert report["outcome"] == "non-terminated"
     assert report["dim_R_trajectory"] == [1, 3, 5]
+
+
+def test_ncdef_cone_structure_constants_are_strings(capsys):
+    code, report = run_cli(capsys, "ncdef", "--model", "cone", "--max-iter", "8")
+    assert code == 0
+    assert report["outcome"] == "terminated"
+    table = [["".join(v) for v in row] for row in report["structure_constants"]]
+    assert table == [["1000", "0100", "0000", "0000"],
+                     ["0000", "0000", "0000", "0100"],
+                     ["0010", "0000", "0000", "0000"],
+                     ["0000", "0000", "0010", "0001"]]
+
+
+@pytest.mark.parametrize("ring, leaf", [
+    ("Q[z]/(z^2)", ["1", "0"]),
+    ("Q[i][z]/(z^2)", [["1", "0"], ["0", "0"]]),
+    ("F5[z]/(z^2)", [1, 0]),
+])
+def test_ncdef_structure_constants_by_field(capsys, tmp_path, ring, leaf):
+    # Q values print as strings (also inside K[i] pairs), F_p values as numbers
+    mods = tmp_path / "modules.txt"
+    mods.write_text("A/(z)\n")
+    code, report = run_cli(capsys, "ncdef", "--ring", ring, "--modules",
+                           str(mods), "--max-iter", "4")
+    assert code == 0
+    assert report["outcome"] == "terminated"
+    assert report["structure_constants"][0][0] == leaf
+
+
+def test_invariant_failure_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(ncdef, "deform_step", lambda state: state)
+    code = main(["ncdef", "--model", "node", "--max-iter", "3"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("internal error: dim R failed to grow")
 
 
 def test_ncdef_from_module_file(capsys, tmp_path):

@@ -13,6 +13,51 @@ def test_rational_basics():
         QQ.inv(Fraction(0))
 
 
+Q_SAMPLES = [0, 1, -1, 2, -6, Fraction(0), Fraction(3), Fraction(1, 2),
+             Fraction(-2, 3), Fraction(6, 3), Fraction(7, 5)]
+
+
+def _is_exact_rational(x):
+    if isinstance(x, Fraction):
+        return x.denominator != 1
+    return type(x) is int
+
+
+def test_rational_results_are_exact():
+    # integral results are ints, the others Fractions, never floats
+    for a in Q_SAMPLES:
+        assert _is_exact_rational(QQ.neg(QQ.add(a, 0)))
+        if a != 0:
+            assert _is_exact_rational(QQ.inv(a))
+        for b in Q_SAMPLES:
+            assert _is_exact_rational(QQ.add(a, b))
+            assert _is_exact_rational(QQ.mul(a, b))
+            if b != 0:
+                q = QQ.div(a, b)
+                assert _is_exact_rational(q)
+                assert q == Fraction(a) / Fraction(b)
+
+
+def test_rational_normal_forms():
+    assert QQ.zero() == 0 and type(QQ.zero()) is int
+    assert QQ.one() == 1 and type(QQ.one()) is int
+    assert type(QQ.from_int(4)) is int
+    assert QQ.from_fraction(6, 3) == 2 and type(QQ.from_fraction(6, 3)) is int
+    assert QQ.from_fraction(3, 6) == Fraction(1, 2)
+    assert QQ.mul(Fraction(1, 2), 2) == 1 and type(QQ.mul(Fraction(1, 2), 2)) is int
+    assert type(QQ.add(Fraction(1, 2), Fraction(1, 2))) is int
+    assert QQ.inv(-1) == -1 and type(QQ.inv(Fraction(-1, 3))) is int
+    assert QQ.inv(Fraction(-1, 3)) == -3
+    assert QQ.inv(2) == Fraction(1, 2)
+    assert QQ.div(1, 3) == Fraction(1, 3) and type(QQ.div(6, -3)) is int
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
+    with pytest.raises(ZeroDivisionError):
+        QQ.div(1, 0)
+    with pytest.raises(ZeroDivisionError):
+        QQ.div(Fraction(1, 2), Fraction(0))
+
+
 def test_prime_field_arithmetic():
     F5 = GF(5)
     assert F5.mul(2, 3) == 1

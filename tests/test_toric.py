@@ -4,6 +4,8 @@ from itertools import combinations
 
 import pytest
 
+from singcat import toric
+from singcat.errors import InvariantError
 from singcat.fields import QQ
 from singcat.linalg import Matrix, rank
 from singcat.toric import (Fan, TDivisor, ToricError, fan_library, cohomology,
@@ -51,6 +53,15 @@ def test_winding_fan_is_not_a_fan():
     with pytest.raises(ToricError) as err:
         cohomology(fan, TDivisor(fan, [0] * 5))
     assert "(0, 1)" in str(err.value) and "(2, 3)" in str(err.value)
+
+
+def test_profile_above_the_rank_is_an_invariant_failure(monkeypatch):
+    # with every coboundary rank 0, the square cone's four negative rays
+    # give a class in degree 4 > rank 3
+    fan, _div, _walls = fan_library("coneP1xP1_projective")
+    monkeypatch.setattr(toric, "mat_rank", lambda m: 0)
+    with pytest.raises(InvariantError, match="cohomology above the rank"):
+        _cech_profile(fan, frozenset())
 
 
 def test_rank_one_fans():

@@ -371,6 +371,10 @@ def _ext_subquotient(M: FPModule, N: FPModule, p: int, res: FreeResolution):
 def ext_dims(M: FPModule, N: FPModule, p_max: int, p_min: int = 0):
     """dim_k Ext^p_R(M, N) for p_min <= p <= p_max.
 
+    On a periodic resolution, Ext^p for p >= periodic_from + 2 repeats
+    Ext^(p-2): d_(p+1) and d_p equal d_(p-1) and d_(p-2), and the total
+    dimension does not read the step degrees.
+
     Raises InfiniteDimensionError naming the first degree with an
     infinite-dimensional Ext group.
     """
@@ -379,6 +383,10 @@ def ext_dims(M: FPModule, N: FPModule, p_max: int, p_min: int = 0):
     res = M.resolve(p_max + 1)
     out = {}
     for p in range(p_min, p_max + 1):
+        if (res.periodic_from is not None and p >= res.periodic_from + 2
+                and p - 2 in out):
+            out[p] = out[p - 2]
+            continue
         msq = _ext_subquotient(M, N, p, res)
         d = msq.dim()
         if d is None:

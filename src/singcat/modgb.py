@@ -11,11 +11,14 @@ list with f*e_i for the ideal generators f; pad coefficients are dropped
 from certificates and syzygies.
 
 One reducer, `_reduce_full`, serves Buchberger's algorithm, normal forms
-of module elements and `poly_normal_form`.  The reduced basis comes from a
-minimal basis by reducing each tail once.  One staircase enumerator,
-`_standard_monomials`, gives the standard monomials of each position, all
-of them or those of one degree; the quotient dimensions are the lengths of
-those lists, with None for an infinite staircase.
+of module elements and `poly_normal_form`.  It pops the next leading term
+from a heap of (position, ascending order key) entries instead of scanning
+the working vector, and shares its add loop, `vec_add_into`, with the
+S-pairs.  The reduced basis comes from a minimal basis by reducing each
+tail once.  One staircase enumerator, `_standard_monomials`, gives the
+standard monomials of each position, all of them or those of one degree;
+the quotient dimensions are the lengths of those lists, with None for an
+infinite staircase.
 """
 
 from __future__ import annotations
@@ -32,10 +35,11 @@ def vec_is_zero(v: Vec) -> bool:
     return not v
 
 
-def vec_add_into(F, out: Vec, v: Vec, c, mon, shift=0):
-    """out += c * x^mon * v, positions shifted by `shift`."""
+def vec_add_into(F, out: Vec, v: Vec, c, mon):
+    """out += c * x^mon * v; returns the keys this added to out."""
+    created = []
     for (p, m), a in v.items():
-        key = (p + shift, mon_mul(m, mon))
+        key = (p, mon_mul(m, mon))
         b = F.mul(c, a)
         if key in out:
             s = F.add(out[key], b)
@@ -45,6 +49,8 @@ def vec_add_into(F, out: Vec, v: Vec, c, mon, shift=0):
                 out[key] = s
         else:
             out[key] = b
+            created.append(key)
+    return created
 
 
 def vec_scale(F, v: Vec, c) -> Vec:
@@ -73,19 +79,29 @@ def vec_to_polys(ring: PolyRing, v: Vec, npos: int):
     return [Polynomial(ring, t) for t in polys]
 
 
-def _reduce_full(F, key, v: Vec, by_pos) -> Vec:
+def _reduce_full(F, ok, v: Vec, by_pos) -> Vec:
     """Remainder of v modulo the (lead, vector) pairs of by_pos, indexed by
-    lead position: every term is reduced, largest first under key; the
-    result lists its terms in decreasing order."""
+    lead position: every term is reduced, largest first (lowest position,
+    then smallest ascending order key ok); the result lists its terms in
+    decreasing order.
+
+    The heap holds one entry per term ever added to the working vector;
+    an entry whose term has since cancelled is skipped.  Each entry carries
+    the key object stored in the working vector, so the result shares it."""
     work = dict(v)
+    heap = [(t[0], ok(t[1]), t) for t in work]
+    heapq.heapify(heap)
     result: Vec = {}
-    while work:
-        lead = max(work, key=key)
+    while heap:
+        lead = heapq.heappop(heap)[2]
+        if lead not in work:
+            continue
         p, m = lead
         for blead, g in by_pos.get(p, ()):
             if mon_divides(blead[1], m):
                 c = F.neg(F.div(work[lead], g[blead]))
-                vec_add_into(F, work, g, c, mon_div(m, blead[1]))
+                for t in vec_add_into(F, work, g, c, mon_div(m, blead[1])):
+                    heapq.heappush(heap, (t[0], ok(t[1]), t))
                 break
         else:
             result[lead] = work.pop(lead)
@@ -101,7 +117,7 @@ class SubmoduleGB:
         self.npos = npos
         self.gens = [dict(g) for g in gens]
         self.pads = list(pad_polys)
-        self._key = lambda t, ok=ring.order_key: (-t[0], ok(t[1]))
+        self._key = lambda t, ok=ring.order_key: (t[0], ok(t[1]))
         graph = []
         idx = 0
         for g in self.gens:
@@ -127,7 +143,7 @@ class SubmoduleGB:
     # -- basis construction -------------------------------------------------
 
     def _lead(self, v: Vec):
-        return max(v, key=self._key)
+        return min(v, key=self._key)
 
     def _spair(self, lu, u, lv, v):
         F = self.field
@@ -140,7 +156,7 @@ class SubmoduleGB:
         return out
 
     def _buchberger(self, gens):
-        F = self.field
+        F, ok = self.field, self.ring.order_key
         basis = []
         by_pos: dict = {}
 
@@ -152,7 +168,7 @@ class SubmoduleGB:
             return lead
 
         for g in gens:
-            g = _reduce_full(F, self._key, g, by_pos)
+            g = _reduce_full(F, ok, g, by_pos)
             if g:
                 push(g)
 
@@ -171,7 +187,7 @@ class SubmoduleGB:
             li, u = basis[i]
             lj, v = basis[j]
             s = self._spair(li, u, lj, v)
-            s = _reduce_full(F, self._key, s, by_pos)
+            s = _reduce_full(F, ok, s, by_pos)
             if s:
                 lead = push(s)
                 k = len(basis) - 1
@@ -191,9 +207,9 @@ class SubmoduleGB:
             for lead, v in group:
                 tail = dict(v)
                 reduced = {lead: tail.pop(lead)}
-                reduced.update(_reduce_full(F, self._key, tail, minimal))
+                reduced.update(_reduce_full(F, ok, tail, minimal))
                 basis.append((lead, reduced))
-        basis.sort(key=lambda lv: self._key(lv[0]), reverse=True)
+        basis.sort(key=lambda lv: self._key(lv[0]))
         return basis
 
     # -- queries -------------------------------------------------------------
@@ -205,7 +221,7 @@ class SubmoduleGB:
         positions 0..ngens-1 such that v = nf + sum cert_j * gens_j modulo
         the padded ideal part.
         """
-        red = _reduce_full(self.field, self._key, v, self._by_pos)
+        red = _reduce_full(self.field, self.ring.order_key, v, self._by_pos)
         nf = {k: c for k, c in red.items() if k[0] < self.npos}
         if not with_cert:
             return nf
@@ -359,6 +375,5 @@ def poly_normal_form(p: Polynomial, gb_polys) -> Polynomial:
              for g in gb_polys if not g.is_zero()]
     if not index:
         return p
-    key = lambda t, ok=ring.order_key: ok(t[1])
-    nf = _reduce_full(ring.field, key, vec_from_polys([p]), {0: index})
+    nf = _reduce_full(ring.field, ring.order_key, vec_from_polys([p]), {0: index})
     return Polynomial(ring, {m: c for (_pos, m), c in nf.items()})

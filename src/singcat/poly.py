@@ -2,13 +2,16 @@
 
 Monomials are exponent tuples.  A polynomial is a mapping monomial -> nonzero
 coefficient together with its ambient ring.  Term order is a property of the
-ring and is used for leading-term queries and printing.  Each ring computes
-the order key of a monomial once and keeps it: `ring.order_key(m)` is a
-dict lookup after the first call.
+ring and is used for leading-term queries and printing.  Order keys are
+ascending: a smaller key is a larger monomial, so the leading term is the
+`min` under the key and a heap pops terms largest first.  Each ring
+computes the order key of a monomial once and keeps it: `ring.order_key(m)`
+is a dict lookup after the first call.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable
 
 from .fields import Field
@@ -17,29 +20,29 @@ Monomial = tuple
 
 
 def mon_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def mon_divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 def mon_div(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def mon_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def grevlex_key(m: Monomial):
-    # deg first, ties broken so that the last nonzero entry of the
-    # difference being negative means "larger"
-    return (sum(m), tuple(-e for e in reversed(m)))
+    # higher degree first; between equal degrees, the monomial with the
+    # smaller entry at the last place where the two differ
+    return (-sum(m), m[::-1])
 
 
 def lex_key(m: Monomial):
-    return m
+    return tuple(map(operator.neg, m))
 
 
 ORDER_KEYS = {"grevlex": grevlex_key, "lex": lex_key}
@@ -194,12 +197,6 @@ class Polynomial:
             return self.ring.zero()
         return Polynomial(self.ring, {m: F.mul(c, v) for m, v in self.terms.items()})
 
-    def mul_term(self, mon: Monomial, c) -> "Polynomial":
-        F = self.ring.field
-        if F.is_zero(c):
-            return self.ring.zero()
-        return Polynomial(self.ring, {mon_mul(m, mon): F.mul(c, v) for m, v in self.terms.items()})
-
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative power")
@@ -215,8 +212,7 @@ class Polynomial:
     def lead_monomial(self) -> Monomial:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        key = self.ring.order_key
-        return max(self.terms, key=key)
+        return min(self.terms, key=self.ring.order_key)
 
     def lead_coeff(self):
         return self.terms[self.lead_monomial()]
@@ -236,15 +232,8 @@ class Polynomial:
             return -1
         return max(self.ring.weighted_deg(m) for m in self.terms)
 
-    def is_homogeneous(self) -> bool:
-        degs = {self.ring.weighted_deg(m) for m in self.terms}
-        return len(degs) <= 1
-
     def constant_coeff(self):
         return self.terms.get((0,) * self.ring.nvars, self.ring.field.zero())
-
-    def coeff_of(self, mon: Monomial):
-        return self.terms.get(tuple(mon), self.ring.field.zero())
 
     def substitute(self, values: dict) -> "Polynomial":
         """Substitute ring elements (Polynomial) for the named variables."""
@@ -277,7 +266,7 @@ class Polynomial:
 
     def sorted_terms(self):
         key = self.ring.order_key
-        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
+        return sorted(self.terms.items(), key=lambda t: key(t[0]))
 
     def __eq__(self, other):
         return (isinstance(other, Polynomial) and other.ring == self.ring

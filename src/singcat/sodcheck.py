@@ -15,6 +15,9 @@ joining the centers.
 
 from __future__ import annotations
 
+import copy
+import functools
+
 from . import models
 from .homs import ext_space
 from .ncdef import SimpleCollection, flatness_filtration_check, run, simple_check
@@ -325,8 +328,12 @@ def _local_cone_conditions():
     }
 
 
+@functools.cache
 def _deformation_conclusions():
-    """Run the iteration on the cone pair and verify the conclusions."""
+    """Run the iteration on the cone pair and verify the conclusions.
+
+    Both audits share this local model, so it runs once per process;
+    callers copy the cached dict before handing it out."""
     P = models.projective_cone_ring("Q")
     coll = SimpleCollection([models.cone_L1(P), models.cone_L2(P)])
     report = run(coll, max_iter=8)
@@ -404,7 +411,7 @@ def verify_odp_hypotheses(bundle: str = "quadric_cone"):
         report["conditions"]["global_vanishing"] = _blowup_condition3(fan, D1, D2)
     else:
         raise SodError(f"unknown bundle {bundle!r}")
-    report["conclusions"] = _deformation_conclusions()
+    report["conclusions"] = copy.deepcopy(_deformation_conclusions())
     report["pass"] = (all(c["pass"] for c in report["conditions"].values())
                       and report["conclusions"]["terminated"]
                       and report["conclusions"]["dim_R"] == 4

@@ -501,10 +501,6 @@ def weil_is_cartier(fan: Fan, D: TDivisor) -> bool:
 # the fan library
 
 
-def _simplex_fan(name, rays, triples):
-    return Fan(len(rays[0]), rays, triples, name)
-
-
 _LIBRARY_CACHE: dict = {}
 
 

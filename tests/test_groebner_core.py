@@ -2,10 +2,12 @@
 
 import random
 
+import pytest
+
 from singcat.fields import QQ, GF
-from singcat.poly import PolyRing
-from singcat.modgb import (SubmoduleGB, groebner_basis, poly_normal_form,
-                           vec_from_polys, vec_to_polys)
+from singcat.poly import PolyRing, mon_div, mon_divides
+from singcat.modgb import (SubmoduleGB, _reduce_full, groebner_basis,
+                           poly_normal_form, vec_from_polys, vec_to_polys)
 from singcat.quotient import QuotientRing, parse_ring
 
 
@@ -127,7 +129,8 @@ def test_padded_module_bases_are_reduced(monkeypatch):
     for gb in padded:
         leads = [lead for lead, _v in gb.basis]
         for lead, v in gb.basis:
-            assert v[lead] == gb.field.one() and max(v, key=gb._key) == lead
+            # the lead is the largest term: the smallest under the ascending key
+            assert v[lead] == gb.field.one() and min(v, key=gb._key) == lead
             for t in v:
                 # a lead divides only its own lead term
                 divisors = [l2 for l2 in leads if l2[0] == t[0] and mon_divides(l2[1], t[1])]
@@ -172,3 +175,93 @@ def test_ring_parse():
     assert B.is_zero(B.parse("z*w"))
     C = parse_ring("Q[x,y,z,w]/(x*y+z*w)")
     assert C.normal_form(C.parse("x*y")) == C.normal_form(C.parse("-z*w"))
+
+
+def test_lex_groebner_basis_known_answers():
+    # Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 3 sec. 1:
+    # the reduced lex basis of three quadrics, x > y > z
+    R = PolyRing(QQ, ["x", "y", "z"], order="lex")
+    gens = [R.parse(s) for s in ["x^2+y+z-1", "x+y^2+z-1", "x+y+z^2-1"]]
+    assert [repr(g) for g in groebner_basis(gens)] == [
+        "x+y+z^2-1", "y^2-y-z^2+z", "y*z^2+1/2*z^4-1/2*z^2",
+        "z^6-4*z^4+4*z^3-z^2"]
+    # eliminating t from (t^2, t^3) leaves the cusp x^3 - y^2; asked of a
+    # grevlex ring through the order argument
+    S = PolyRing(QQ, ["t", "x", "y"])
+    gens = [S.parse("x-t^2"), S.parse("y-t^3")]
+    gb = groebner_basis(gens, order="lex")
+    assert [repr(g) for g in gb] == ["t^2-x", "t*x-y", "t*y-x^2", "x^3-y^2"]
+    assert [g.lead_monomial() for g in gb] == [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 3, 0)]
+    assert [repr(g) for g in groebner_basis(gens)] == ["t^2-x", "t*x-y", "x^2-t*y"]
+
+
+# Reference reducer: a scan for the largest term at every step, under
+# descending order keys, with its own add loop.
+_DESCENDING_KEYS = {
+    "grevlex": lambda m: (sum(m), tuple(-e for e in reversed(m))),
+    "lex": lambda m: m,
+}
+
+
+def _reference_reduce(F, order, v, by_pos):
+    dkey = _DESCENDING_KEYS[order]
+    work = dict(v)
+    result = {}
+    while work:
+        lead = max(work, key=lambda t: (-t[0], dkey(t[1])))
+        p, m = lead
+        for blead, g in by_pos.get(p, ()):
+            if mon_divides(blead[1], m):
+                c = F.neg(F.div(work[lead], g[blead]))
+                shift = mon_div(m, blead[1])
+                for (q, gm), a in g.items():
+                    key = (q, tuple(x + y for x, y in zip(gm, shift)))
+                    s = F.add(work.get(key, F.zero()), F.mul(c, a))
+                    if F.is_zero(s):
+                        work.pop(key, None)
+                    else:
+                        work[key] = s
+                break
+        else:
+            result[lead] = work.pop(lead)
+    return result
+
+
+def _random_vec(rng, F, nvars, npos, nterms, max_deg):
+    v = {}
+    for _ in range(nterms):
+        m = tuple(rng.randint(0, max_deg) for _ in range(nvars))
+        c = F.from_int(rng.randint(-9, 9))
+        if not F.is_zero(c):
+            v[(rng.randrange(npos), m)] = c
+    return v
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "F32003"])
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_heap_reducer_matches_max_scan_reference(field, order):
+    rng = random.Random(11)
+    R = PolyRing(field, ["x", "y", "z"], order=order)
+    dkey = _DESCENDING_KEYS[order]
+    checked = 0
+    for trial in range(12):
+        npos = rng.randint(1, 3)
+        gens = [_random_vec(rng, field, 3, npos, rng.randint(1, 4), 2)
+                for _ in range(rng.randint(1, 3))]
+        gens = [g for g in gens if g]
+        if trial % 2:
+            # a reduced basis: the reducers met in Buchberger and normal forms
+            by_pos = SubmoduleGB(R, npos, gens)._by_pos
+        else:
+            # arbitrary reducers, each indexed by its largest term
+            by_pos = {}
+            for g in gens:
+                lead = max(g, key=lambda t: (-t[0], dkey(t[1])))
+                by_pos.setdefault(lead[0], []).append((lead, g))
+        for _ in range(5):
+            v = _random_vec(rng, field, 3, npos, rng.randint(0, 8), 4)
+            got = _reduce_full(field, R.order_key, v, by_pos)
+            want = _reference_reduce(field, order, v, by_pos)
+            assert list(got.items()) == list(want.items())
+            checked += bool(want)
+    assert checked > 20

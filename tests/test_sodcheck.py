@@ -110,6 +110,71 @@ def test_odp_audit_blowup():
     assert report["pass"]
 
 
+_LOCAL_MODEL = {"ext1_matrix": [[0, 1], [1, 0]], "hom_matrix": [[1, 0], [0, 1]],
+                "pass": True, "simple_collection": True}
+_CONCLUSIONS = {
+    "dim_R": 4, "dim_R_trajectory": [2, 4], "ext_FF_degree0": {1: 0, 2: 0, 3: 0},
+    "ext_FF_vanish": True,
+    "flatness_detail": {"filtration_counts": [2, 2], "multiplicities": [2, 2],
+                        "radical_layers": [2, 2], "step_factor_counts": [2, 2]},
+    "flatness_filtration": True, "radical_square_zero": True,
+    "terminated": True, "termination_step": 1,
+}
+_QUADRIC_REPORT = {
+    "bundle": "quadric_cone", "conclusions": _CONCLUSIONS, "pass": True,
+    "conditions": {
+        "global_vanishing": {"pass": True,
+                             "rows": {"O": [1, 0, 0, 0], "O(-1,1)": [0, 0, 0, 0],
+                                      "O(1,-1)": [0, 0, 0, 0]}},
+        "intersection": {"(D'1,C)": 1, "(D'2,C)": -1, "pass": True},
+        "simple_collection": _LOCAL_MODEL,
+    },
+}
+_BLOWUP_REPORT = {
+    "bundle": "blowup", "conclusions": _CONCLUSIONS, "pass": True,
+    "conditions": {
+        "global_vanishing": {
+            "annotations": [{"rank": 1, "twist": "-D1+D2",
+                             "statement": "restriction to the contracted curve "
+                                          "is surjective on first cohomology"}],
+            "pass": True,
+            "rows": {"-D1+D2": {"curve_degree": -2, "downstairs": [0, 0, 0, 0],
+                                "upstairs": [0, 1, 0, 0]},
+                     "0": {"curve_degree": 0, "downstairs": [1, 0, 0, 0],
+                           "upstairs": [1, 0, 0, 0]},
+                     "D1-D2": {"curve_degree": 2, "downstairs": [0, 0, 0, 0],
+                               "upstairs": [0, 0, 0, 0]}}},
+        "intersection": {"(D1,l)": 1, "(D2,l)": -1, "pass": True},
+        "simple_collection": {"hom(L1,L2)_sections": 0, "hom(L2,L1)_sections": 0,
+                              "local_model": _LOCAL_MODEL, "pass": True},
+    },
+}
+
+
+def test_deformation_conclusions_run_once_per_process(monkeypatch):
+    from singcat import sodcheck
+    runs = []
+    real_run = sodcheck.run
+
+    def counting_run(*args, **kw):
+        runs.append(args)
+        return real_run(*args, **kw)
+
+    monkeypatch.setattr(sodcheck, "run", counting_run)
+    sodcheck._deformation_conclusions.cache_clear()
+    quadric = verify_odp_hypotheses("quadric_cone")
+    blowup = verify_odp_hypotheses("blowup")
+    assert len(runs) == 1
+    assert quadric == _QUADRIC_REPORT
+    assert blowup == _BLOWUP_REPORT
+    # each report owns its conclusions: editing one leaves the others alone
+    quadric["conclusions"]["ext_FF_degree0"][1] = 7
+    quadric["conclusions"]["dim_R_trajectory"].append(6)
+    assert blowup["conclusions"] == _CONCLUSIONS
+    assert verify_odp_hypotheses("quadric_cone")["conclusions"] == _CONCLUSIONS
+    assert len(runs) == 1
+
+
 def test_broken_bundle_fails_condition_one():
     fan, walls, _eight, _five, (D1, D2) = blowup_collections()
     from singcat.toric import intersect_curve

@@ -5,12 +5,14 @@ The graded piece H^p(O(D))_m only sees which rays satisfy <m, u> >= -a, so
 characters are grouped by that sign vector.  By Cox-Little-Schenck, *Toric
 Varieties*, Thm 9.1.3, the piece is the reduced cohomology H~^{p-1} of the
 complex on the remaining "negative" rays whose faces are the subsets lying
-in a common cone; that profile is memoized per fan.  Each sign chamber is an
-integral polyhedron; feasibility, boundedness, and coordinate bounds come
-from exact Fourier-Motzkin elimination.  This treats arbitrary (also
-non-simplicial) cones and arbitrary Weil divisors uniformly.  Completeness
-is decided exactly: the cones must pairwise meet in a common face, be
-full-dimensional, and pair up across every facet.
+in a common cone; that profile is memoized per fan and looked up first, so
+only chambers with a nonzero profile are examined further.  Each sign
+chamber is an integral polyhedron; feasibility, boundedness, and coordinate
+bounds come from Fourier-Motzkin elimination, which keeps integer rows in
+integers.  This treats arbitrary (also non-simplicial) cones and arbitrary
+Weil divisors uniformly.  Completeness is decided exactly: the cones must
+pairwise meet in a common face, be full-dimensional, and pair up across
+every facet.
 """
 
 from __future__ import annotations
@@ -33,16 +35,17 @@ def _dot(m, u):
 
 
 # ---------------------------------------------------------------------------
-# Fourier-Motzkin over exact rationals
+# exact Fourier-Motzkin
 
 
 def fm_eliminate(constraints, keep):
     """Project {x : c.x >= r for all (c, r)} onto coordinates < keep.
 
     Constraints are (coefficient tuple, rhs).  Variables are eliminated from
-    the back; returns the projected constraint list.
+    the back; returns the projected constraint list.  Each new row is a
+    positive integer combination of two rows, so integer rows stay integer.
     """
-    cons = [(list(c), Fraction(r)) for c, r in constraints]
+    cons = [(list(c), r) for c, r in constraints]
     nvars = len(cons[0][0]) if cons else keep
     for k in range(nvars - 1, keep - 1, -1):
         pos, neg, rest = [], [], []
@@ -60,7 +63,7 @@ def fm_eliminate(constraints, keep):
                 lam_n = cp[k]
                 c = [lam_p * cp[i] + lam_n * cn[i] for i in range(k)]
                 new.append((c, lam_p * rp + lam_n * rn))
-        cons = [(list(c), r) for c, r in new]
+        cons = new
     return cons
 
 
@@ -280,12 +283,29 @@ def _cech_profile(fan: Fan, plus_rays: frozenset):
     return profile
 
 
+def _column_count(cons, head, last):
+    """Number of x in the range `last` with (*head, x) in {c.m >= r}."""
+    lo, hi = last.start, last.stop - 1
+    for c, r in cons:
+        a = c[-1]
+        rest = r - _dot(c, head)  # zip stops at the end of head
+        if a > 0:
+            lo = max(lo, -(-rest // a))
+        elif a < 0:
+            hi = min(hi, rest // a)
+        elif rest > 0:
+            return 0
+    return max(hi - lo + 1, 0)
+
+
 def cohomology(fan: Fan, D: TDivisor):
     """(h^0, .., h^rank) of O(D) for a complete fan, exact.
 
     Characters are partitioned by the sign vector of <m, u_rho> + a_rho;
-    each nonzero-profile chamber must be bounded, and its lattice points are
-    counted by box scanning inside Fourier-Motzkin bounds.
+    each feasible nonzero-profile chamber must be bounded.  Its lattice
+    points are counted column by column: the first rank - 1 coordinates are
+    scanned inside their Fourier-Motzkin bounds, and the last one's integer
+    interval is cut out by the constraints directly.
     """
     if D.fan is not fan:
         raise ToricError("divisor lives on a different fan")
@@ -295,6 +315,9 @@ def cohomology(fan: Fan, D: TDivisor):
     total = [0] * (fan.rank + 1)
     for mask in range(1 << s):
         plus = frozenset(i for i in range(s) if mask & (1 << i))
+        profile = _cech_profile(fan, plus)
+        if not any(profile):
+            continue
         cons = []
         for i, u in enumerate(fan.rays):
             a = D.coeffs[i]
@@ -304,9 +327,6 @@ def cohomology(fan: Fan, D: TDivisor):
                 cons.append(([-x for x in u], a + 1))
         if not fm_feasible(cons, fan.rank):
             continue
-        profile = _cech_profile(fan, plus)
-        if all(h == 0 for h in profile):
-            continue
         bounds = []
         for v in range(fan.rank):
             lo, hi = fm_interval(cons, fan.rank, v)
@@ -315,8 +335,8 @@ def cohomology(fan: Fan, D: TDivisor):
                                  "fan cannot be complete")
             bounds.append((lo, hi))
         ranges = [range(ceil(lo), floor(hi) + 1) for lo, hi in bounds]
-        count = sum(1 for m in product(*ranges)
-                    if all(_dot(c, m) >= r for c, r in cons))
+        count = sum(_column_count(cons, head, ranges[-1])
+                    for head in product(*ranges[:-1]))
         for p in range(fan.rank + 1):
             total[p] += count * profile[p]
     return tuple(total)

@@ -1,6 +1,9 @@
 """Fans, divisors, cohomology, intersection numbers, class groups."""
 
-from itertools import combinations
+import random
+from fractions import Fraction
+from itertools import combinations, product
+from math import ceil, floor
 
 import pytest
 
@@ -10,7 +13,11 @@ from singcat.fields import QQ
 from singcat.linalg import Matrix, rank
 from singcat.toric import (Fan, TDivisor, ToricError, fan_library, cohomology,
                            intersect_curve, class_group, weil_is_cartier,
-                           canonical_divisor, divisor_from_combo, _cech_profile)
+                           canonical_divisor, divisor_from_combo, _cech_profile,
+                           fm_eliminate, fm_feasible, fm_interval)
+
+LIBRARY = ["P2", "P1xP1", "P3", "blowupP3_1pt", "blowupP3_2pts",
+           "coneP1xP1_projective", "coneP1xP1_smallres"]
 
 
 def test_library_shapes():
@@ -57,8 +64,9 @@ def test_winding_fan_is_not_a_fan():
 
 def test_profile_above_the_rank_is_an_invariant_failure(monkeypatch):
     # with every coboundary rank 0, the square cone's four negative rays
-    # give a class in degree 4 > rank 3
-    fan, _div, _walls = fan_library("coneP1xP1_projective")
+    # give a class in degree 4 > rank 3; a fresh fan, since cohomology
+    # queries on the shared library fan may already hold this profile
+    fan, _div, _walls = toric._fan_library_build("coneP1xP1_projective")
     monkeypatch.setattr(toric, "mat_rank", lambda m: 0)
     with pytest.raises(InvariantError, match="cohomology above the rank"):
         _cech_profile(fan, frozenset())
@@ -110,6 +118,81 @@ def test_profile_matches_nerve_cech_complex():
             plus = frozenset(i for i in range(s) if mask >> i & 1)
             assert _cech_profile(fan, plus) == _nerve_cech_profile(fan, plus), \
                 (name, sorted(plus))
+
+
+def test_profile_of_every_sign_pattern():
+    # cohomology looks a profile up before it tests the chamber, so every
+    # pattern, realised by a character or not, must have a sound profile
+    for name in LIBRARY:
+        fan, _d, _w = toric._fan_library_build(name)
+        s = len(fan.rays)
+        for mask in range(1 << s):
+            plus = frozenset(i for i in range(s) if mask >> i & 1)
+            assert len(_cech_profile(fan, plus)) == fan.rank + 1, \
+                (name, sorted(plus))
+
+
+def _box_scan_cohomology(fan, D, widest):
+    """Reference: test every sign pattern for feasibility first, then count
+    a nonzero-profile chamber by checking every constraint at every lattice
+    point of its box.  widest[p] records the largest count of a chamber
+    contributing to degree p."""
+    s = len(fan.rays)
+    total = [0] * (fan.rank + 1)
+    for mask in range(1 << s):
+        plus = frozenset(i for i in range(s) if mask >> i & 1)
+        cons = [(list(u), -a) if i in plus else ([-x for x in u], a + 1)
+                for i, (u, a) in enumerate(zip(fan.rays, D.coeffs))]
+        if not fm_feasible(cons, fan.rank):
+            continue
+        profile = _cech_profile(fan, plus)
+        if not any(profile):
+            continue
+        ranges = [range(ceil(lo), floor(hi) + 1) for lo, hi in
+                  (fm_interval(cons, fan.rank, v) for v in range(fan.rank))]
+        count = sum(1 for m in product(*ranges)
+                    if all(sum(a * b for a, b in zip(c, m)) >= r
+                           for c, r in cons))
+        for p, h in enumerate(profile):
+            total[p] += count * h
+            if h:
+                widest[p] = max(widest[p], count)
+    return tuple(total)
+
+
+def test_column_count_matches_box_scan():
+    rng = random.Random(7)
+    fans = [fan_library(name)[0] for name in LIBRARY]
+    fans.append(Fan(1, [(1,), (-1,)], [(0,), (1,)], "P1"))
+    # weighted projective spaces, whose rays end in -3 and -2, so that the
+    # column bounds need real floor and ceiling divisions
+    fans.append(Fan(2, [(1, 0), (0, 1), (-2, -3)],
+                    [(0, 1), (1, 2), (0, 2)], "P(3,2,1)"))
+    fans.append(Fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -2)],
+                    list(combinations(range(4), 3)), "P(1,1,2,1)"))
+    widest = {}
+    for fan in fans:
+        w = widest.setdefault(fan.rank, [0] * (fan.rank + 1))
+        for _ in range(8):
+            D = TDivisor(fan, [rng.randint(-4, 4) for _ in fan.rays])
+            assert cohomology(fan, D) == _box_scan_cohomology(fan, D, w), \
+                (fan.name, D)
+    # the samples reach chambers of several points in every degree
+    assert all(c >= 2 for w in widest.values() for c in w), widest
+
+
+def test_fourier_motzkin_is_exact():
+    cons = [([1, 2, -1], 3), ([-1, 1, 2], -4), ([2, -3, 1], 5),
+            ([0, -1, -3], 7), ([3, 1, 1], -2)]
+    for keep in range(3):
+        out = fm_eliminate(cons, keep)
+        assert out and all(type(r) is int for _c, r in out), keep
+    # 2x >= 1 and -3x >= -2: exact fractional bounds
+    assert fm_interval([([2], 1), ([-3], -2)], 1, 0) == \
+        (Fraction(1, 2), Fraction(2, 3))
+    # y >= 1 and -y >= 0 leave no x at all: the (1, 0) sentinel
+    assert fm_interval([([0, 1], 1), ([0, -1], 0)], 2, 0) == \
+        (Fraction(1), Fraction(0))
 
 
 def test_structure_sheaf_cohomology():

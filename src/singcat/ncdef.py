@@ -17,7 +17,7 @@ the iteration vanishes.
 from __future__ import annotations
 
 from .errors import InvariantError
-from .findim import FiniteDimAlgebra
+from .findim import AlgebraError, FiniteDimAlgebra
 from .homs import (InfiniteDimensionError, MatrixSubquotient, ext_space,
                    hom_space)
 from .modules import FPModule
@@ -317,7 +317,9 @@ def flatness_filtration_check(state: DeformationState):
     Verifies that the filtration bookkeeping matches the algebra: factor
     multiplicities equal dim e_i R, radical layers of R match the factors
     added per step, the block idempotents are orthogonal and sum to one,
-    and R modulo its radical is k^r.  Returns (ok, detail dict).
+    and R modulo its radical is k^r.  Returns (ok, detail dict).  Raises
+    AlgebraError when the powers of the trace-form radical stop shrinking,
+    as they do where the trace form vanishes (over F2).
     """
     alg = state.algebra()
     idem = state.block_idempotents()
@@ -368,10 +370,16 @@ def flatness_filtration_check(state: DeformationState):
             layer_counts[step] = layer_counts.get(step, 0) + 1
     layers = [alg.dim - len(rad)]
     power = rad
-    while power:
-        nxt = [v for v in alg.multiply_subspaces(power, rad)]
+    for _ in range(alg.dim if rad else 0):
+        nxt = alg.multiply_subspaces(power, rad)
         d_now = alg.subspace_dim(power)
         d_next = alg.subspace_dim(nxt)
+        if d_next == d_now:
+            # a nilpotent ideal shrinks at every power; the trace form can
+            # vanish on all of A in small characteristic
+            raise AlgebraError(f"radical powers stop shrinking at dimension "
+                               f"{d_now} over {F.name} (dim A = {alg.dim}): "
+                               "the trace-form radical is not nilpotent")
         layers.append(d_now - d_next)
         if d_next == 0:
             break

@@ -5,21 +5,24 @@ The graded piece H^p(O(D))_m only sees which rays satisfy <m, u> >= -a, so
 characters are grouped by that sign vector.  By Cox-Little-Schenck, *Toric
 Varieties*, Thm 9.1.3, the piece is the reduced cohomology H~^{p-1} of the
 complex on the remaining "negative" rays whose faces are the subsets lying
-in a common cone; that profile is memoized per fan and looked up first, so
-only chambers with a nonzero profile are examined further.  Each sign
-chamber is an integral polyhedron; feasibility, boundedness, and coordinate
-bounds come from Fourier-Motzkin elimination, which keeps integer rows in
-integers.  This treats arbitrary (also non-simplicial) cones and arbitrary
-Weil divisors uniformly.  Completeness is decided exactly: the cones must
-pairwise meet in a common face, be full-dimensional, and pair up across
-every facet.
+in a common cone.  The profiles depend only on the fan: its first query
+computes all of them and lists the sign patterns whose profile is nonzero,
+and every query walks only that list.  Each sign chamber is an integral
+polyhedron; one Fourier-Motzkin elimination, which keeps integer rows in
+integers, decides its feasibility and keeps the projections onto the
+leading coordinates, which decide boundedness and give each coordinate's
+integer range for counting.  This treats arbitrary (also non-simplicial)
+cones and arbitrary Weil divisors uniformly.  Completeness is decided
+exactly: the cones must pairwise meet in a common face, be
+full-dimensional, and pair up across every facet.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
-from math import ceil, floor, gcd
+from itertools import combinations
+from math import gcd
+from operator import mul
 
 from .errors import InvariantError
 from .fields import QQ
@@ -31,23 +34,28 @@ class ToricError(ValueError):
 
 
 def _dot(m, u):
-    return sum(a * b for a, b in zip(m, u))
+    return sum(map(mul, m, u))
 
 
 # ---------------------------------------------------------------------------
 # exact Fourier-Motzkin
 
 
-def fm_eliminate(constraints, keep):
+def fm_eliminate(constraints, keep, projections=None):
     """Project {x : c.x >= r for all (c, r)} onto coordinates < keep.
 
     Constraints are (coefficient tuple, rhs).  Variables are eliminated from
     the back; returns the projected constraint list.  Each new row is a
     positive integer combination of two rows, so integer rows stay integer.
+    If `projections` is a list, the rows in force before each elimination
+    are appended to it: the projections onto coordinates < nvars, ..,
+    < keep + 1, in that order.
     """
     cons = [(list(c), r) for c, r in constraints]
     nvars = len(cons[0][0]) if cons else keep
     for k in range(nvars - 1, keep - 1, -1):
+        if projections is not None:
+            projections.append(cons)
         pos, neg, rest = [], [], []
         for c, r in cons:
             if c[k] > 0:
@@ -67,32 +75,11 @@ def fm_eliminate(constraints, keep):
     return cons
 
 
-def fm_feasible(constraints, nvars) -> bool:
-    out = fm_eliminate(constraints, 0)
+def fm_feasible(constraints, nvars, projections=None) -> bool:
+    """Whether {x : c.x >= r} is nonempty; fills `projections` as
+    `fm_eliminate` does, down to the projection onto x_0."""
+    out = fm_eliminate(constraints, 0, projections)
     return all(r <= 0 for _c, r in out)
-
-
-def fm_interval(constraints, nvars, var):
-    """(lo, hi) bounds of x_var over the polyhedron; None means unbounded."""
-    order = [var] + [i for i in range(nvars) if i != var]
-    permuted = [([c[i] for i in order], r) for c, r in constraints]
-    out = fm_eliminate(permuted, 1)
-    lo, hi = None, None
-    feasible_ok = True
-    for c, r in out:
-        a = c[0]
-        if a > 0:
-            b = Fraction(r, a)
-            lo = b if lo is None else max(lo, b)
-        elif a < 0:
-            b = Fraction(r, a)
-            hi = b if hi is None else min(hi, b)
-        else:
-            if r > 0:
-                feasible_ok = False
-    if not feasible_ok:
-        return Fraction(1), Fraction(0)  # empty
-    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +108,7 @@ class Fan:
             if not self._strongly_convex(c):
                 raise ToricError(f"cone {c} is not strongly convex")
         self._profile_memo = {}
+        self._nonzero_patterns = None
         self._complete = None
 
     # -- cone geometry ---------------------------------------------------------
@@ -283,60 +271,76 @@ def _cech_profile(fan: Fan, plus_rays: frozenset):
     return profile
 
 
-def _column_count(cons, head, last):
-    """Number of x in the range `last` with (*head, x) in {c.m >= r}."""
-    lo, hi = last.start, last.stop - 1
-    for c, r in cons:
-        a = c[-1]
-        rest = r - _dot(c, head)  # zip stops at the end of head
-        if a > 0:
-            lo = max(lo, -(-rest // a))
-        elif a < 0:
-            hi = min(hi, rest // a)
-        elif rest > 0:
-            return 0
-    return max(hi - lo + 1, 0)
+def _nonzero_patterns(fan: Fan):
+    """The sign patterns of `fan` with a nonzero profile, as (signed rays,
+    plus flags, profile): a ray in the pattern keeps its sign, the others
+    are negated.  They depend only on the fan, so the first query lists
+    them, computing the profiles of all 2^s patterns, and later queries
+    reuse the list."""
+    if fan._nonzero_patterns is None:
+        s = len(fan.rays)
+        found = []
+        for mask in range(1 << s):
+            plus = [bool(mask >> i & 1) for i in range(s)]
+            profile = _cech_profile(
+                fan, frozenset(i for i in range(s) if plus[i]))
+            if any(profile):
+                rows = [u if p else tuple(-x for x in u)
+                        for u, p in zip(fan.rays, plus)]
+                found.append((rows, plus, profile))
+        fan._nonzero_patterns = found
+    return fan._nonzero_patterns
+
+
+def _count_points(bounds, head=()):
+    """Lattice points of a bounded polyhedron with x_0..x_{k-1} = head.
+
+    bounds[k] holds the rows c.x >= r of its projection onto x_0..x_k
+    that bound x_k from below and from above, as (c[:k], c[k], r); the
+    others belong to the projection onto x_0..x_{k-1}, which head
+    satisfies.
+    """
+    k = len(head)
+    lower, upper = bounds[k]
+    lo = max(-((_dot(c, head) - r) // a) for c, a, r in lower)
+    hi = min((r - _dot(c, head)) // a for c, a, r in upper)
+    if k == len(bounds) - 1:
+        return max(hi - lo + 1, 0)
+    return sum(_count_points(bounds, head + (x,)) for x in range(lo, hi + 1))
 
 
 def cohomology(fan: Fan, D: TDivisor):
     """(h^0, .., h^rank) of O(D) for a complete fan, exact.
 
     Characters are partitioned by the sign vector of <m, u_rho> + a_rho;
-    each feasible nonzero-profile chamber must be bounded.  Its lattice
-    points are counted column by column: the first rank - 1 coordinates are
-    scanned inside their Fourier-Motzkin bounds, and the last one's integer
-    interval is cut out by the constraints directly.
+    only the patterns with a nonzero profile are visited, and each feasible
+    chamber among them must be bounded.  One Fourier-Motzkin elimination
+    decides feasibility and keeps the projections P_1, .., P_rank onto the
+    leading coordinates: the chamber is bounded iff each P_(k+1) bounds x_k
+    from both sides, and its lattice points are counted coordinate by
+    coordinate, the integer range of x_k given x_0..x_(k-1) coming from
+    P_(k+1) by floor and ceiling division.
     """
     if D.fan is not fan:
         raise ToricError("divisor lives on a different fan")
     if not fan.is_complete():
         raise ToricError("cohomology needs a complete fan")
-    s = len(fan.rays)
     total = [0] * (fan.rank + 1)
-    for mask in range(1 << s):
-        plus = frozenset(i for i in range(s) if mask & (1 << i))
-        profile = _cech_profile(fan, plus)
-        if not any(profile):
-            continue
-        cons = []
-        for i, u in enumerate(fan.rays):
-            a = D.coeffs[i]
-            if i in plus:
-                cons.append((list(u), -a))
-            else:
-                cons.append(([-x for x in u], a + 1))
-        if not fm_feasible(cons, fan.rank):
+    for rows, plus, profile in _nonzero_patterns(fan):
+        cons = [(u, -a if p else a + 1)
+                for u, p, a in zip(rows, plus, D.coeffs)]
+        levels = []
+        if not fm_feasible(cons, fan.rank, levels):
             continue
         bounds = []
-        for v in range(fan.rank):
-            lo, hi = fm_interval(cons, fan.rank, v)
-            if lo is None or hi is None:
+        for k, level in enumerate(reversed(levels)):
+            lower = [(c[:k], c[k], r) for c, r in level if c[k] > 0]
+            upper = [(c[:k], c[k], r) for c, r in level if c[k] < 0]
+            if not (lower and upper):
                 raise ToricError("unbounded chamber with nonzero cohomology: "
                                  "fan cannot be complete")
-            bounds.append((lo, hi))
-        ranges = [range(ceil(lo), floor(hi) + 1) for lo, hi in bounds]
-        count = sum(_column_count(cons, head, ranges[-1])
-                    for head in product(*ranges[:-1]))
+            bounds.append((lower, upper))
+        count = _count_points(bounds)
         for p in range(fan.rank + 1):
             total[p] += count * profile[p]
     return tuple(total)

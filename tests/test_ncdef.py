@@ -1,17 +1,20 @@
 """Deformation iteration: the cone collection terminates with the
 4-dimensional algebra, the node point runs forever through truncations."""
 
+import time
+
 import pytest
 
 from singcat import models
+from singcat.findim import AlgebraError
 from singcat.modules import FPModule
 from singcat.ncdef import (SimpleCollection, DeformationError, simple_check,
                            initial_state, deform_step, run,
                            flatness_filtration_check)
 
 
-def cone_collection():
-    P = models.projective_cone_ring()
+def cone_collection(field=None):
+    P = models.projective_cone_ring(field)
     return SimpleCollection([models.cone_L1(P), models.cone_L2(P)])
 
 
@@ -139,3 +142,22 @@ def test_corrupted_filtration_fails_flatness():
     state.filtrations[0] = state.filtrations[0][:-1]  # drop a factor
     ok, _detail = flatness_filtration_check(state)
     assert not ok
+
+
+@pytest.mark.parametrize("field", ["Q", "F3"])
+def test_cone_radical_layers(field):
+    rep = run(cone_collection(field), max_iter=8)
+    ok, detail = flatness_filtration_check(rep.final_state)
+    assert ok, detail
+    assert detail["radical_layers"] == [2, 2]
+
+
+def test_flatness_check_refuses_the_trace_radical_over_f2():
+    # the trace form vanishes in characteristic 2, so the "radical" is all
+    # of A and its powers never shrink; the layer loop used to run forever
+    rep = run(cone_collection("F2"), max_iter=8)
+    assert rep.outcome == "terminated" and rep.algebra().dim == 4
+    start = time.perf_counter()
+    with pytest.raises(AlgebraError, match=r"over F2 \(dim A = 4\)"):
+        flatness_filtration_check(rep.final_state)
+    assert time.perf_counter() - start < 1

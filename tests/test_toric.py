@@ -14,7 +14,7 @@ from singcat.linalg import Matrix, rank
 from singcat.toric import (Fan, TDivisor, ToricError, fan_library, cohomology,
                            intersect_curve, class_group, weil_is_cartier,
                            canonical_divisor, divisor_from_combo, _cech_profile,
-                           fm_eliminate, fm_feasible, fm_interval)
+                           fm_eliminate, fm_feasible)
 
 LIBRARY = ["P2", "P1xP1", "P3", "blowupP3_1pt", "blowupP3_2pts",
            "coneP1xP1_projective", "coneP1xP1_smallres"]
@@ -132,6 +132,30 @@ def test_profile_of_every_sign_pattern():
                 (name, sorted(plus))
 
 
+def fm_interval(constraints, nvars, var):
+    """Reference: (lo, hi) bounds of x_var over the polyhedron from one
+    elimination per coordinate; None means unbounded, (1, 0) empty."""
+    order = [var] + [i for i in range(nvars) if i != var]
+    permuted = [([c[i] for i in order], r) for c, r in constraints]
+    out = fm_eliminate(permuted, 1)
+    lo, hi = None, None
+    feasible_ok = True
+    for c, r in out:
+        a = c[0]
+        if a > 0:
+            b = Fraction(r, a)
+            lo = b if lo is None else max(lo, b)
+        elif a < 0:
+            b = Fraction(r, a)
+            hi = b if hi is None else min(hi, b)
+        else:
+            if r > 0:
+                feasible_ok = False
+    if not feasible_ok:
+        return Fraction(1), Fraction(0)  # empty
+    return lo, hi
+
+
 def _box_scan_cohomology(fan, D, widest):
     """Reference: test every sign pattern for feasibility first, then count
     a nonzero-profile chamber by checking every constraint at every lattice
@@ -160,7 +184,21 @@ def _box_scan_cohomology(fan, D, widest):
     return tuple(total)
 
 
-def test_column_count_matches_box_scan():
+def test_column_count_matches_box_scan(monkeypatch):
+    # each coordinate's range is the integer part of its real interval, so
+    # every value the count fixes satisfies the rows that bound it; a range
+    # rounded outwards would only add values with no points above them
+    count_points = toric._count_points
+
+    def tight(bounds, head=()):
+        if head:
+            lower, upper = bounds[len(head) - 1]
+            for c, a, r in lower + upper:
+                assert sum(x * y for x, y in zip(c, head)) + a * head[-1] \
+                    >= r, (bounds, head)
+        return count_points(bounds, head)
+
+    monkeypatch.setattr(toric, "_count_points", tight)
     rng = random.Random(7)
     fans = [fan_library(name)[0] for name in LIBRARY]
     fans.append(Fan(1, [(1,), (-1,)], [(0,), (1,)], "P1"))
@@ -170,6 +208,10 @@ def test_column_count_matches_box_scan():
                     [(0, 1), (1, 2), (0, 2)], "P(3,2,1)"))
     fans.append(Fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -2)],
                     list(combinations(range(4), 3)), "P(1,1,2,1)"))
+    # its -3 sits in the middle coordinate, so the ranges of x_1 given x_0
+    # need real floor and ceiling divisions too
+    fans.append(Fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -3, -2)],
+                    list(combinations(range(4), 3)), "P(1,1,3,2)"))
     widest = {}
     for fan in fans:
         w = widest.setdefault(fan.rank, [0] * (fan.rank + 1))
@@ -179,6 +221,33 @@ def test_column_count_matches_box_scan():
                 (fan.name, D)
     # the samples reach chambers of several points in every degree
     assert all(c >= 2 for w in widest.values() for c in w), widest
+
+
+def test_second_query_reads_no_profile(monkeypatch):
+    fan, div, _w = toric._fan_library_build("blowupP3_2pts")
+    first = cohomology(fan, div["H"])
+    calls = []
+    profile = toric._cech_profile
+    monkeypatch.setattr(toric, "_cech_profile",
+                        lambda f, plus: calls.append(plus) or profile(f, plus))
+    assert cohomology(fan, div["H"]) == first == (4, 0, 0, 0)
+    assert cohomology(fan, div["E1"] - div["E2"]) == (0, 0, 0, 0)
+    assert calls == []
+
+
+@pytest.mark.parametrize("fan", [
+    Fan(1, [(1,)], [(0,)], "half-line"),
+    Fan(2, [(1, 0), (0, 1)], [(0, 1)], "quadrant"),
+    Fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2)], "P2 minus a cone"),
+], ids=lambda fan: fan.name)
+@pytest.mark.parametrize("a", [0, 3, -2])
+def test_unbounded_chamber_is_refused(fan, a):
+    # skip the completeness test, so that the chamber test meets a
+    # nonzero-profile chamber the cones leave unbounded
+    fan._complete = True
+    with pytest.raises(ToricError, match="unbounded chamber with nonzero "
+                                         "cohomology"):
+        cohomology(fan, TDivisor(fan, [a] * len(fan.rays)))
 
 
 def test_fourier_motzkin_is_exact():

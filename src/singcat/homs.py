@@ -6,9 +6,10 @@ column-major into R^{hw}.  Hom, stable Hom and Ext^p build U and V through
 one path (_subquotient): cocycles phi: F_p -> N with phi o d_{p+1} in
 rel(N), modulo rel(N) in each column and the maps psi o d_p, so Hom(M, N)
 is the p = 0 case of Ext.  The matrix factorization homology of
-matfac.mf_stable_hom uses the same two helpers: _flat places polynomial
-entries into a flattened h-row block, and _syzygy_heads cuts syzygies to
-their first k coordinates.  Finite k-bases come from Groebner staircases;
+matfac.mf_stable_hom uses the same pieces: _flat places polynomial entries
+into a flattened h-row block, and a Groebner basis that tracks only the
+first k generators (SubmoduleGB's `tracked`) gives their syzygies cut to
+those k coordinates.  Finite k-bases come from Groebner staircases;
 graded degree-0 bases are available when source and target carry
 generator degrees.
 
@@ -47,17 +48,6 @@ def _flat(h, entries):
     for j, i, p in entries:
         for m, c in p.terms.items():
             out[(j * h + i, m)] = c
-    return out
-
-
-def _syzygy_heads(gb: SubmoduleGB, k: int):
-    """Syzygies of gb's generator list cut to their first k coordinates;
-    the cuts that vanish are dropped."""
-    out = []
-    for s in gb.syzygies():
-        head = {(p, m): c for (p, m), c in s.items() if p < k}
-        if head:
-            out.append(head)
     return out
 
 
@@ -100,14 +90,15 @@ class MatrixSubquotient:
     def big_gb(self) -> SubmoduleGB:
         if self._big is None:
             self._big = SubmoduleGB(self.ring.ambient, self.nrows * self.ncols,
-                                    self.U + self.V, pad_polys=self.ring.gb)
+                                    self.U + self.V, pad_polys=self.ring.gb,
+                                    tracked=len(self.U))
         return self._big
 
     def pres_gb(self) -> SubmoduleGB:
         if self._pres is None:
-            W = _syzygy_heads(self.big_gb(), len(self.U))
-            self._pres = SubmoduleGB(self.ring.ambient, len(self.U), W,
-                                     pad_polys=self.ring.gb)
+            self._pres = SubmoduleGB(self.ring.ambient, len(self.U),
+                                     self.big_gb().syzygies(),
+                                     pad_polys=self.ring.gb, tracked=0)
         return self._pres
 
     def gen_degrees(self):
@@ -160,8 +151,7 @@ class MatrixSubquotient:
         nf, cert = self.big_gb().normal_form(vec, with_cert=True)
         if nf:
             raise HomError("matrix does not lie in the hom space")
-        cvec = {(p, m): c for (p, m), c in cert.items() if p < len(self.U)}
-        red = self.pres_gb().normal_form(cvec)
+        red = self.pres_gb().normal_form(cert)
         index = {it: k for k, it in enumerate(basis_items)}
         out = [F.zero()] * len(basis_items)
         for (p, m), c in red.items():
@@ -175,7 +165,7 @@ class MatrixSubquotient:
     def _null_gb(self) -> SubmoduleGB:
         if self._gbV is None:
             self._gbV = SubmoduleGB(self.ring.ambient, self.nrows * self.ncols,
-                                    self.V, pad_polys=self.ring.gb)
+                                    self.V, pad_polys=self.ring.gb, tracked=0)
         return self._gbV
 
     def is_zero_space(self) -> bool:
@@ -217,8 +207,9 @@ def _cocycles(ring: QuotientRing, h, r, d_next, relations):
     if not d_next:
         return [_flat(h, [(j, i, ring.one())]) for j in range(r) for i in range(h)]
     gens = _unit_images(h, r, d_next) + _relation_blocks(h, len(d_next), relations)
-    gb = SubmoduleGB(ring.ambient, h * len(d_next), gens, pad_polys=ring.gb)
-    return _syzygy_heads(gb, r * h)
+    gb = SubmoduleGB(ring.ambient, h * len(d_next), gens, pad_polys=ring.gb,
+                     tracked=r * h)
+    return gb.syzygies()
 
 
 def _subquotient(N: FPModule, r, d_next, null_extra, col_degrees):
@@ -451,9 +442,10 @@ class Extension:
             col[gB + i] = ring.one()
             incl_vecs.append(vec_from_polys(col))
         gens = incl_vecs + [vec_from_polys(c) for c in self.E.relations]
-        gb = SubmoduleGB(ring.ambient, self.E.ngens, gens, pad_polys=ring.gb)
+        gb = SubmoduleGB(ring.ambient, self.E.ngens, gens, pad_polys=ring.gb,
+                         tracked=gA)
         relA_gb = self.A.rel_gb()
-        for ker_elt in _syzygy_heads(gb, gA):
+        for ker_elt in gb.syzygies():
             if not relA_gb.contains(ker_elt):
                 return False
         # ker(proj) subset image(incl) + rel(E), the span of the same gens
@@ -531,7 +523,7 @@ def fiber_generators(M: FPModule, point_polys) -> int:
             v = vec_from_polys(col)
             if v:
                 gens.append(v)
-    gb = SubmoduleGB(ring.ambient, M.ngens, gens, pad_polys=ring.gb)
+    gb = SubmoduleGB(ring.ambient, M.ngens, gens, pad_polys=ring.gb, tracked=0)
     d = gb.quotient_dim()
     if d is None:
         raise InfiniteDimensionError("fiber is infinite-dimensional: point ideal "

@@ -22,7 +22,7 @@ from .poly import PolyRing, Polynomial
 from .quotient import QuotientRing
 from .modules import FPModule, _prune_columns, _sort_columns, mat_mul
 from .modgb import SubmoduleGB, vec_from_polys, vec_to_polys
-from .homs import MatrixSubquotient, _flat, _syzygy_heads
+from .homs import MatrixSubquotient, _flat
 
 
 class MFError(ValueError):
@@ -292,7 +292,7 @@ def mf_stable_hom(X: MatrixFactorization, Y: MatrixFactorization):
     npos = 2 * X.size * Y.size
     dims = []
     for d_out, d_in in ((d0, d1), (d1, d0)):
-        kernel = _syzygy_heads(SubmoduleGB(S, npos, d_out), npos)
+        kernel = SubmoduleGB(S, npos, d_out).syzygies()
         dims.append(MatrixSubquotient(free, Y.size, 2 * X.size, kernel, d_in).dim())
     if None in dims:
         raise MFError("infinite-dimensional stable hom: the singular locus "

@@ -2,13 +2,22 @@
 
 A module element is a dict (position, monomial) -> nonzero coefficient.
 Term comparison is position-over-term: lower position index wins, ties
-broken by the ring's monomial order.  Each generator list is processed as a
-graph module (v_j, e_j) in S^(n+r), so a single reduced basis yields normal
-forms, membership certificates, and a generating set of syzygies at once.
+broken by the ring's monomial order.  A generator list v_0..v_{r-1} in S^n
+is processed as a graph module in S^(n+k): the first k ("tracked")
+generators carry a tag coordinate, (v_j, e_j) for j < k, and the rest go in
+as (v_j, 0).  A single reduced basis then yields normal forms, membership
+certificates over the tracked generators and the syzygies projected onto
+the tracked coordinates.  The tag block comes after the main block, so the
+basis elements with a main lead form the reduced basis of the span
+whatever k is, and those with a tag lead form the reduced basis of the
+projection of the syzygy module onto the first k coordinates (the
+elimination property of a position-over-term order, as in Eisenbud,
+Commutative Algebra, 15.5).  A build with k = 0 is a plain Groebner basis
+of the span and refuses syzygy and certificate queries.
 
 Computations over a quotient ring S/I are handled by padding the generator
-list with f*e_i for the ideal generators f; pad coefficients are dropped
-from certificates and syzygies.
+list with f*e_i for the ideal generators f.  Pads are never tagged, so a
+certificate is taken modulo the untracked generators plus the pads.
 
 One reducer, `_reduce_full`, serves Buchberger's algorithm, normal forms
 of module elements and `poly_normal_form`.  It pops the next leading term
@@ -26,6 +35,7 @@ from __future__ import annotations
 import heapq
 import itertools
 
+from .errors import InvariantError
 from .poly import PolyRing, Polynomial, mon_mul, mon_div, mon_divides, mon_lcm
 
 Vec = dict  # (pos, monomial) -> coefficient
@@ -109,30 +119,32 @@ def _reduce_full(F, ok, v: Vec, by_pos) -> Vec:
 
 
 class SubmoduleGB:
-    """Reduced graph-module Groebner basis for a generator list in S^npos."""
+    """Reduced Groebner basis of the span of `gens` (plus the pads f*e_p)
+    in S^npos, built as a graph module in which the first `tracked`
+    generators carry a tag coordinate npos + j; by default every generator
+    does, and pads never do.  Certificates and syzygies are read from the
+    tags, so they cover the tracked generators only, modulo the untracked
+    generators plus the pads."""
 
-    def __init__(self, ring: PolyRing, npos: int, gens, pad_polys=()):
+    def __init__(self, ring: PolyRing, npos: int, gens, pad_polys=(),
+                 tracked=None):
         self.ring = ring
         self.field = ring.field
         self.npos = npos
         self.gens = [dict(g) for g in gens]
         self.pads = list(pad_polys)
+        self.ngens = len(self.gens)
+        self.tracked = self.ngens if tracked is None else tracked
+        if not 0 <= self.tracked <= self.ngens:
+            raise ValueError(f"tracked={tracked} outside 0..{self.ngens}")
         self._key = lambda t, ok=ring.order_key: (t[0], ok(t[1]))
-        graph = []
-        idx = 0
-        for g in self.gens:
-            w = dict(g)
-            w[(npos + idx, (0,) * ring.nvars)] = self.field.one()
-            graph.append(w)
-            idx += 1
+        one, unit = self.field.one(), (0,) * ring.nvars
+        graph = [dict(g) for g in self.gens]
+        for j in range(self.tracked):
+            graph[j][(npos + j, unit)] = one
         for f in self.pads:
             for p in range(npos):
-                w = {(p, m): c for m, c in f.terms.items()}
-                w[(npos + idx, (0,) * ring.nvars)] = self.field.one()
-                graph.append(w)
-                idx += 1
-        self.ntotal = npos + idx
-        self.ngens = len(self.gens)
+                graph.append({(p, m): c for m, c in f.terms.items()})
         self.basis = self._buchberger(graph)
         self._by_pos = {}
         for lead, vec in self.basis:
@@ -214,22 +226,28 @@ class SubmoduleGB:
 
     # -- queries -------------------------------------------------------------
 
+    def _require_tracked(self, what):
+        if not self.tracked:
+            raise InvariantError(
+                f"{what} asked of a Groebner basis that tracks no generator "
+                f"(SubmoduleGB over {self.npos} positions, {self.ngens} "
+                f"generators, {len(self.pads)} pad polynomials, tracked=0)")
+
     def normal_form(self, v: Vec, with_cert: bool = False):
         """Canonical representative of v modulo the span (main block only).
 
         With certificates: returns (nf, cert) where cert is a Vec over
-        positions 0..ngens-1 such that v = nf + sum cert_j * gens_j modulo
-        the padded ideal part.
+        positions 0..tracked-1 such that v = nf + sum cert_j * gens_j modulo
+        the untracked generators and the padded ideal part.
         """
         red = _reduce_full(self.field, self.ring.order_key, v, self._by_pos)
         nf = {k: c for k, c in red.items() if k[0] < self.npos}
         if not with_cert:
             return nf
-        F = self.field
-        cert: Vec = {}
-        for (p, m), c in red.items():
-            if self.npos <= p < self.npos + self.ngens:
-                cert[(p - self.npos, m)] = F.neg(c)
+        self._require_tracked("a membership certificate")
+        neg = self.field.neg
+        cert = {(p - self.npos, m): neg(c) for (p, m), c in red.items()
+                if p >= self.npos}
         return nf, cert
 
     def contains(self, v: Vec) -> bool:
@@ -243,16 +261,12 @@ class SubmoduleGB:
         return self._main_leads
 
     def syzygies(self):
-        """Generators of the syzygy module of `gens` (pad coords dropped)."""
+        """Reduced basis of the syzygies of `gens` and the pads, projected
+        onto the tracked coordinates, in basis order."""
+        self._require_tracked("syzygies")
         if self._syz is None:
-            out = []
-            for (p, m), v in self.basis:
-                if p >= self.npos:
-                    s = {(q - self.npos, mm): c for (q, mm), c in v.items()
-                         if self.npos <= q < self.npos + self.ngens}
-                    if s:
-                        out.append(s)
-            self._syz = out
+            self._syz = [{(q - self.npos, mm): c for (q, mm), c in v.items()}
+                         for (p, _m), v in self.basis if p >= self.npos]
         return self._syz
 
     # -- staircase bases and dimensions -----------------------------------------
@@ -360,12 +374,8 @@ def groebner_basis(generators, order: str | None = None):
         generators = [Polynomial(ring2, dict(g.terms)) for g in generators]
         ring = ring2
     gens = [vec_from_polys([g]) for g in generators if not g.is_zero()]
-    gb = SubmoduleGB(ring, 1, gens)
-    out = []
-    for (p, m), v in gb.basis:
-        if p == 0:
-            out.append(vec_to_polys(ring, {k: c for k, c in v.items() if k[0] == 0}, 1)[0])
-    return out
+    gb = SubmoduleGB(ring, 1, gens, tracked=0)
+    return [vec_to_polys(ring, v, 1)[0] for _lead, v in gb.basis]
 
 
 def poly_normal_form(p: Polynomial, gb_polys) -> Polynomial:

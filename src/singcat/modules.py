@@ -115,7 +115,7 @@ class FPModule:
         if self._rel_gb is None:
             vecs = [vec_from_polys(col) for col in self.relations]
             self._rel_gb = SubmoduleGB(self.ring.ambient, self.ngens, vecs,
-                                       pad_polys=self.ring.gb)
+                                       pad_polys=self.ring.gb, tracked=0)
         return self._rel_gb
 
     def k_dim(self):
@@ -179,7 +179,8 @@ def _prune_columns(ring: QuotientRing, cols, npos):
     keep = [True] * len(cols)
     for i, col in enumerate(cols):
         others = [vec_from_polys(c) for j, c in enumerate(cols) if keep[j] and j != i]
-        gb = SubmoduleGB(ring.ambient, npos, others, pad_polys=ring.gb)
+        gb = SubmoduleGB(ring.ambient, npos, others, pad_polys=ring.gb,
+                         tracked=0)
         keep[i] = not gb.contains(vec_from_polys(col))
     return [c for c, k in zip(cols, keep) if k]
 

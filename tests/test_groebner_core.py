@@ -4,10 +4,12 @@ import random
 
 import pytest
 
+from singcat.errors import InvariantError
 from singcat.fields import QQ, GF
 from singcat.poly import PolyRing, mon_div, mon_divides
 from singcat.modgb import (SubmoduleGB, _reduce_full, groebner_basis,
-                           poly_normal_form, vec_from_polys, vec_to_polys)
+                           poly_normal_form, vec_add_into, vec_from_polys,
+                           vec_to_polys)
 from singcat.quotient import QuotientRing, parse_ring
 
 
@@ -265,3 +267,100 @@ def test_heap_reducer_matches_max_scan_reference(field, order):
             assert list(got.items()) == list(want.items())
             checked += bool(want)
     assert checked > 20
+
+
+def test_untracked_build_refuses_syzygies_and_certificates():
+    R = PolyRing(QQ, ["x", "y"])
+    gb = SubmoduleGB(R, 1, [vec_from_polys([R.parse("x")]),
+                            vec_from_polys([R.parse("y")])], tracked=0)
+    assert gb.contains(vec_from_polys([R.parse("x*y")]))
+    with pytest.raises(InvariantError, match="tracks no generator.*tracked=0"):
+        gb.syzygies()
+    with pytest.raises(InvariantError, match="tracks no generator.*tracked=0"):
+        gb.normal_form(vec_from_polys([R.parse("x*y")]), with_cert=True)
+
+
+def _full_graph_reference(R, npos, gens, pads):
+    """The graph module built by hand: a tag position npos + j on every
+    generator and on every pad f*e_p, in a build that tracks nothing."""
+    one, unit = R.field.one(), (0,) * R.nvars
+    rows = [dict(g) for g in gens]
+    rows += [{(p, m): c for m, c in f.terms.items()}
+             for f in pads for p in range(npos)]
+    for j, row in enumerate(rows):
+        row[(npos + j, unit)] = one
+    return SubmoduleGB(R, npos + len(rows), rows, tracked=0)
+
+
+def _combination(F, rng, nvars, vecs):
+    """A random combination of vecs with polynomial coefficients."""
+    out = {}
+    for v in vecs:
+        for _ in range(rng.randint(0, 2)):
+            mon = tuple(rng.randint(0, 1) for _ in range(nvars))
+            c = F.from_int(rng.randint(-5, 5))
+            if not F.is_zero(c):
+                vec_add_into(F, out, v, c, mon)
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "F32003"])
+@pytest.mark.parametrize("padded", [False, True], ids=["no_pads", "pads"])
+def test_tracked_build_matches_full_graph_module(field, padded):
+    # Tagging only the first k generators and no pad must give the full
+    # graph module's basis with the later tag coordinates cut away: its
+    # syzygy heads, certificates, normal forms and main-block basis.
+    rng = random.Random(29)
+    R = PolyRing(field, ["x", "y", "z"])
+    F = field
+    checked = members = syzygies = 0
+    for _trial in range(30):
+        npos = rng.randint(1, 2)
+        gens = [_random_vec(rng, F, 3, npos, rng.randint(1, 3), 1)
+                for _ in range(rng.randint(1, 4))]
+        gens = [g for g in gens if g]
+        pads = []
+        if padded:
+            pads = [vec_to_polys(R, _random_vec(rng, F, 3, 1, 2, 1), 1)[0]]
+            pads = [f for f in pads if not f.is_zero()]
+        pad_vecs = [vec_from_polys([None] * p + [f]) for f in pads
+                    for p in range(npos)]
+        ref = _full_graph_reference(R, npos, gens, pads)
+        probes = [_combination(F, rng, 3, gens + pad_vecs) for _ in range(4)]
+        probes += [_random_vec(rng, F, 3, npos, 3, 3) for _ in range(2)]
+        for k in range(len(gens) + 1):
+            gb = SubmoduleGB(R, npos, gens, pad_polys=pads, tracked=k)
+            cut = npos + k
+            assert gb.basis == [
+                (lead, {t: c for t, c in v.items() if t[0] < cut})
+                for lead, v in ref.basis if lead[0] < cut]
+            heads = [{(p - npos, m): c for (p, m), c in v.items()
+                      if npos <= p < cut} for lead, v in ref.basis
+                     if lead[0] >= npos]
+            heads = [h for h in heads if h]
+            if k:
+                assert gb.syzygies() == heads
+                syzygies += len(heads)
+            else:
+                assert heads == []
+                with pytest.raises(InvariantError):
+                    gb.syzygies()
+            rest = SubmoduleGB(R, npos, gens[k:], pad_polys=pads, tracked=0)
+            for v in probes:
+                red = ref.normal_form(v)
+                nf = {t: c for t, c in red.items() if t[0] < npos}
+                assert gb.normal_form(v) == nf
+                if not k:
+                    continue
+                cert = {(p - npos, m): F.neg(c) for (p, m), c in red.items()
+                        if npos <= p < cut}
+                assert gb.normal_form(v, with_cert=True) == (nf, cert)
+                # v - nf - sum cert_j gens_j lies in span(untracked, pads)
+                left = dict(v)
+                vec_add_into(F, left, nf, F.from_int(-1), (0, 0, 0))
+                for (j, m), c in cert.items():
+                    vec_add_into(F, left, gens[j], F.neg(c), m)
+                assert rest.contains(left)
+                members += not nf
+                checked += 1
+    assert checked > 300 and members > 250 and syzygies > 80

@@ -9,9 +9,10 @@ is the p = 0 case of Ext.  The matrix factorization homology of
 matfac.mf_stable_hom uses the same pieces: _flat places polynomial entries
 into a flattened h-row block, and a Groebner basis that tracks only the
 first k generators (SubmoduleGB's `tracked`) gives their syzygies cut to
-those k coordinates.  Finite k-bases come from Groebner staircases;
-graded degree-0 bases are available when source and target carry
-generator degrees.
+those k coordinates.  A subquotient builds one basis, big_gb, of U
+(tracked), V and the ideal pads: its tag block's staircase is a k-basis
+of span(U)/span(V), and a certificate's tag part gives coordinates over
+it.  Graded degree-d bases need generator degrees on source and target.
 
 Stable Hom follows the free-cover recipe: Hom(M,N) modulo the image of
 Hom(M, R^{g_N}) -> Hom(M,N) induced by the generator surjection R^{g_N} -> N.
@@ -75,7 +76,6 @@ class MatrixSubquotient:
         self.row_degrees = row_degrees
         self.col_degrees = col_degrees
         self._big = None
-        self._pres = None
         self._gbV = None
 
     def _position_degrees(self):
@@ -93,13 +93,6 @@ class MatrixSubquotient:
                                     self.U + self.V, pad_polys=self.ring.gb,
                                     tracked=len(self.U))
         return self._big
-
-    def pres_gb(self) -> SubmoduleGB:
-        if self._pres is None:
-            self._pres = SubmoduleGB(self.ring.ambient, len(self.U),
-                                     self.big_gb().syzygies(),
-                                     pad_polys=self.ring.gb, tracked=0)
-        return self._pres
 
     def gen_degrees(self):
         """Map degree of each U generator (graded context only)."""
@@ -119,20 +112,22 @@ class MatrixSubquotient:
         """Total k-dimension, or None if infinite."""
         if not self.U:
             return 0
-        return self.pres_gb().quotient_dim()
+        std = self.big_gb().tracked_staircase()
+        return None if std is None else len(std)
 
     def graded_dim(self, degree: int = 0):
-        if not self.U:
-            return 0
-        return self.pres_gb().quotient_graded_dim(degree, self.gen_degrees())
+        return len(self.basis_items(degree))
 
     def basis_items(self, graded_degree=None):
         """Staircase basis as (generator index, monomial) pairs."""
         if not self.U:
             return []
         if graded_degree is None:
-            return self.pres_gb().quotient_std_monomials()
-        return self.pres_gb().quotient_graded_monomials(graded_degree, self.gen_degrees())
+            std = self.big_gb().tracked_staircase()
+            if std is None:
+                raise ValueError("infinite staircase: the quotient has no finite k-basis")
+            return std
+        return self.big_gb().tracked_staircase(graded_degree, self.gen_degrees())
 
     def item_vec(self, item):
         from .poly import mon_mul
@@ -148,14 +143,13 @@ class MatrixSubquotient:
     def coords(self, vec, basis_items):
         """Coordinates of a flattened matrix in span(U) over the given basis."""
         F = self.ring.field
+        # the tag terms are already reduced against the tag-led elements
         nf, cert = self.big_gb().normal_form(vec, with_cert=True)
         if nf:
             raise HomError("matrix does not lie in the hom space")
-        red = self.pres_gb().normal_form(cert)
         index = {it: k for k, it in enumerate(basis_items)}
         out = [F.zero()] * len(basis_items)
-        for (p, m), c in red.items():
-            key = (p, m)
+        for key, c in cert.items():
             if key not in index:
                 raise HomError("coordinate outside the chosen basis "
                                "(mixed degrees or stale basis)")
@@ -303,7 +297,7 @@ class MorphismSpace:
 
     def presentation(self) -> FPModule:
         """Hom as an FPModule on the U-generators (module mode)."""
-        W = self.msq.pres_gb().gens
+        W = self.msq.big_gb().syzygies()
         cols = [vec_to_polys(self.M.ring.ambient, w, len(self.msq.U)) for w in W]
         return FPModule(self.M.ring, len(self.msq.U), cols)
 
@@ -367,10 +361,12 @@ def ext_dims(M: FPModule, N: FPModule, p_max: int, p_min: int = 0):
     dimension does not read the step degrees.
 
     Raises InfiniteDimensionError naming the first degree with an
-    infinite-dimensional Ext group.
+    infinite-dimensional Ext group, and HomError for p_min < 0.
     """
     if M.ring != N.ring:
         raise HomError("modules live over different rings")
+    if p_min < 0:
+        raise HomError(f"Ext^{p_min} is undefined: Ext degrees start at 0")
     res = M.resolve(p_max + 1)
     out = {}
     for p in range(p_min, p_max + 1):
@@ -389,6 +385,8 @@ def ext_dims(M: FPModule, N: FPModule, p_max: int, p_min: int = 0):
 def ext_space(M: FPModule, N: FPModule, p: int) -> MatrixSubquotient:
     """The Ext^p subquotient itself; basis items yield cocycle matrices
     (columns indexed by the step-p free generators, rows by N generators)."""
+    if p < 0:
+        raise HomError(f"Ext^{p} is undefined: Ext degrees start at 0")
     res = M.resolve(p + 1)
     return _ext_subquotient(M, N, p, res)
 

@@ -27,7 +27,8 @@ S-pairs.  The reduced basis comes from a minimal basis by reducing each
 tail once.  One staircase enumerator, `_standard_monomials`, gives the
 standard monomials of each position, all of them or those of one degree;
 the quotient dimensions are the lengths of those lists, with None for an
-infinite staircase.
+infinite staircase.  The tag block's staircase is a k-basis of the span
+of the tracked generators modulo the untracked ones and the pads.
 """
 
 from __future__ import annotations
@@ -149,7 +150,6 @@ class SubmoduleGB:
         self._by_pos = {}
         for lead, vec in self.basis:
             self._by_pos.setdefault(lead[0], []).append((lead, vec))
-        self._main_leads = None
         self._syz = None
 
     # -- basis construction -------------------------------------------------
@@ -253,13 +253,6 @@ class SubmoduleGB:
     def contains(self, v: Vec) -> bool:
         return vec_is_zero(self.normal_form(v))
 
-    def main_lead_monomials(self):
-        """Leading monomials of the span, grouped per main position."""
-        if self._main_leads is None:
-            self._main_leads = [[lead[1] for lead, _v in self._by_pos.get(p, ())]
-                                for p in range(self.npos)]
-        return self._main_leads
-
     def syzygies(self):
         """Reduced basis of the syzygies of `gens` and the pads, projected
         onto the tracked coordinates, in basis order."""
@@ -271,32 +264,25 @@ class SubmoduleGB:
 
     # -- staircase bases and dimensions -----------------------------------------
 
-    def _staircase(self, degree=None, pos_degrees=None):
-        """(position, monomial) pairs of the standard monomials of
-        S^npos / span: all of them, or those of internal degree `degree`
-        when e_i has degree pos_degrees[i]; None if there are infinitely
-        many."""
+    def _staircase(self, first, count, degree=None, pos_degrees=None):
+        """(i, monomial) pairs of the standard monomials at positions
+        first + i, i < count: all of them, or those of internal degree
+        `degree` when first + i has degree pos_degrees[i]; None if there
+        are infinitely many."""
         out = []
-        for p, mons in enumerate(self.main_lead_monomials()):
-            want = None if degree is None else degree - pos_degrees[p]
-            std = _standard_monomials(self.ring, mons, want)
+        for i in range(count):
+            leads = [lead[1] for lead, _v in self._by_pos.get(first + i, ())]
+            want = None if degree is None else degree - pos_degrees[i]
+            std = _standard_monomials(self.ring, leads, want)
             if std is None:
                 return None
-            out.extend((p, m) for m in std)
+            out.extend((i, m) for m in std)
         return out
 
     def quotient_dim(self):
         """dim_k of S^npos / span, or None if infinite."""
-        std = self._staircase()
+        std = self._staircase(0, self.npos)
         return None if std is None else len(std)
-
-    def quotient_std_monomials(self):
-        """List of (position, monomial) spanning S^npos / span over k;
-        ValueError if the staircase is infinite."""
-        std = self._staircase()
-        if std is None:
-            raise ValueError("infinite staircase: the quotient has no finite k-basis")
-        return std
 
     def quotient_graded_dim(self, degree: int, pos_degrees):
         """dim_k of the graded piece of S^npos / span in the given degree.
@@ -304,11 +290,14 @@ class SubmoduleGB:
         pos_degrees[i] is the internal degree of basis vector e_i; monomial
         degrees use the ring's grading weights.  Works for infinite staircases.
         """
-        return len(self._staircase(degree, pos_degrees))
+        return len(self._staircase(0, self.npos, degree, pos_degrees))
 
-    def quotient_graded_monomials(self, degree: int, pos_degrees):
-        """The standard monomials behind quotient_graded_dim."""
-        return self._staircase(degree, pos_degrees)
+    def tracked_staircase(self, degree=None, pos_degrees=None):
+        """_staircase of the tag block: the tag-led elements are the reduced
+        basis of syzygies(), so the pairs (j, m) give the k-basis x^m gens_j
+        of the tracked span modulo the untracked generators and the pads."""
+        self._require_tracked("a staircase of the tracked generators")
+        return self._staircase(self.npos, self.tracked, degree, pos_degrees)
 
 
 def _standard_monomials(ring: PolyRing, leads, degree=None):

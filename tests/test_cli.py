@@ -86,6 +86,12 @@ def test_input_error_exit_code(capsys):
     assert code == 2
     code = main(["toric-cohomology", "--fan", "NoSuchFan", "--divisor", "[1]"])
     assert code == 2
+    capsys.readouterr()
+    code = main(["ext", "--ring", "Q[z]/(z^2)", "--M", "A/(z)", "--N", "A/(z)",
+                 "--pmax", "2", "--pmin", "-2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "Ext^-2" in captured.err
 
 
 def test_module_grammar():

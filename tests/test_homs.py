@@ -6,7 +6,8 @@ from singcat.quotient import parse_ring
 from singcat.modules import FPModule
 from singcat.homs import (hom_space, stable_hom, ext_dims, ext_space,
                           yoneda_extension, is_mcm, fiber_generators,
-                          InfiniteDimensionError)
+                          HomError, InfiniteDimensionError)
+from singcat.modgb import SubmoduleGB, vec_add_into
 
 
 from singcat.homs import ext_is_zero
@@ -137,6 +138,11 @@ def test_ext_k_k_over_dual_numbers():
     k = FPModule.cyclic(A, [A.parse("z")])
     dims = ext_dims(k, k, 4, p_min=1)
     assert dims == {1: 1, 2: 1, 3: 1, 4: 1}
+    # negative degrees are refused, not read from the end of the resolution
+    with pytest.raises(HomError, match=r"Ext\^-2"):
+        ext_dims(k, k, 2, p_min=-2)
+    with pytest.raises(HomError, match=r"Ext\^-1"):
+        ext_space(k, k, -1)
 
 
 def test_ext_of_free_vanishes():
@@ -296,3 +302,115 @@ def test_fiber_generator_counts():
         assert fiber_generators(M, origin) == m + 1
     free = FPModule.free(C, 3, degrees=(0, 0, 0))
     assert fiber_generators(free, origin) == 3
+
+
+# -- one Groebner basis per subquotient ----------------------------------------
+
+
+def _reference_gb(msq):
+    """The presentation basis built by a second Buchberger run: the
+    syzygies of U read from big_gb plus the ideal pads, over len(U)
+    positions."""
+    return SubmoduleGB(msq.ring.ambient, len(msq.U), msq.big_gb().syzygies(),
+                       pad_polys=msq.ring.gb, tracked=0)
+
+
+def _assert_matches_reference(msq):
+    big, ref = msq.big_gb(), _reference_gb(msq)
+    npos = big.npos
+    tag_block = [((p - npos, m), {(q - npos, mm): c for (q, mm), c in v.items()})
+                 for (p, m), v in big.basis if p >= npos]
+    assert tag_block == ref.basis
+    assert msq.dim() == ref.quotient_dim()
+    graded = msq.row_degrees is not None and msq.col_degrees is not None
+    if graded:
+        degs = msq.gen_degrees()
+        assert msq.graded_dim(0) == ref.quotient_graded_dim(0, degs)
+        assert msq.basis_items(0) == ref._staircase(0, ref.npos, 0, degs)
+    if msq.dim() is None:
+        with pytest.raises(ValueError, match="infinite staircase"):
+            msq.basis_items()
+        items = msq.basis_items(0) if graded else []
+    else:
+        items = msq.basis_items()
+        assert items == ref._staircase(0, ref.npos)
+    F = msq.ring.field
+    # a combination with distinct coefficients reads them back
+    coeffs = [F.from_int(k + 1) for k in range(len(items))]
+    vec = {}
+    for c, it in zip(coeffs, items):
+        vec_add_into(F, vec, msq.item_vec(it), c, (0,) * msq.ring.ambient.nvars)
+    assert msq.coords(vec, items) == coeffs
+    if msq.dim() is None:
+        return
+    # multiples of the basis: the certificate is already reduced modulo
+    # the syzygies, so the second build's normal form leaves it unchanged
+    for idx, mon in items:
+        for i in range(msq.ring.ambient.nvars):
+            shifted = tuple(e + (i == k) for k, e in enumerate(mon))
+            vec = msq.item_vec((idx, shifted))
+            _nf, cert = big.normal_form(vec, with_cert=True)
+            assert ref.normal_form(cert) == cert
+            assert msq.coords(vec, items) == [cert.get(it, F.zero())
+                                              for it in items]
+
+
+def test_subquotient_staircase_matches_second_build(monkeypatch):
+    from singcat import matfac
+    from singcat.matfac import knorrer, mf_from_module, mf_stable_hom
+    from singcat.models import node_curve, branch_module_z, branch_module_w
+    spaces = []
+    B, C = node_curve(), cone_ring()
+    for pair in ((branch_module_z(B), branch_module_w(B)),
+                 (cone_L1(C), cone_L2(C))):
+        for M in pair:
+            for N in pair:
+                spaces.append(hom_space(M, N, mode="module").msq)
+                spaces.append(ext_space(M, N, 1))
+                spaces.append(stable_hom(M, N).msq)
+    # a free target: V is empty, so the ideal pads alone cut the space
+    A = parse_ring("Q[z]/(z^2)")
+    k, free = FPModule.cyclic(A, [A.parse("z")]), FPModule.free(A, 1)
+    spaces.extend(ext_space(k, free, p) for p in (0, 1, 2))
+    spaces.append(hom_space(cone_L1(C), FPModule.free(C, 1, degrees=(0,))).msq)
+    P = projective_cone_ring()
+    L1, L2 = cone_L1(P), cone_L2(P)
+    for M in (L1, L2):
+        for N in (L1, L2):
+            for p in (0, 1, 2):
+                spaces.append(ext_space(M, N, p))
+    # matrix factorization homology over the free ring: no pads
+    made = []
+
+    class Recording(matfac.MatrixSubquotient):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(matfac, "MatrixSubquotient", Recording)
+    Kz = knorrer(mf_from_module(branch_module_z(B)), "x", "y")
+    Kw = knorrer(mf_from_module(branch_module_w(B)), "x", "y")
+    assert mf_stable_hom(Kz, Kw) == (0, 1)
+    assert made and all(not msq.ring.gb for msq in made)
+    spaces.extend(made)
+    nonempty = [msq for msq in spaces if msq.U]
+    assert len(nonempty) >= 30
+    for msq in nonempty:
+        _assert_matches_reference(msq)
+
+
+def test_subquotient_builds_one_groebner_basis(monkeypatch):
+    C = cone_ring()
+    msq = ext_space(cone_L1(C), cone_L2(C), 1)
+    builds = []
+    real_init = SubmoduleGB.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args[1] if len(args) > 1 else kwargs.get("npos"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SubmoduleGB, "__init__", counting_init)
+    assert msq.dim() == 1
+    items = msq.basis_items()
+    assert msq.coords(msq.item_vec(items[0]), items) == [C.field.one()]
+    assert builds == [msq.nrows * msq.ncols]

@@ -361,12 +361,16 @@ def ext_dims(M: FPModule, N: FPModule, p_max: int, p_min: int = 0):
     dimension does not read the step degrees.
 
     Raises InfiniteDimensionError naming the first degree with an
-    infinite-dimensional Ext group, and HomError for p_min < 0.
+    infinite-dimensional Ext group, and HomError for p_min < 0 or an
+    empty range p_max < p_min.
     """
     if M.ring != N.ring:
         raise HomError("modules live over different rings")
     if p_min < 0:
         raise HomError(f"Ext^{p_min} is undefined: Ext degrees start at 0")
+    if p_max < p_min:
+        raise HomError(f"empty Ext degree range: p_max = {p_max} is below "
+                       f"p_min = {p_min}")
     res = M.resolve(p_max + 1)
     out = {}
     for p in range(p_min, p_max + 1):
@@ -408,25 +412,6 @@ class Extension:
         self.E = E
         self.A = A
         self.B = B
-
-    def inclusion_cols(self):
-        ring = self.E.ring
-        cols = []
-        for i in range(self.A.ngens):
-            col = [ring.zero()] * self.E.ngens
-            col[self.B.ngens + i] = ring.one()
-            cols.append(col)
-        return cols
-
-    def projection_cols(self):
-        ring = self.E.ring
-        cols = []
-        for j in range(self.E.ngens):
-            col = [ring.zero()] * self.B.ngens
-            if j < self.B.ngens:
-                col[j] = ring.one()
-            cols.append(col)
-        return cols
 
     def verify_exact(self) -> bool:
         """Exactness by Groebner checks: ker(A -> E) = rel(A), which fails

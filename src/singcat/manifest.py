@@ -20,8 +20,8 @@ from .sodcheck import (blowup_collections, check_exceptional,
 from .toric import cohomology, fan_library, intersect_curve, weil_is_cartier
 
 
-# the verification suite pins the rational field regardless of the
-# SINGCAT_FIELD override, except the idempotent census which pins F5
+# the verification suite names the rational field at every model, except
+# the idempotent census which pins F5
 class Claim:
     def __init__(self, cid, section, statement, provenance, runner):
         self.cid = cid

@@ -21,25 +21,12 @@ universal extensions can be built degree-zero homogeneously.
 
 from __future__ import annotations
 
-import os
-
 from .modules import FPModule
 from .quotient import QuotientRing, parse_ring
 
 
-def default_field() -> str:
-    """Field name used by the model constructors when none is passed;
-    SINGCAT_FIELD=Q or SINGCAT_FIELD=Fp:<p> overrides it for speed runs."""
-    env = os.environ.get("SINGCAT_FIELD", "Q")
-    if env == "Q":
-        return "Q"
-    if env.startswith("Fp:"):
-        return "F" + env.split(":", 1)[1]
-    raise ValueError(f"SINGCAT_FIELD must be Q or Fp:<p>, found {env!r}")
-
-
-def dual_numbers(field: str | None = None) -> QuotientRing:
-    return parse_ring(f"{field or default_field()}[z]/(z^2)")
+def dual_numbers(field: str = "Q") -> QuotientRing:
+    return parse_ring(f"{field}[z]/(z^2)")
 
 
 def point_module(A: QuotientRing) -> FPModule:
@@ -47,8 +34,8 @@ def point_module(A: QuotientRing) -> FPModule:
     return FPModule.cyclic(A, [A.parse("z")], degree=0)
 
 
-def node_curve(field: str | None = None) -> QuotientRing:
-    return parse_ring(f"{field or default_field()}[z,w]/(z*w)")
+def node_curve(field: str = "Q") -> QuotientRing:
+    return parse_ring(f"{field}[z,w]/(z*w)")
 
 
 def branch_module_z(B: QuotientRing) -> FPModule:
@@ -61,10 +48,10 @@ def branch_module_w(B: QuotientRing) -> FPModule:
     return FPModule.cyclic(B, [B.parse("z")], degree=0)
 
 
-def nonsplit_curve(field: str | None = None) -> QuotientRing:
+def nonsplit_curve(field: str = "Q") -> QuotientRing:
     """C = k[z,w]/(z^2+z^3+w^2); the singularity splits only after adjoining
     a square root of -1."""
-    return parse_ring(f"{field or default_field()}[z,w]/(z^2+z^3+w^2)")
+    return parse_ring(f"{field}[z,w]/(z^2+z^3+w^2)")
 
 
 def normalization_module(C: QuotientRing) -> FPModule:
@@ -76,8 +63,8 @@ def normalization_module(C: QuotientRing) -> FPModule:
     ])
 
 
-def cone_ring(field: str | None = None) -> QuotientRing:
-    return parse_ring(f"{field or default_field()}[x,y,z,w]/(x*y+z*w)")
+def cone_ring(field: str = "Q") -> QuotientRing:
+    return parse_ring(f"{field}[x,y,z,w]/(x*y+z*w)")
 
 
 def cone_L1(R: QuotientRing) -> FPModule:
@@ -92,9 +79,9 @@ def cone_L2(R: QuotientRing) -> FPModule:
                                    ambient_rank=1, ambient_degrees=[0])
 
 
-def projective_cone_ring(field: str | None = None) -> QuotientRing:
+def projective_cone_ring(field: str = "Q") -> QuotientRing:
     """Homogeneous coordinate ring of the projective cone over P^1 x P^1."""
-    return parse_ring(f"{field or default_field()}[x,y,z,w,u]/(x*y+z*w)")
+    return parse_ring(f"{field}[x,y,z,w,u]/(x*y+z*w)")
 
 
 def cone_power_ideal(R: QuotientRing, m: int) -> FPModule:
@@ -111,9 +98,9 @@ def cone_power_ideal(R: QuotientRing, m: int) -> FPModule:
                                    ambient_rank=1, ambient_degrees=[0])
 
 
-def node_surface(field: str | None = None) -> QuotientRing:
+def node_surface(field: str = "Q") -> QuotientRing:
     """B = k[x,y]/(xy): the local model for the non-terminating deformation."""
-    return parse_ring(f"{field or default_field()}[x,y]/(x*y)")
+    return parse_ring(f"{field}[x,y]/(x*y)")
 
 
 def node_point_module(B: QuotientRing) -> FPModule:

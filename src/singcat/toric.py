@@ -6,15 +6,19 @@ characters are grouped by that sign vector.  By Cox-Little-Schenck, *Toric
 Varieties*, Thm 9.1.3, the piece is the reduced cohomology H~^{p-1} of the
 complex on the remaining "negative" rays whose faces are the subsets lying
 in a common cone.  The profiles depend only on the fan: its first query
-computes all of them and lists the sign patterns whose profile is nonzero,
-and every query walks only that list.  Each sign chamber is an integral
-polyhedron; one Fourier-Motzkin elimination, which keeps integer rows in
-integers, decides its feasibility and keeps the projections onto the
-leading coordinates, which decide boundedness and give each coordinate's
-integer range for counting.  This treats arbitrary (also non-simplicial)
-cones and arbitrary Weil divisors uniformly.  Completeness is decided
-exactly: the cones must pairwise meet in a common face, be
-full-dimensional, and pair up across every facet.
+computes all of them and lists the sign patterns whose profile is nonzero.
+Each sign chamber is an integral polyhedron whose rows depend only on the
+fan and the pattern; only their right-hand sides come from the divisor.  So
+the same first query runs one Fourier-Motzkin elimination per listed
+pattern with symbolic right-hand sides: every projected row remembers the
+positive integer multipliers of the input rows it combines.  A query then
+only evaluates those multipliers at its right-hand sides: the fully
+projected rows decide feasibility, and the projections onto the leading
+coordinates decide boundedness and give each coordinate's integer range for
+counting.  This treats arbitrary (also non-simplicial) cones and arbitrary
+Weil divisors uniformly.  Completeness is decided exactly: the cones must
+pairwise meet in a common face, be full-dimensional, and pair up across
+every facet.
 """
 
 from __future__ import annotations
@@ -45,34 +49,43 @@ def fm_eliminate(constraints, keep, projections=None):
     """Project {x : c.x >= r for all (c, r)} onto coordinates < keep.
 
     Constraints are (coefficient tuple, rhs).  Variables are eliminated from
-    the back; returns the projected constraint list.  Each new row is a
-    positive integer combination of two rows, so integer rows stay integer.
-    If `projections` is a list, the rows in force before each elimination
-    are appended to it: the projections onto coordinates < nvars, ..,
-    < keep + 1, in that order.
+    the back; each new row is a positive integer combination of two rows,
+    so integer rows stay integer, and a row repeated exactly is kept once.
+    A right-hand side is an integer or a symbolic one: a tuple w of
+    integers standing for sum_i w_i r_i, where r is chosen later.  Since
+    the rows met and the multipliers used depend only on the coefficients,
+    the symbolic elimination, evaluated at r, is the elimination of the
+    rows with right-hand sides r; input row i with w the i-th unit vector
+    yields rows whose w holds the multiplier of each input row.  Returns
+    the projected (coefficient list, rhs) rows, each rhs of the input's
+    kind.  If `projections` is a list, the rows in force before each
+    elimination are appended to it in the same form: the projections onto
+    coordinates < nvars, .., < keep + 1, in that order.
     """
-    cons = [(list(c), r) for c, r in constraints]
-    nvars = len(cons[0][0]) if cons else keep
+    nvars = len(constraints[0][0]) if constraints else keep
+    symbolic = bool(constraints) and isinstance(constraints[0][1], tuple)
+    # a row is one tuple: its coefficients, then its right-hand side as
+    # multipliers; eliminated coefficients stay in place as zeros
+    rows = [tuple(c) + (r if symbolic else (r,)) for c, r in constraints]
+
+    def split(rows, n):
+        return [(list(v[:n]), v[nvars:] if symbolic else v[nvars])
+                for v in rows]
+
     for k in range(nvars - 1, keep - 1, -1):
         if projections is not None:
-            projections.append(cons)
-        pos, neg, rest = [], [], []
-        for c, r in cons:
-            if c[k] > 0:
-                pos.append((c, r))
-            elif c[k] < 0:
-                neg.append((c, r))
-            else:
-                rest.append((c[:k], r))
-        new = rest
-        for cp, rp in pos:
-            for cn, rn in neg:
-                lam_p = -cn[k]
-                lam_n = cp[k]
-                c = [lam_p * cp[i] + lam_n * cn[i] for i in range(k)]
-                new.append((c, lam_p * rp + lam_n * rn))
-        cons = new
-    return cons
+            projections.append(split(rows, k + 1))
+        pos = [v for v in rows if v[k] > 0]
+        neg = [v for v in rows if v[k] < 0]
+        new = [v for v in rows if v[k] == 0]
+        for vp in pos:
+            for vn in neg:
+                lam_p = -vn[k]
+                lam_n = vp[k]
+                new.append(tuple(lam_p * a + lam_n * b
+                                 for a, b in zip(vp, vn)))
+        rows = list(dict.fromkeys(new))
+    return split(rows, keep)
 
 
 def fm_feasible(constraints, nvars, projections=None) -> bool:
@@ -272,22 +285,33 @@ def _cech_profile(fan: Fan, plus_rays: frozenset):
 
 
 def _nonzero_patterns(fan: Fan):
-    """The sign patterns of `fan` with a nonzero profile, as (signed rays,
-    plus flags, profile): a ray in the pattern keeps its sign, the others
-    are negated.  They depend only on the fan, so the first query lists
-    them, computing the profiles of all 2^s patterns, and later queries
-    reuse the list."""
+    """The sign patterns of `fan` with a nonzero profile, as (plus flags,
+    profile, feasibility rows, levels).  A ray in the pattern keeps its
+    sign, the others are negated, and the chamber's rows are eliminated
+    once with symbolic right-hand sides (`fm_eliminate`): the feasibility
+    rows are the multiplier tuples w of the fully projected rows, and
+    levels[k] holds the rows (c[:k], c[k], w) of the projection onto
+    x_0..x_k that bound x_k from below and from above.  All of it depends
+    only on the fan, so the first query lists the patterns, computing the
+    profiles of all 2^s of them, and later queries reuse the list."""
     if fan._nonzero_patterns is None:
         s = len(fan.rays)
+        unit = [tuple(int(i == j) for j in range(s)) for i in range(s)]
         found = []
         for mask in range(1 << s):
             plus = [bool(mask >> i & 1) for i in range(s)]
             profile = _cech_profile(
                 fan, frozenset(i for i in range(s) if plus[i]))
             if any(profile):
-                rows = [u if p else tuple(-x for x in u)
-                        for u, p in zip(fan.rays, plus)]
-                found.append((rows, plus, profile))
+                rows = [(u if p else tuple(-x for x in u), w)
+                        for u, p, w in zip(fan.rays, plus, unit)]
+                projections = []
+                feasibility = [w for _c, w in
+                               fm_eliminate(rows, 0, projections)]
+                levels = [([(c[:k], c[k], w) for c, w in level if c[k] > 0],
+                           [(c[:k], c[k], w) for c, w in level if c[k] < 0])
+                          for k, level in enumerate(reversed(projections))]
+                found.append((plus, profile, feasibility, levels))
         fan._nonzero_patterns = found
     return fan._nonzero_patterns
 
@@ -314,32 +338,33 @@ def cohomology(fan: Fan, D: TDivisor):
 
     Characters are partitioned by the sign vector of <m, u_rho> + a_rho;
     only the patterns with a nonzero profile are visited, and each feasible
-    chamber among them must be bounded.  One Fourier-Motzkin elimination
-    decides feasibility and keeps the projections P_1, .., P_rank onto the
-    leading coordinates: the chamber is bounded iff each P_(k+1) bounds x_k
-    from both sides, and its lattice points are counted coordinate by
-    coordinate, the integer range of x_k given x_0..x_(k-1) coming from
-    P_(k+1) by floor and ceiling division.
+    chamber among them must be bounded.  A chamber's rows are
+    +-u_rho . m >= r_rho, with r_rho = -a_rho for a ray in the pattern and
+    a_rho + 1 otherwise, and its Fourier-Motzkin projections P_1, ..,
+    P_rank onto the leading coordinates are kept per fan with symbolic
+    right-hand sides (`_nonzero_patterns`); a query evaluates them at r.
+    The chamber is feasible iff every fully projected row 0 >= w.r holds,
+    bounded iff each P_(k+1) bounds x_k from both sides,
+    and its lattice points are counted coordinate by coordinate, the
+    integer range of x_k given x_0..x_(k-1) coming from P_(k+1) by floor
+    and ceiling division.
     """
     if D.fan is not fan:
         raise ToricError("divisor lives on a different fan")
     if not fan.is_complete():
         raise ToricError("cohomology needs a complete fan")
     total = [0] * (fan.rank + 1)
-    for rows, plus, profile in _nonzero_patterns(fan):
-        cons = [(u, -a if p else a + 1)
-                for u, p, a in zip(rows, plus, D.coeffs)]
-        levels = []
-        if not fm_feasible(cons, fan.rank, levels):
+    for plus, profile, feasibility, levels in _nonzero_patterns(fan):
+        r = [-a if p else a + 1 for p, a in zip(plus, D.coeffs)]
+        if any(_dot(w, r) > 0 for w in feasibility):
             continue
         bounds = []
-        for k, level in enumerate(reversed(levels)):
-            lower = [(c[:k], c[k], r) for c, r in level if c[k] > 0]
-            upper = [(c[:k], c[k], r) for c, r in level if c[k] < 0]
+        for lower, upper in levels:
             if not (lower and upper):
                 raise ToricError("unbounded chamber with nonzero cohomology: "
                                  "fan cannot be complete")
-            bounds.append((lower, upper))
+            bounds.append(([(c, a, _dot(w, r)) for c, a, w in lower],
+                           [(c, a, _dot(w, r)) for c, a, w in upper]))
         count = _count_points(bounds)
         for p in range(fan.rank + 1):
             total[p] += count * profile[p]

@@ -94,6 +94,14 @@ def test_input_error_exit_code(capsys):
     assert captured.out == "" and "Ext^-2" in captured.err
 
 
+def test_ext_empty_range_exit_code(capsys):
+    code = main(["ext", "--ring", "Q[z]/(z^2)", "--M", "A/(z)", "--N", "A/(z)",
+                 "--pmax", "1", "--pmin", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "empty Ext degree range" in captured.err
+
+
 def test_module_grammar():
     ring = parse_ring("Q[z,w]/(z^2+z^3+w^2)")
     M = parse_module_arg(

@@ -145,6 +145,14 @@ def test_ext_k_k_over_dual_numbers():
         ext_space(k, k, -1)
 
 
+def test_ext_dims_refuses_an_empty_range():
+    A = parse_ring("Q[z]/(z^2)")
+    k = FPModule.cyclic(A, [A.parse("z")])
+    assert ext_dims(k, k, 2, p_min=2) == {2: 1}
+    with pytest.raises(HomError, match="empty Ext degree range"):
+        ext_dims(k, k, 1, p_min=3)
+
+
 def test_ext_of_free_vanishes():
     C = cone_ring()
     free = FPModule.free(C, 1, degrees=(0,))

@@ -13,7 +13,7 @@ from singcat.ncdef import (SimpleCollection, DeformationError, simple_check,
                            flatness_filtration_check)
 
 
-def cone_collection(field=None):
+def cone_collection(field="Q"):
     P = models.projective_cone_ring(field)
     return SimpleCollection([models.cone_L1(P), models.cone_L2(P)])
 

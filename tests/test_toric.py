@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, floor
+from operator import mul
 
 import pytest
 
@@ -233,6 +234,82 @@ def test_second_query_reads_no_profile(monkeypatch):
     assert cohomology(fan, div["H"]) == first == (4, 0, 0, 0)
     assert cohomology(fan, div["E1"] - div["E2"]) == (0, 0, 0, 0)
     assert calls == []
+
+
+def test_later_queries_run_no_elimination(monkeypatch):
+    # the projections depend only on the fan and the sign pattern, so only
+    # the first query on a fan eliminates
+    fan, div, _w = toric._fan_library_build("blowupP3_2pts")
+    calls = []
+    eliminate = toric.fm_eliminate
+    monkeypatch.setattr(toric, "fm_eliminate",
+                        lambda *args: calls.append(args) or eliminate(*args))
+    assert cohomology(fan, div["H"]) == (4, 0, 0, 0)
+    assert calls
+    calls.clear()
+    assert cohomology(fan, div["H"] - div["E1"]) == (3, 0, 0, 0)
+    assert cohomology(fan, div["H"] - div["E1"].scale(2) - div["E2"]) == \
+        (0, 1, 0, 0)
+    assert calls == []
+
+
+def _textbook_elimination(constraints, nvars):
+    """Reference: integer Fourier-Motzkin that keeps every combination and
+    no history; the rows before each elimination, x_(nvars-1) first, then
+    the fully projected rows."""
+    out = []
+    rows = constraints
+    for k in range(nvars - 1, -1, -1):
+        out.append(rows)
+        rows = [(c[:k], r) for c, r in rows if c[k] == 0] + [
+            ([-cn[k] * a + cp[k] * b for a, b in zip(cp[:k], cn[:k])],
+             -cn[k] * rp + cp[k] * rn)
+            for cp, rp in rows if cp[k] > 0 for cn, rn in rows if cn[k] < 0]
+    return out + [rows]
+
+
+def _bounds(projections):
+    """`_count_points`' bounds from the rows before each elimination."""
+    return [([(c[:k], c[k], r) for c, r in level if c[k] > 0],
+             [(c[:k], c[k], r) for c, r in level if c[k] < 0])
+            for k, level in enumerate(reversed(projections))]
+
+
+def test_symbolic_projections_match_integer_elimination():
+    # each pattern's projections, eliminated once with symbolic right-hand
+    # sides, evaluated at seeded right-hand sides r, against the rows with
+    # right-hand sides r eliminated by fm_eliminate and by the textbook
+    # reference, which shares no code with it
+    rng = random.Random(3)
+    fans = [toric._fan_library_build(name)[0] for name in LIBRARY]
+    fans.append(Fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -3, -2)],
+                    list(combinations(range(4), 3)), "P(1,1,3,2)"))
+    counts = set()
+    for fan in fans:
+        for plus, _profile, feasibility, levels in toric._nonzero_patterns(fan):
+            rows = [list(u) if p else [-x for x in u]
+                    for u, p in zip(fan.rays, plus)]
+            for _ in range(16):
+                r = [rng.randint(-4, 4) for _ in rows]
+                cons = list(zip(rows, r))
+                direct = []
+                feasible = fm_feasible(cons, fan.rank, direct)
+                textbook = _textbook_elimination(cons, fan.rank)
+                assert feasible == all(x <= 0 for _c, x in textbook[-1])
+                assert feasible == all(sum(map(mul, w, r)) <= 0
+                                       for w in feasibility), (fan.name, r)
+                if not feasible:
+                    counts.add(None)
+                    continue
+                symbolic = [([(c, a, sum(map(mul, w, r))) for c, a, w in lo],
+                             [(c, a, sum(map(mul, w, r))) for c, a, w in up])
+                            for lo, up in levels]
+                count = toric._count_points(symbolic)
+                assert count == toric._count_points(_bounds(direct)) == \
+                    toric._count_points(_bounds(textbook[:-1])), (fan.name, r)
+                counts.add(min(count, 2))
+    # the samples meet infeasible, single-point and larger chambers
+    assert {None, 1, 2} <= counts, counts
 
 
 @pytest.mark.parametrize("fan", [

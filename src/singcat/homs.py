@@ -14,6 +14,12 @@ those k coordinates.  A subquotient builds one basis, big_gb, of U
 of span(U)/span(V), and a certificate's tag part gives coordinates over
 it.  Graded degree-d bases need generator degrees on source and target.
 
+structure_constants is the one multiplication-table builder: from Hom
+blocks Hom(F_j, F_i) it composes every composable pair of basis matrices
+and reads the product's coordinates from big_gb.  End(M)
+(MorphismSpace.algebra) is its single-block case, and the deformation
+parameter algebras of ncdef are its r-block case.
+
 Stable Hom follows the free-cover recipe: Hom(M,N) modulo the image of
 Hom(M, R^{g_N}) -> Hom(M,N) induced by the generator surjection R^{g_N} -> N.
 """
@@ -223,7 +229,8 @@ def _subquotient(N: FPModule, r, d_next, null_extra, col_degrees):
 
 
 class MorphismSpace:
-    """k-basis of Hom_R(M, N) (or its stable quotient), with composition.
+    """k-basis of Hom_R(M, N) (or its stable quotient); for M = N, algebra()
+    gives End(M) through structure_constants.
 
     mode: 'full' (finite total dimension), 'graded0' (degree-zero part of a
     graded Hom), or 'module' (presentation only, no k-basis).
@@ -255,16 +262,6 @@ class MorphismSpace:
     def coords(self, matrix_cols):
         return self.msq.coords(_matrix_to_vec(matrix_cols), self.basis)
 
-    def compose(self, phi_cols, psi_cols):
-        """Matrix of phi o psi where psi: P -> M and phi: M -> N
-        (phi given here, psi over this space's M as source arrangement).
-
-        Columns are lists over target generators; composition is matrix
-        product over R followed by normal form."""
-        ring = self.M.ring
-        return [[ring.normal_form(p) for p in col]
-                for col in mat_mul(ring, psi_cols, phi_cols)]
-
     def verify_bases_are_morphisms(self) -> bool:
         """Exact check: every basis matrix sends rel(M) into rel(N)-span."""
         relN_gb = self.N.rel_gb()
@@ -274,32 +271,66 @@ class MorphismSpace:
                     return False
         return True
 
-    def algebra(self, labels=None) -> FiniteDimAlgebra:
-        """Multiplication table on the basis (requires M == N presentation)."""
+    def algebra(self) -> FiniteDimAlgebra:
+        """End(M) on the basis: the single-block case of structure_constants
+        (requires M == N presentation)."""
         if self.M is not self.N and (self.M.ngens != self.N.ngens
                                      or self.M.relations != self.N.relations):
             raise HomError("algebra structure needs equal source and target")
-        mats = self.basis_matrices()
-        d = len(mats)
-        table = []
-        for a in range(d):
-            row = []
-            for b in range(d):
-                comp = self.compose(mats[a], mats[b])
-                row.append(self.coords(comp))
-            table.append(row)
-        ring = self.M.ring
-        ident = [[ring.one() if i == j else ring.zero() for i in range(self.M.ngens)]
-                 for j in range(self.M.ngens)]
-        unit = self.coords(ident)
-        labs = labels or [f"f{k}" for k in range(d)]
-        return FiniteDimAlgebra(ring.field, labs, table, unit)
+        _layout, table, (unit,) = structure_constants({(0, 0): self}, 1)
+        return FiniteDimAlgebra(self.M.ring.field,
+                                [f"f{k}" for k in range(self.dim)], table, unit)
 
     def presentation(self) -> FPModule:
         """Hom as an FPModule on the U-generators (module mode)."""
         W = self.msq.big_gb().syzygies()
         cols = [vec_to_polys(self.M.ring.ambient, w, len(self.msq.U)) for w in W]
         return FPModule(self.M.ring, len(self.msq.U), cols)
+
+
+def structure_constants(blocks, r):
+    """Multiplication table of End(F_0 (+) ... (+) F_(r-1)) on its block basis.
+
+    blocks[(i, j)] is the MorphismSpace Hom(F_j, F_i) with a k-basis.  The
+    algebra's basis is the layout list of (i, j, k), the k-th basis map of
+    blocks[(i, j)].  The product of phi: F_j -> F_i and psi: F_l -> F_j is
+    phi o psi in blocks[(i, l)] (matrix product over R, then normal form),
+    read in coordinates by that block's big_gb; phi o psi' is zero when the
+    target of psi' is not F_j.  Returns (layout, table, idents), idents[i]
+    being the coordinate vector of the identity of F_i.
+    """
+    ring = blocks[(0, 0)].M.ring
+    zero = ring.field.zero()
+    layout = [(i, j, k) for i in range(r) for j in range(r)
+              for k in range(blocks[(i, j)].dim)]
+    slot = {key: t for t, key in enumerate(layout)}
+    mats = {key: space.basis_matrices() for key, space in blocks.items()}
+
+    def placed(i, j, cols):
+        vec = [zero] * len(layout)
+        for k, c in enumerate(blocks[(i, j)].coords(cols)):
+            vec[slot[(i, j, k)]] = c
+        return vec
+
+    table = []
+    for (i1, j1, k1) in layout:
+        phi = mats[(i1, j1)][k1]
+        row = []
+        for (i2, j2, k2) in layout:
+            if j1 != i2:
+                row.append([zero] * len(layout))
+                continue
+            # stored by columns: cols(phi o psi) = cols(psi) * cols(phi)
+            product = mat_mul(ring, mats[(i2, j2)][k2], phi)
+            row.append(placed(i1, j2, [[ring.normal_form(p) for p in col]
+                                       for col in product]))
+        table.append(row)
+    idents = []
+    for i in range(r):
+        g = blocks[(i, i)].M.ngens
+        idents.append(placed(i, i, [[ring.one() if a == b else ring.zero()
+                                     for a in range(g)] for b in range(g)]))
+    return layout, table, idents
 
 
 def hom_space(M: FPModule, N: FPModule, stable: bool = False,

@@ -7,11 +7,12 @@ universal extension
     0 -> (+)_j L_j ^ dim Ext^1(F^(i), L_j)  ->  new F^(i)  ->  F^(i)  -> 0
 
 along a basis of extension classes.  The parameter algebra is
-R = End((+) F^(i)) assembled from the pairwise Hom blocks; its idempotents
-are the block identities.  Graded collections use degree-zero Hom/Ext parts
-(the sheaf-level data on the projective models); finite-length collections
-use full Hom/Ext spaces.  Termination means every Ext^1(F^(i), L_j) used by
-the iteration vanishes.
+R = End((+) F^(i)), built from the pairwise Hom blocks by
+homs.structure_constants, the one table builder, which Hom algebras share;
+its idempotents are the block identities.  Graded collections use
+degree-zero Hom/Ext parts (the sheaf-level data on the projective models);
+finite-length collections use full Hom/Ext spaces.  Termination means
+every Ext^1(F^(i), L_j) used by the iteration vanishes.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from .errors import InvariantError
 from .findim import AlgebraError, FiniteDimAlgebra
 from .homs import (InfiniteDimensionError, MatrixSubquotient, ext_space,
-                   hom_space)
+                   hom_space, structure_constants)
 from .modules import FPModule
 
 
@@ -39,7 +40,8 @@ def simple_check(modules):
 
 
 class SimpleCollection:
-    """Modules with Hom dims delta_{ij}, plus the (sticky) computation mode.
+    """Modules with Hom dims delta_{ij}, plus the (sticky) computation mode,
+    probed from the Hom and Ext^1 spaces of the members.
 
     mode 'full': all Hom/Ext^1 spaces are finite-dimensional and the whole
     iteration uses total spaces (finite-length local models).  mode
@@ -48,7 +50,7 @@ class SimpleCollection:
     the sheaf-level classes on a projective model.
     """
 
-    def __init__(self, modules, mode: str = "auto"):
+    def __init__(self, modules):
         if not modules:
             raise DeformationError("empty collection")
         ring = modules[0].ring
@@ -61,11 +63,7 @@ class SimpleCollection:
         self.modules = list(modules)
         self.ring = ring
         self.graded = all(m.gen_degrees is not None for m in modules)
-        if mode == "auto":
-            mode = self._probe_mode()
-        if mode == "graded0" and not self.graded:
-            raise DeformationError("degree-zero mode needs graded modules")
-        self.mode = mode
+        self.mode = self._probe_mode()
 
     def _probe_mode(self) -> str:
         try:
@@ -96,6 +94,7 @@ class DeformationState:
         self.filtrations = filtrations
         self._ext1 = None
         self._algebra = None
+        self._idents = None
         self._hom_blocks = None
 
     # -- Ext data --------------------------------------------------------------
@@ -128,82 +127,34 @@ class DeformationState:
 
     def hom_blocks(self):
         if self._hom_blocks is None:
-            mode = "graded0" if self.collection.mode == "graded0" else "full"
             blocks = {}
             for i in range(len(self.collection)):
                 for j in range(len(self.collection)):
                     blocks[(i, j)] = hom_space(self.components[j], self.components[i],
-                                               mode=mode)
+                                               mode=self.collection.mode)
             self._hom_blocks = blocks
         return self._hom_blocks
 
     def algebra(self) -> FiniteDimAlgebra:
-        """R = End((+) F^(i)) on the block basis."""
-        if self._algebra is not None:
-            return self._algebra
-        blocks = self.hom_blocks()
-        r = len(self.collection)
-        ring = self.collection.ring
-        F = ring.field
-        layout = []  # (i, j, k): k-th basis element of Hom(F_j, F_i)
-        for i in range(r):
-            for j in range(r):
-                for k in range(blocks[(i, j)].dim):
-                    layout.append((i, j, k))
-        dim = len(layout)
-        mats = {key: sp.basis_matrices() for key, sp in blocks.items()}
-        slot = {}
-        for t, (i, j, k) in enumerate(layout):
-            slot[(i, j, k)] = t
-        table = []
-        for (i1, j1, k1) in layout:
-            row = []
-            m1 = mats[(i1, j1)][k1]
-            for (i2, j2, k2) in layout:
-                vec = [F.zero()] * dim
-                # compose phi: F_j1 -> F_i1 after psi: F_j2 -> F_i2;
-                # nonzero only when j1 == i2, landing in Hom(F_j2 -> F_i1)
-                if j1 == i2:
-                    m2 = mats[(i2, j2)][k2]
-                    target = blocks[(i1, j2)]
-                    coords = target.coords(target.compose(m1, m2))
-                    for k, c in enumerate(coords):
-                        vec[slot[(i1, j2, k)]] = c
-                row.append(vec)
-            table.append(row)
-        unit = [F.zero()] * dim
-        for i in range(r):
-            ident = [[ring.one() if a == b else ring.zero()
-                      for a in range(self.components[i].ngens)]
-                     for b in range(self.components[i].ngens)]
-            coords = blocks[(i, i)].coords(ident)
-            for k, c in enumerate(coords):
-                unit[slot[(i, i, k)]] = F.add(unit[slot[(i, i, k)]], c)
-        labels = [f"e{i+1}_{k}" if i == j else f"t{i+1}{j+1}_{k}"
-                  for (i, j, k) in layout]
-        self._algebra = FiniteDimAlgebra(F, labels, table, unit)
-        self._layout = layout
+        """R = End((+) F^(i)) on the block basis of homs.structure_constants;
+        its unit is the sum of the block identities."""
+        if self._algebra is None:
+            F = self.collection.ring.field
+            layout, table, self._idents = structure_constants(
+                self.hom_blocks(), len(self.collection))
+            # the block identities have disjoint supports, so each entry of
+            # their sum is the entry of the identity whose block holds it
+            unit = [self._idents[i][t] if i == j else F.zero()
+                    for t, (i, j, _k) in enumerate(layout)]
+            labels = [f"e{i+1}_{k}" if i == j else f"t{i+1}{j+1}_{k}"
+                      for (i, j, k) in layout]
+            self._algebra = FiniteDimAlgebra(F, labels, table, unit)
         return self._algebra
 
     def block_idempotents(self):
         """Coefficient vectors of the block identities e_i in algebra()."""
-        alg = self.algebra()
-        blocks = self.hom_blocks()
-        ring = self.collection.ring
-        F = ring.field
-        out = []
-        for i in range(len(self.collection)):
-            ident = [[ring.one() if a == b else ring.zero()
-                      for a in range(self.components[i].ngens)]
-                     for b in range(self.components[i].ngens)]
-            coords = blocks[(i, i)].coords(ident)
-            vec = [F.zero()] * alg.dim
-            pos = [t for t, (ti, tj, _tk) in enumerate(self._layout)
-                   if ti == i and tj == i]
-            for local, t in enumerate(pos):
-                vec[t] = coords[local]
-            out.append(vec)
-        return out
+        self.algebra()
+        return self._idents
 
     def dim_R(self) -> int:
         return self.algebra().dim

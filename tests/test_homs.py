@@ -36,6 +36,14 @@ def test_stable_hom_mz_mw_vanishes():
     assert stable_hom(Mz, Mz).dim == 1
 
 
+def test_algebra_needs_equal_source_and_target():
+    B = parse_ring("Q[z,w]/(z*w)")
+    Mz = FPModule.cyclic(B, [B.parse("w")])
+    Mw = FPModule.cyclic(B, [B.parse("z")])
+    with pytest.raises(HomError, match="equal source and target"):
+        stable_hom(Mz, Mw).algebra()
+
+
 def test_stable_hom_vanishes_on_frees():
     B = parse_ring("Q[z,w]/(z*w)")
     Mz = FPModule.cyclic(B, [B.parse("w")])

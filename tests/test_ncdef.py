@@ -7,6 +7,7 @@ import pytest
 
 from singcat import models
 from singcat.findim import AlgebraError
+from singcat.homs import hom_space, stable_hom, structure_constants
 from singcat.modules import FPModule
 from singcat.ncdef import (SimpleCollection, DeformationError, simple_check,
                            initial_state, deform_step, run,
@@ -161,3 +162,123 @@ def test_flatness_check_refuses_the_trace_radical_over_f2():
     with pytest.raises(AlgebraError, match=r"over F2 \(dim A = 4\)"):
         flatness_filtration_check(rep.final_state)
     assert time.perf_counter() - start < 1
+
+
+# -- the shared structure-constant builder -----------------------------------
+
+
+def reference_table(blocks, r):
+    """The table by the double loop: for every ordered pair of basis maps,
+    compose the matrices entry by entry and take coordinates in the target
+    block; also the coordinate vectors of the block identities."""
+    ring = blocks[(0, 0)].M.ring
+    zero = ring.field.zero()
+    layout = [(i, j, k) for i in range(r) for j in range(r)
+              for k in range(blocks[(i, j)].dim)]
+
+    def placed(i, j, coords):
+        vec = [zero] * len(layout)
+        for k, c in enumerate(coords):
+            vec[layout.index((i, j, k))] = c
+        return vec
+
+    table = []
+    for (i1, j1, k1) in layout:
+        phi = blocks[(i1, j1)].basis_matrices()[k1]
+        row = []
+        for (i2, j2, k2) in layout:
+            if j1 != i2:
+                row.append([zero] * len(layout))
+                continue
+            psi = blocks[(i2, j2)].basis_matrices()[k2]
+            # column c of phi o psi is the sum over b of psi[c][b] * phi[b]
+            comp = []
+            for psi_col in psi:
+                col = [ring.zero()] * len(phi[0])
+                for coeff, phi_col in zip(psi_col, phi):
+                    col = [a + coeff * p for a, p in zip(col, phi_col)]
+                comp.append([ring.normal_form(p) for p in col])
+            row.append(placed(i1, j2, blocks[(i1, j2)].coords(comp)))
+        table.append(row)
+    idents = []
+    for i in range(r):
+        g = blocks[(i, i)].M.ngens
+        ident = [[ring.one() if a == b else ring.zero() for a in range(g)]
+                 for b in range(g)]
+        idents.append(placed(i, i, blocks[(i, i)].coords(ident)))
+    return layout, table, idents
+
+
+def assert_state_matches_reference(state):
+    r = len(state.collection)
+    layout, table, idents = reference_table(state.hom_blocks(), r)
+    assert structure_constants(state.hom_blocks(), r) == (layout, table, idents)
+    alg = state.algebra()
+    assert alg.mult_table == table
+    assert state.block_idempotents() == idents
+    one = alg.zero_vec()
+    for e in idents:
+        one = alg.add(one, e)
+    assert alg.unit == one
+
+
+def test_builder_matches_double_loop_on_the_cone_pair():
+    state = run(cone_collection(), max_iter=8).final_state
+    assert len(state.collection) == 2 and state.dim_R() == 4
+    assert_state_matches_reference(state)
+
+
+def test_builder_matches_double_loop_on_the_node_tower():
+    _B, coll = node_collection()
+    rep = run(coll, max_iter=4)
+    for n in range(1, 4):
+        assert_state_matches_reference(rep.states[n])
+
+
+@pytest.mark.parametrize("field", ["Q", "F5"])
+def test_builder_matches_double_loop_on_the_y1_stable_end(field):
+    C = models.nonsplit_curve(field)
+    Cp = models.normalization_module(C)
+    S = stable_hom(Cp, Cp)
+    _layout, table, (ident,) = reference_table({(0, 0): S}, 1)
+    alg = S.algebra()
+    assert alg.dim == 2
+    assert alg.mult_table == table
+    assert alg.unit == ident
+
+
+def test_builder_matches_double_loop_on_a_noncommutative_end():
+    # over k[z]/(z^2): F_0 = k and F_1 = k (+) A, whose End is not
+    # commutative (k -> A -> k is zero, A -> k -> A is multiplication by z)
+    A = models.dual_numbers()
+    k = FPModule.cyclic(A, [A.parse("z")])
+    kA = FPModule(A, 2, [[A.parse("z"), A.zero()]])
+    End = hom_space(kA, kA)
+    _layout, table, (ident,) = reference_table({(0, 0): End}, 1)
+    alg = End.algebra()
+    assert alg.dim == 5 and not alg.is_commutative()
+    assert alg.mult_table == table and alg.unit == ident
+    F = [k, kA]
+    blocks = {(i, j): hom_space(F[j], F[i]) for i in range(2) for j in range(2)}
+    assert structure_constants(blocks, 2) == reference_table(blocks, 2)
+
+
+def test_one_member_state_zero_is_the_hom_algebra():
+    B = models.node_surface()
+    L = models.node_point_module(B)
+    state = initial_state(SimpleCollection([L]))
+    alg = state.algebra()
+    hom_alg = hom_space(L, L).algebra()
+    assert alg.mult_table == hom_alg.mult_table
+    assert alg.unit == hom_alg.unit
+
+
+def test_block_idempotents_before_the_algebra():
+    state = deform_step(initial_state(cone_collection()))
+    idem = state.block_idempotents()
+    alg = state.algebra()
+    assert len(idem) == 2
+    for a, e in enumerate(idem):
+        for b, f in enumerate(idem):
+            assert alg.eq(alg.mul(e, f), e if a == b else alg.zero_vec())
+    assert alg.eq(alg.add(idem[0], idem[1]), alg.unit)

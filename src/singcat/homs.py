@@ -14,6 +14,15 @@ those k coordinates.  A subquotient builds one basis, big_gb, of U
 of span(U)/span(V), and a certificate's tag part gives coordinates over
 it.  Graded degree-d bases need generator degrees on source and target.
 
+The cocycles are the one Groebner build every subquotient, stable-Hom free
+cover and Ext^p starts from, and the same input keeps coming back (the
+resolutions over a hypersurface are 2-periodic, and callers ask for the
+same Hom space more than once).  _cocycles keeps each result, as a tuple,
+for the life of the process, as fan_library keeps its fans: the key is the
+content of the input, the QuotientRing, h, r and every entry of d_next and
+of the relations as its sorted terms, so a hit is exact and the same
+presentation over two fields never shares an entry.
+
 structure_constants is the one multiplication-table builder: from Hom
 blocks Hom(F_j, F_i) it composes every composable pair of basis matrices
 and reads the product's coordinates from big_gb.  End(M)
@@ -201,15 +210,32 @@ def _relation_blocks(h, ncols, relations):
     return out
 
 
+# _cocycles results for the life of the process, keyed by content
+_COCYCLES: dict = {}
+
+
+def _columns_key(cols):
+    return tuple(tuple(tuple(sorted(p.terms.items())) for p in col)
+                 for col in cols)
+
+
 def _cocycles(ring: QuotientRing, h, r, d_next, relations):
     """Generators of the h x r matrices phi with phi o d_next in the span of
-    the relation columns (in R^h) plus the ideal."""
+    the relation columns (in R^h) plus the ideal, as a tuple.  A Groebner
+    build runs once per content of (ring, h, r, d_next, relations); a repeat
+    returns the same reduced syzygy basis, in the same order."""
     if not d_next:
-        return [_flat(h, [(j, i, ring.one())]) for j in range(r) for i in range(h)]
-    gens = _unit_images(h, r, d_next) + _relation_blocks(h, len(d_next), relations)
-    gb = SubmoduleGB(ring.ambient, h * len(d_next), gens, pad_polys=ring.gb,
-                     tracked=r * h)
-    return gb.syzygies()
+        return tuple(_flat(h, [(j, i, ring.one())])
+                     for j in range(r) for i in range(h))
+    key = (ring, h, r, _columns_key(d_next), _columns_key(relations))
+    out = _COCYCLES.get(key)
+    if out is None:
+        gens = (_unit_images(h, r, d_next)
+                + _relation_blocks(h, len(d_next), relations))
+        gb = SubmoduleGB(ring.ambient, h * len(d_next), gens,
+                         pad_polys=ring.gb, tracked=r * h)
+        out = _COCYCLES[key] = tuple(gb.syzygies())
+    return out
 
 
 def _subquotient(N: FPModule, r, d_next, null_extra, col_degrees):
@@ -219,7 +245,7 @@ def _subquotient(N: FPModule, r, d_next, null_extra, col_degrees):
     if r == 0:
         return MatrixSubquotient(ring, h, 0, [], [])
     U = _cocycles(ring, h, r, d_next, N.relations)
-    V = _relation_blocks(h, r, N.relations) + null_extra
+    V = _relation_blocks(h, r, N.relations) + list(null_extra)
     return MatrixSubquotient(ring, h, r, U, V,
                              row_degrees=N.gen_degrees, col_degrees=col_degrees)
 

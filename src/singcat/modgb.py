@@ -132,15 +132,14 @@ class SubmoduleGB:
         self.ring = ring
         self.field = ring.field
         self.npos = npos
-        self.gens = [dict(g) for g in gens]
         self.pads = list(pad_polys)
-        self.ngens = len(self.gens)
+        graph = [dict(g) for g in gens]
+        self.ngens = len(graph)
         self.tracked = self.ngens if tracked is None else tracked
         if not 0 <= self.tracked <= self.ngens:
             raise ValueError(f"tracked={tracked} outside 0..{self.ngens}")
         self._key = lambda t, ok=ring.order_key: (t[0], ok(t[1]))
         one, unit = self.field.one(), (0,) * ring.nvars
-        graph = [dict(g) for g in self.gens]
         for j in range(self.tracked):
             graph[j][(npos + j, unit)] = one
         for f in self.pads:
@@ -171,12 +170,16 @@ class SubmoduleGB:
         F, ok = self.field, self.ring.order_key
         basis = []
         by_pos: dict = {}
+        # basis indices of each lead position, in ascending order: only
+        # elements that lead at the same position form a pair
+        index_at: dict = {}
 
         def push(v: Vec):
             lead = self._lead(v)
             v = vec_scale(F, v, F.inv(v[lead]))
             basis.append((lead, v))
             by_pos.setdefault(lead[0], []).append((lead, v))
+            index_at.setdefault(lead[0], []).append(len(basis) - 1)
             return lead
 
         for g in gens:
@@ -188,11 +191,8 @@ class SubmoduleGB:
             li, lj = basis[i][0], basis[j][0]
             return (sum(mon_lcm(li[1], lj[1])), i, j)
 
-        pairs = []
-        for i in range(len(basis)):
-            for j in range(i):
-                if basis[i][0][0] == basis[j][0][0]:
-                    pairs.append(pair_entry(i, j))
+        pairs = [pair_entry(i, j) for group in index_at.values()
+                 for a, i in enumerate(group) for j in group[:a]]
         heapq.heapify(pairs)
         while pairs:
             _deg, i, j = heapq.heappop(pairs)
@@ -202,10 +202,10 @@ class SubmoduleGB:
             s = _reduce_full(F, ok, s, by_pos)
             if s:
                 lead = push(s)
-                k = len(basis) - 1
-                for t in range(k):
-                    if basis[t][0][0] == lead[0]:
-                        heapq.heappush(pairs, pair_entry(k, t))
+                group = index_at[lead[0]]
+                k = group[-1]
+                for t in group[:-1]:
+                    heapq.heappush(pairs, pair_entry(k, t))
         # A minimal basis (no lead divides another at its position), then one
         # pass of tail reduction modulo it, gives the unique reduced basis.
         # Leads are distinct: each element was reduced by all earlier ones.

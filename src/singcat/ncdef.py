@@ -30,18 +30,25 @@ class DeformationError(ValueError):
 
 def simple_check(modules):
     """Hom dimension matrix of the collection; True iff it is the identity."""
-    r = len(modules)
-    matrix = [[None] * r for _ in range(r)]
-    for i in range(r):
-        for j in range(r):
-            matrix[i][j] = hom_space(modules[i], modules[j]).dim
-    ok = all(matrix[i][j] == (1 if i == j else 0) for i in range(r) for j in range(r))
+    ok, matrix, _homs = _simple_homs(modules)
     return ok, matrix
+
+
+def _simple_homs(modules):
+    """simple_check plus the spaces it reads: homs[(i, j)] = Hom(L_i, L_j)
+    in mode 'auto'."""
+    r = len(modules)
+    homs = {(i, j): hom_space(Li, Lj) for i, Li in enumerate(modules)
+            for j, Lj in enumerate(modules)}
+    matrix = [[homs[(i, j)].dim for j in range(r)] for i in range(r)]
+    ok = all(matrix[i][j] == (1 if i == j else 0) for i in range(r) for j in range(r))
+    return ok, matrix, homs
 
 
 class SimpleCollection:
     """Modules with Hom dims delta_{ij}, plus the (sticky) computation mode,
-    probed from the Hom and Ext^1 spaces of the members.
+    probed from the Hom and Ext^1 spaces of the members.  homs[(i, j)] is
+    the space Hom(L_i, L_j) that the simple check built.
 
     mode 'full': all Hom/Ext^1 spaces are finite-dimensional and the whole
     iteration uses total spaces (finite-length local models).  mode
@@ -57,7 +64,7 @@ class SimpleCollection:
         for m in modules:
             if m.ring != ring:
                 raise DeformationError("collection members live over different rings")
-        ok, matrix = simple_check(modules)
+        ok, matrix, self.homs = _simple_homs(modules)
         if not ok:
             raise DeformationError(f"not a simple collection: Hom matrix {matrix}")
         self.modules = list(modules)
@@ -126,12 +133,20 @@ class DeformationState:
     # -- parameter algebra -------------------------------------------------------
 
     def hom_blocks(self):
+        """blocks[(i, j)] = Hom(F^(j), F^(i)) in the collection's mode; a
+        block between two undeformed members is the collection's own space
+        when the simple check landed on that mode."""
         if self._hom_blocks is None:
+            coll = self.collection
             blocks = {}
-            for i in range(len(self.collection)):
-                for j in range(len(self.collection)):
-                    blocks[(i, j)] = hom_space(self.components[j], self.components[i],
-                                               mode=self.collection.mode)
+            for i, Fi in enumerate(self.components):
+                for j, Fj in enumerate(self.components):
+                    known = coll.homs[(j, i)]
+                    if (Fi is coll.modules[i] and Fj is coll.modules[j]
+                            and known.mode == coll.mode):
+                        blocks[(i, j)] = known
+                    else:
+                        blocks[(i, j)] = hom_space(Fj, Fi, mode=coll.mode)
             self._hom_blocks = blocks
         return self._hom_blocks
 

@@ -2,8 +2,10 @@
 
 import pytest
 
+from singcat import homs
 from singcat.quotient import parse_ring
 from singcat.modules import FPModule
+from singcat.poly import Polynomial
 from singcat.homs import (hom_space, stable_hom, ext_dims, ext_space,
                           yoneda_extension, is_mcm, fiber_generators,
                           HomError, InfiniteDimensionError)
@@ -210,6 +212,8 @@ def test_ext_dims_reuse_on_periodic_resolutions_matches_ext_space():
             assert M.resolve(7).periodic_from is not None
             M2, N2 = build()[i], build()[j]
             ref = {p: ext_space(M2, N2, p).dim() for p in range(7)}
+            # ext_dims computes its own cocycles, not the reference's
+            homs._COCYCLES.clear()
             # Hom may be infinite-dimensional over k; ext_dims then starts at 1
             p_min = 0 if ref[0] is not None else 1
             assert ext_dims(M, N, 6, p_min=p_min) == \
@@ -430,3 +434,83 @@ def test_subquotient_builds_one_groebner_basis(monkeypatch):
     items = msq.basis_items()
     assert msq.coords(msq.item_vec(items[0]), items) == [C.field.one()]
     assert builds == [msq.nrows * msq.ncols]
+
+
+# -- cocycle modules, once per content ------------------------------------------
+
+
+def _count_builds(monkeypatch):
+    builds = []
+    real_init = SubmoduleGB.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args[1] if len(args) > 1 else kwargs.get("npos"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SubmoduleGB, "__init__", counting_init)
+    return builds
+
+
+def test_cocycles_are_built_once_for_content_equal_modules(monkeypatch):
+    C, C2 = cone_ring(), cone_ring()
+    L1, L2, L1b, L2b = cone_L1(C), cone_L2(C), cone_L1(C2), cone_L2(C2)
+    builds = _count_builds(monkeypatch)
+    first = hom_space(L1, L2)
+    # the cocycle build, then the subquotient's basis
+    assert len(builds) == 2
+    # separately built modules with the same content: only the basis
+    second = hom_space(L1b, L2b)
+    assert len(builds) == 3
+    assert second.msq.U == first.msq.U and second.dim == first.dim
+    assert len(homs._COCYCLES) == 1
+
+
+def test_cocycles_over_two_fields_share_no_entry(monkeypatch):
+    # Hom(coker(x, y), R) is spanned by (y, -x): the same input, with the
+    # same integer coefficients, over Q and over F_32003, where -1 is 32002
+    builds = _count_builds(monkeypatch)
+    U = {}
+    for name in ("Q", "F32003"):
+        A = parse_ring(f"{name}[x,y]")
+        M = FPModule(A, 2, [[A.parse("x"), A.parse("y")]])
+        before = len(builds)
+        U[name] = hom_space(M, FPModule.free(A, 1), mode="module").msq.U
+        assert len(builds) - before == 1
+    assert U == {"Q": [{(0, (0, 1)): 1, (1, (1, 0)): -1}],
+                 "F32003": [{(0, (0, 1)): 1, (1, (1, 0)): 32002}]}
+    assert len(homs._COCYCLES) == 2
+
+
+def _recompute_every_entry():
+    """Each remembered cocycle module, and the same input computed again
+    with nothing remembered."""
+    saved = dict(homs._COCYCLES)
+    homs._COCYCLES.clear()
+    for key, kept in saved.items():
+        ring, h, r, d_next, relations = key
+
+        def columns(cols):
+            return [[Polynomial(ring.ambient, dict(terms)) for terms in col]
+                    for col in cols]
+
+        yield kept, homs._cocycles(ring, h, r, columns(d_next), columns(relations))
+
+
+def test_remembered_cocycles_equal_a_recomputation():
+    C = cone_ring()
+    L1, L2 = cone_L1(C), cone_L2(C)
+    for M in (L1, L2):
+        assert hom_space(M, M).algebra().dim == 1
+        assert stable_hom(M, M).algebra().dim == 1
+        for N in (L1, L2):
+            hom_space(M, N, mode="module").presentation()
+            ext_dims(M, N, 4, p_min=1)
+    A = parse_ring("Q[z]/(z^2)")
+    k = FPModule.cyclic(A, [A.parse("z")])
+    assert hom_space(k, k).algebra().dim == 1
+    assert ext_dims(k, k, 3) == {0: 1, 1: 1, 2: 1, 3: 1}
+    assert len(homs._COCYCLES) >= 10
+    pairs = list(_recompute_every_entry())
+    assert len(pairs) >= 10
+    for kept, fresh in pairs:
+        assert kept == fresh

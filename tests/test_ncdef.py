@@ -282,3 +282,29 @@ def test_block_idempotents_before_the_algebra():
         for b, f in enumerate(idem):
             assert alg.eq(alg.mul(e, f), e if a == b else alg.zero_vec())
     assert alg.eq(alg.add(idem[0], idem[1]), alg.unit)
+
+
+def test_state_zero_takes_the_collections_hom_spaces(monkeypatch):
+    from singcat.modgb import SubmoduleGB
+    coll = cone_collection()
+    assert coll.mode == "graded0"
+    state = initial_state(coll)
+    builds = []
+    real_init = SubmoduleGB.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SubmoduleGB, "__init__", counting_init)
+    alg = state.algebra()
+    assert builds == []
+    blocks = state.hom_blocks()
+    assert all(blocks[(i, j)] is coll.homs[(j, i)]
+               for i in range(2) for j in range(2))
+    # every block built again in the collection's mode gives the same table
+    fresh = {(i, j): hom_space(coll.modules[j], coll.modules[i], mode=coll.mode)
+             for i in range(2) for j in range(2)}
+    layout, table, idents = reference_table(fresh, 2)
+    assert alg.mult_table == table and alg.dim == 2
+    assert state.block_idempotents() == idents

@@ -31,6 +31,9 @@ parameter algebras of ncdef are its r-block case.
 
 Stable Hom follows the free-cover recipe: Hom(M,N) modulo the image of
 Hom(M, R^{g_N}) -> Hom(M,N) induced by the generator surjection R^{g_N} -> N.
+
+yoneda_extension is the one extension builder, also for the universal
+extensions of ncdef (stacked classes into a direct sum).
 """
 
 from __future__ import annotations
@@ -513,15 +516,11 @@ def yoneda_extension(cocycle_cols, A: FPModule, B: FPModule,
         vec = _matrix_to_vec([[ring.normal_form(p) for p in col] for col in cocycle_cols])
         if not vec or space.element_class_is_zero(vec):
             raise HomError("zero class passed with require_nontrivial")
+    # E's generators are B's, then A's; FPModule takes the normal forms
     gE = B.ngens + A.ngens
-    cols = []
-    for l, relcol in enumerate(B.relations):
-        col = [ring.normal_form(p) for p in relcol]
-        col += [ring.normal_form(-p) for p in cocycle_cols[l]]
-        cols.append(col)
-    for relcol in A.relations:
-        col = [ring.zero()] * B.ngens + list(relcol)
-        cols.append(col)
+    cols = [relcol + [-p for p in cocycle_cols[l]]
+            for l, relcol in enumerate(B.relations)]
+    cols += [[ring.zero()] * B.ngens + relcol for relcol in A.relations]
     degrees = None
     if A.gen_degrees is not None and B.gen_degrees is not None:
         degrees = tuple(B.gen_degrees) + tuple(A.gen_degrees)

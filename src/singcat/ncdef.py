@@ -6,7 +6,8 @@ universal extension
 
     0 -> (+)_j L_j ^ dim Ext^1(F^(i), L_j)  ->  new F^(i)  ->  F^(i)  -> 0
 
-along a basis of extension classes.  The parameter algebra is
+along a basis of extension classes: homs.yoneda_extension, the one
+extension builder, along the stacked classes.  The parameter algebra is
 R = End((+) F^(i)), built from the pairwise Hom blocks by
 homs.structure_constants, the one table builder, which Hom algebras share;
 its idempotents are the block identities.  Graded collections use
@@ -17,10 +18,12 @@ every Ext^1(F^(i), L_j) used by the iteration vanishes.
 
 from __future__ import annotations
 
+from functools import reduce
+
 from .errors import InvariantError
 from .findim import AlgebraError, FiniteDimAlgebra
-from .homs import (InfiniteDimensionError, MatrixSubquotient, ext_space,
-                   hom_space, structure_constants)
+from .homs import (MorphismSpace, ext_space, hom_space, structure_constants,
+                   yoneda_extension)
 from .modules import FPModule
 
 
@@ -47,8 +50,9 @@ def _simple_homs(modules):
 
 class SimpleCollection:
     """Modules with Hom dims delta_{ij}, plus the (sticky) computation mode,
-    probed from the Hom and Ext^1 spaces of the members.  homs[(i, j)] is
-    the space Hom(L_i, L_j) that the simple check built.
+    read from the Hom and Ext^1 spaces of the members.  homs[(i, j)] =
+    Hom(L_i, L_j) and ext1[(i, j)] = (Ext^1(L_i, L_j), basis items), both in
+    that mode, are built once and start state 0.
 
     mode 'full': all Hom/Ext^1 spaces are finite-dimensional and the whole
     iteration uses total spaces (finite-length local models).  mode
@@ -64,29 +68,42 @@ class SimpleCollection:
         for m in modules:
             if m.ring != ring:
                 raise DeformationError("collection members live over different rings")
-        ok, matrix, self.homs = _simple_homs(modules)
+        ok, matrix, homs = _simple_homs(modules)
         if not ok:
             raise DeformationError(f"not a simple collection: Hom matrix {matrix}")
         self.modules = list(modules)
         self.ring = ring
         self.graded = all(m.gen_degrees is not None for m in modules)
-        self.mode = self._probe_mode()
-
-    def _probe_mode(self) -> str:
-        try:
-            for Li in self.modules:
-                for Lj in self.modules:
-                    hom_space(Li, Lj, mode="full")
-                    ext_space(Li, Lj, 1).basis_items()
-            return "full"
-        except (InfiniteDimensionError, ValueError):
-            if self.graded:
-                return "graded0"
+        spaces = _ext1_spaces(modules, modules)
+        if (all(h.mode == "full" for h in homs.values())
+                and all(s.dim() is not None for s in spaces.values())):
+            self.mode = "full"
+        elif self.graded:
+            self.mode = "graded0"
+        else:
             raise DeformationError(
                 "infinite-dimensional Hom/Ext^1 on an ungraded collection")
+        # auto mode may have landed on 'full' for a finite block of a
+        # graded0 collection: read the same subquotient in degree zero
+        self.homs = {key: h if h.mode == self.mode else
+                     MorphismSpace(h.M, h.N, h.msq, self.mode, h.stable)
+                     for key, h in homs.items()}
+        self.ext1 = _with_items(self.mode, spaces)
 
     def __len__(self):
         return len(self.modules)
+
+
+def _ext1_spaces(sources, targets):
+    return {(i, j): ext_space(F, L, 1) for i, F in enumerate(sources)
+            for j, L in enumerate(targets)}
+
+
+def _with_items(mode, spaces):
+    """(space, basis items) per key: the degree-zero items in mode 'graded0'."""
+    degree = 0 if mode == "graded0" else None
+    return {key: (s, s.basis_items(graded_degree=degree))
+            for key, s in spaces.items()}
 
 
 class DeformationState:
@@ -106,22 +123,12 @@ class DeformationState:
 
     # -- Ext data --------------------------------------------------------------
 
-    def _items(self, space: MatrixSubquotient):
-        if self.collection.mode == "graded0":
-            return space.basis_items(graded_degree=0)
-        return space.basis_items()
-
     def ext1_spaces(self):
         """dict (i, j) -> (MatrixSubquotient, basis items) for
         Ext^1(F^(i), L_j) in the collection's mode."""
         if self._ext1 is None:
-            out = {}
-            for i, F in enumerate(self.components):
-                for j, L in enumerate(self.collection.modules):
-                    space = ext_space(F, L, 1)
-                    items = self._items(space)
-                    out[(i, j)] = (space, items)
-            self._ext1 = out
+            self._ext1 = _with_items(self.collection.mode, _ext1_spaces(
+                self.components, self.collection.modules))
         return self._ext1
 
     def ext1_dims(self):
@@ -133,21 +140,12 @@ class DeformationState:
     # -- parameter algebra -------------------------------------------------------
 
     def hom_blocks(self):
-        """blocks[(i, j)] = Hom(F^(j), F^(i)) in the collection's mode; a
-        block between two undeformed members is the collection's own space
-        when the simple check landed on that mode."""
+        """blocks[(i, j)] = Hom(F^(j), F^(i)) in the collection's mode."""
         if self._hom_blocks is None:
-            coll = self.collection
-            blocks = {}
-            for i, Fi in enumerate(self.components):
-                for j, Fj in enumerate(self.components):
-                    known = coll.homs[(j, i)]
-                    if (Fi is coll.modules[i] and Fj is coll.modules[j]
-                            and known.mode == coll.mode):
-                        blocks[(i, j)] = known
-                    else:
-                        blocks[(i, j)] = hom_space(Fj, Fi, mode=coll.mode)
-            self._hom_blocks = blocks
+            mode = self.collection.mode
+            self._hom_blocks = {(i, j): hom_space(Fj, Fi, mode=mode)
+                                for i, Fi in enumerate(self.components)
+                                for j, Fj in enumerate(self.components)}
         return self._hom_blocks
 
     def algebra(self) -> FiniteDimAlgebra:
@@ -179,60 +177,49 @@ class DeformationState:
 
 
 def initial_state(collection: SimpleCollection) -> DeformationState:
-    comps = list(collection.modules)
-    filts = [[(0, i)] for i in range(len(collection))]
-    return DeformationState(collection, 0, comps, filts)
+    """State 0: the members, with the collection's Hom and Ext^1 spaces."""
+    r = len(collection)
+    state = DeformationState(collection, 0, list(collection.modules),
+                             [[(0, i)] for i in range(r)])
+    state._hom_blocks = {(i, j): collection.homs[(j, i)]
+                         for i in range(r) for j in range(r)}
+    state._ext1 = collection.ext1
+    return state
 
 
 def deform_step(state: DeformationState) -> DeformationState:
-    """One universal-extension step; returns the new state."""
+    """One universal-extension step; returns the new state.  A class of
+    internal degree d adds a copy of L_j twisted by -d."""
     coll = state.collection
-    ring = coll.ring
+    ambient = coll.ring.ambient
     new_components = []
     new_filtrations = []
     ext = state.ext1_spaces()
     for i, F in enumerate(state.components):
-        additions = []  # (j, cocycle matrix, class degree)
+        added, copies, classes = [], [], []
         for j, L in enumerate(coll.modules):
             space, items = ext[(i, j)]
             for it in items:
-                delta = None
+                copy = L
                 if coll.graded:
                     idx, mon = it
-                    delta = space.gen_degrees()[idx] + ring.ambient.weighted_deg(mon)
-                additions.append((j, space.item_matrix(it), delta))
-        if not additions:
-            new_components.append(F)
-            new_filtrations.append(list(state.filtrations[i]))
-            continue
-        gE = F.ngens + sum(coll.modules[j].ngens for j, _c, _d in additions)
-        cols = []
-        for l, relcol in enumerate(F.relations):
-            col = [ring.normal_form(p) for p in relcol]
-            for j, cocycle, _d in additions:
-                col += [ring.normal_form(-p) for p in cocycle[l]]
-            cols.append(col)
-        offset = F.ngens
-        for j, _c, _d in additions:
-            L = coll.modules[j]
-            for relcol in L.relations:
-                col = [ring.zero()] * gE
-                for t, p in enumerate(relcol):
-                    col[offset + t] = p
-                cols.append(col)
-            offset += L.ngens
-        degrees = None
-        if coll.graded:
-            # a class of internal degree d twists its added copy by -d
-            degrees = tuple(F.gen_degrees)
-            for j, _c, delta in additions:
-                degrees += tuple(d - delta for d in coll.modules[j].gen_degrees)
-        E = FPModule(ring, gE, cols, degrees)
-        if degrees is not None and not E.is_graded():
-            raise DeformationError("universal extension left the graded world")
+                    delta = space.gen_degrees()[idx] + ambient.weighted_deg(mon)
+                    copy = FPModule(coll.ring, L.ngens, L.relations,
+                                    [d - delta for d in L.gen_degrees])
+                added.append(j)
+                copies.append(copy)
+                classes.append(space.item_matrix(it))
+        E = F
+        if added:
+            stacked = [[p for c in classes for p in c[l]]
+                       for l in range(len(F.relations))]
+            E = yoneda_extension(stacked, reduce(FPModule.direct_sum, copies),
+                                 F).E
+            if coll.graded and E.gen_degrees is None:
+                raise DeformationError("universal extension left the graded world")
         new_components.append(E)
-        new_filtrations.append(list(state.filtrations[i])
-                               + [(state.step + 1, j) for j, _c, _d in additions])
+        new_filtrations.append(state.filtrations[i]
+                               + [(state.step + 1, j) for j in added])
     return DeformationState(coll, state.step + 1, new_components, new_filtrations)
 
 

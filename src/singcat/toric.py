@@ -99,11 +99,23 @@ def fm_feasible(constraints, nvars, projections=None) -> bool:
 # fans
 
 
+def _integers(values, what):
+    """values as a list of ints; anything else is refused, never truncated."""
+    if not isinstance(values, (list, tuple)) or any(type(x) is not int
+                                                    for x in values):
+        raise ToricError(f"{what} {values!r} is not a list of integers")
+    return list(values)
+
+
 class Fan:
     def __init__(self, rank: int, rays, cones, name: str = "fan"):
         self.rank = rank
-        self.rays = [tuple(int(x) for x in u) for u in rays]
-        self.max_cones = [tuple(sorted(c)) for c in cones]
+        self.rays = [tuple(_integers(u, "ray")) for u in rays]
+        self.max_cones = [tuple(sorted(_integers(c, "cone"))) for c in cones]
+        for c in self.max_cones:
+            if len(set(c)) < len(c) or not all(0 <= i < len(self.rays) for i in c):
+                raise ToricError(f"cone {c} does not name distinct rays among "
+                                 f"0..{len(self.rays) - 1}")
         self.name = name
         for u in self.rays:
             if len(u) != rank:
@@ -211,7 +223,7 @@ class TDivisor:
 
     def __init__(self, fan: Fan, coeffs):
         self.fan = fan
-        self.coeffs = [int(c) for c in coeffs]
+        self.coeffs = _integers(coeffs, "divisor")
         if len(self.coeffs) != len(fan.rays):
             raise ToricError("coefficient vector length must match ray count")
 

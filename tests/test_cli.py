@@ -94,6 +94,48 @@ def test_input_error_exit_code(capsys):
     assert captured.out == "" and "Ext^-2" in captured.err
 
 
+def run_toric(capsys, fan, divisor):
+    code = main(["toric-cohomology", "--fan", fan, "--divisor", divisor])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+P2_TEXT = "fan rank=2 rays=[[1,0],[0,1],[-1,-1]] cones=[[0,1],[1,2],[0,2]]"
+
+
+def test_non_integer_divisor_is_an_input_error(capsys):
+    # used to print h = [3, 0, 0], the answer for O(1), with exit 0
+    code, out, err = run_toric(capsys, "P2", "[1.5,0,0]")
+    assert code == 2 and out == "" and "1.5" in err
+
+
+def test_non_integer_ray_is_an_input_error(capsys):
+    fan = P2_TEXT.replace("[-1,-1]", "[-1.7,-1]")
+    code, out, err = run_toric(capsys, fan, "[0,0,0]")
+    assert code == 2 and out == "" and "-1.7" in err
+
+
+def test_divisor_that_is_not_a_list_is_an_input_error(capsys):
+    # used to raise TypeError, exit 1
+    code, out, err = run_toric(capsys, "P2", "5")
+    assert code == 2 and out == "" and "divisor" in err
+
+
+def test_cone_index_past_the_last_ray_is_an_input_error(capsys):
+    # used to raise IndexError, exit 1
+    fan = P2_TEXT.replace("[0,2]]", "[0,5]]")
+    code, out, err = run_toric(capsys, fan, "[0,0,0]")
+    assert code == 2 and out == "" and "(0, 5)" in err
+
+
+def test_negative_cone_index_is_an_input_error(capsys):
+    # -1 used to wrap to the last ray and end in "unbounded chamber"
+    fan = P2_TEXT.replace("[1,2],[0,2]", "[1,-1],[0,-1]")
+    code, out, err = run_toric(capsys, fan, "[0,0,0]")
+    assert code == 2 and out == "" and "(-1, 1)" in err
+    assert "unbounded" not in err
+
+
 def test_ext_empty_range_exit_code(capsys):
     code = main(["ext", "--ring", "Q[z]/(z^2)", "--M", "A/(z)", "--N", "A/(z)",
                  "--pmax", "1", "--pmin", "3"])

@@ -5,9 +5,9 @@ import time
 
 import pytest
 
-from singcat import models
+from singcat import models, ncdef
 from singcat.findim import AlgebraError
-from singcat.homs import hom_space, stable_hom, structure_constants
+from singcat.homs import ext_space, hom_space, stable_hom, structure_constants
 from singcat.modules import FPModule
 from singcat.ncdef import (SimpleCollection, DeformationError, simple_check,
                            initial_state, deform_step, run,
@@ -308,3 +308,138 @@ def test_state_zero_takes_the_collections_hom_spaces(monkeypatch):
     layout, table, idents = reference_table(fresh, 2)
     assert alg.mult_table == table and alg.dim == 2
     assert state.block_idempotents() == idents
+
+
+def count_builds(monkeypatch):
+    """A list that gains one entry per SubmoduleGB build from now on."""
+    from singcat.modgb import SubmoduleGB
+    builds = []
+    real_init = SubmoduleGB.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SubmoduleGB, "__init__", counting_init)
+    return builds
+
+
+@pytest.mark.parametrize("model", ["cone", "node"])
+def test_state_zero_builds_nothing(model, monkeypatch):
+    coll = cone_collection() if model == "cone" else node_collection()[1]
+    state = initial_state(coll)
+    builds = count_builds(monkeypatch)
+    ext = state.ext1_spaces()
+    alg = state.algebra()
+    assert builds == []
+    assert all(ext[key] == coll.ext1[key] for key in coll.ext1)
+    assert alg.dim == len(coll)
+    # the same spaces built afresh give the same basis items
+    fresh = {(i, j): ext_space(Li, Lj, 1)
+             for i, Li in enumerate(coll.modules)
+             for j, Lj in enumerate(coll.modules)}
+    for key, space in fresh.items():
+        items = (space.basis_items(graded_degree=0) if coll.mode == "graded0"
+                 else space.basis_items())
+        assert ext[key][1] == items, key
+
+
+def test_collection_reads_finite_homs_in_degree_zero(monkeypatch):
+    # the two branches of zw = 0: End(B/(w)) = k[z] is infinite, so the
+    # collection is graded0, while Hom(B/(w), B/(z)) = 0 lands on 'full'
+    B = models.node_curve()
+    members = [models.branch_module_z(B), models.branch_module_w(B)]
+    assert [[hom_space(a, b).mode for b in members] for a in members] == \
+        [["graded0", "full"], ["full", "graded0"]]
+    coll = SimpleCollection(members)
+    assert coll.mode == "graded0"
+    assert all(h.mode == "graded0" for h in coll.homs.values())
+    assert [[coll.homs[(i, j)].dim for j in range(2)] for i in range(2)] == \
+        [[1, 0], [0, 1]]
+    builds = count_builds(monkeypatch)
+    rep = run(coll, max_iter=3)
+    assert builds == []
+    assert (rep.outcome, rep.dim_r_trajectory) == ("terminated", [2])
+
+
+# -- the universal extension against the hand-laid presentation -------------
+
+
+def reference_extension(state, i):
+    """The universal extension of F^(i) laid out by hand: F's generators
+    first, columns [rel F ; -cocycles], then the relations of each added L_j
+    after F's generators, each copy twisted by minus the internal degree of
+    its class.  None when no class is added."""
+    coll = state.collection
+    ring = coll.ring
+    F = state.components[i]
+    additions = []  # (j, cocycle matrix, class degree)
+    for j in range(len(coll)):
+        space, items = state.ext1_spaces()[(i, j)]
+        for it in items:
+            delta = None
+            if coll.graded:
+                idx, mon = it
+                delta = space.gen_degrees()[idx] + ring.ambient.weighted_deg(mon)
+            additions.append((j, space.item_matrix(it), delta))
+    if not additions:
+        return None
+    gE = F.ngens + sum(coll.modules[j].ngens for j, _c, _d in additions)
+    cols = []
+    for l, relcol in enumerate(F.relations):
+        col = [ring.normal_form(p) for p in relcol]
+        for j, cocycle, _d in additions:
+            col += [ring.normal_form(-p) for p in cocycle[l]]
+        cols.append(col)
+    offset = F.ngens
+    for j, _c, _d in additions:
+        L = coll.modules[j]
+        for relcol in L.relations:
+            col = [ring.zero()] * gE
+            for t, p in enumerate(relcol):
+                col[offset + t] = p
+            cols.append(col)
+        offset += L.ngens
+    degrees = None
+    if coll.graded:
+        degrees = tuple(F.gen_degrees)
+        for j, _c, delta in additions:
+            degrees += tuple(d - delta for d in coll.modules[j].gen_degrees)
+    return FPModule(ring, gE, cols, degrees)
+
+
+@pytest.mark.parametrize("field", ["Q", "F32003"])
+@pytest.mark.parametrize("model", ["cone", "node"])
+def test_universal_extension_matches_the_hand_laid_reference(field, model,
+                                                             monkeypatch):
+    if model == "cone":
+        coll = cone_collection(field)
+    else:
+        coll = SimpleCollection(
+            [models.node_point_module(models.node_surface(field))])
+    built = []
+    real_yoneda = ncdef.yoneda_extension
+
+    def recording(*args):
+        built.append(real_yoneda(*args))
+        return built[-1]
+
+    monkeypatch.setattr(ncdef, "yoneda_extension", recording)
+    state, steps = initial_state(coll), 0
+    while steps < 4 and not state.is_terminated():
+        before = len(built)
+        nxt = deform_step(state)
+        new = iter(built[before:])
+        for i, F in enumerate(state.components):
+            ref, E = reference_extension(state, i), nxt.components[i]
+            if ref is None:
+                assert E is F
+                continue
+            ext = next(new)
+            assert ext.E is E and ext.B is F
+            assert (E.ngens, E.relations, E.gen_degrees) == \
+                (ref.ngens, ref.relations, ref.gen_degrees), (steps, i)
+        assert next(new, None) is None
+        state, steps = nxt, steps + 1
+    assert steps == (1 if model == "cone" else 4)
+    assert built and all(ext.verify_exact() for ext in built)

@@ -63,6 +63,45 @@ def test_winding_fan_is_not_a_fan():
     assert "(0, 1)" in str(err.value) and "(2, 3)" in str(err.value)
 
 
+P2_RAYS = [(1, 0), (0, 1), (-1, -1)]
+P2_CONES = [(0, 1), (1, 2), (0, 2)]
+
+
+@pytest.mark.parametrize("coeffs", [[1.5, 0, 0], [Fraction(3, 2), 0, 0],
+                                    [1.0, 0, 0], [True, 0, 0], 5, "100"],
+                         ids=["float", "fraction", "integral-float", "bool",
+                              "number", "string"])
+def test_divisor_refuses_what_is_not_a_list_of_integers(coeffs):
+    # int() used to truncate: [1.5, 0, 0] was computed as O(1)
+    fan = Fan(2, P2_RAYS, P2_CONES, "P2")
+    with pytest.raises(ToricError, match="divisor"):
+        TDivisor(fan, coeffs)
+
+
+@pytest.mark.parametrize("rays", [
+    [(1, 0), (0, 1), (-1.7, -1)],
+    [(1, 0), (0, 1), (Fraction(-1), -1)],
+    [(1, 0), (0, 1), 7],
+], ids=["float", "fraction", "number"])
+def test_fan_refuses_a_ray_that_is_not_integral(rays):
+    # int(-1.7) == -1 used to turn this ray into the ray of P2
+    with pytest.raises(ToricError, match="ray"):
+        Fan(2, rays, P2_CONES, "P2?")
+
+
+@pytest.mark.parametrize("cones, match", [
+    ([(0, 1), (1, 2), (0, 5)], "distinct rays among 0..2"),
+    ([(0, 1), (1, -1), (0, 2)], "distinct rays among 0..2"),
+    ([(0, 1), (1, 1), (0, 2)], "distinct rays among 0..2"),
+    ([(0, 1), (1, 2.0), (0, 2)], "not a list of integers"),
+    ([(0, 1), (1, 2), 0], "not a list of integers"),
+], ids=["past-the-end", "negative", "repeat", "float", "number"])
+def test_fan_refuses_bad_cone_indices(cones, match):
+    # index 5 used to raise IndexError; -1 wrapped to the last ray
+    with pytest.raises(ToricError, match=match):
+        Fan(2, P2_RAYS, cones, "P2?")
+
+
 def test_profile_above_the_rank_is_an_invariant_failure(monkeypatch):
     # with every coboundary rank 0, the square cone's four negative rays
     # give a class in degree 4 > rank 3; a fresh fan, since cohomology

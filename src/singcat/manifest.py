@@ -5,6 +5,10 @@ Provenance vocabulary: 'literature' marks values asserted by the source
 geometry (verified here by independent computation), 'derived' marks values
 fixed by an oracle computation inside this repository, 'trivial' marks
 bookkeeping identities.
+
+The claims on the rank-two extensions at the cone point read the one
+cone-pair run of sodcheck (cone_pair, cone_pair_ext_table), which the two
+double-point audits share.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ from .homs import ext_dims, ext_space, hom_space, stable_hom, is_mcm, fiber_gene
 from .matfac import knorrer, mf_from_module, mf_stable_hom
 from .ncdef import SimpleCollection, flatness_filtration_check, run
 from .sodcheck import (blowup_collections, check_exceptional,
-                       check_orthogonal_to_deformation, les_propagate,
+                       check_orthogonal_to_deformation, cone_pair,
+                       cone_pair_ext_table, les_propagate,
                        run_blowup_vanishing_manifest, verify_odp_hypotheses)
 from .toric import cohomology, fan_library, intersect_curve, weil_is_cartier
 
@@ -172,28 +177,23 @@ def _claim_cone_vanishing(**kw):
     return rows, "all listed rows vanish; the structure sheaf has (1,0,0,0)", ok
 
 
-def _make_extensions():
-    P = models.projective_cone_ring("Q")
-    L1, L2 = models.cone_L1(P), models.cone_L2(P)
-    from .homs import yoneda_extension
-    s12 = ext_space(L1, L2, 1)
-    G1 = yoneda_extension(s12.item_matrix(s12.basis_items(graded_degree=0)[0]),
-                          L2, L1, require_nontrivial=True).E
-    s21 = ext_space(L2, L1, 1)
-    G2 = yoneda_extension(s21.item_matrix(s21.basis_items(graded_degree=0)[0]),
-                          L1, L2, require_nontrivial=True).E
-    return P, L1, L2, G1, G2
-
-
 def _claim_cone_extensions(**kw):
-    P, L1, L2, G1, G2 = _make_extensions()
+    coll, report = cone_pair()
+    state = report.states[1]
+    ext1 = state.ext1_dims()
+
+    def vanish(a, G):
+        return (all(ext1[(a, j)] == 0 for j in range(len(coll)))
+                and all(ext_space(G, L, p).graded_dim(0) == 0
+                        for p in (2, 3) for L in coll.modules))
+
+    L1, L2 = coll.modules
+    G1, G2 = state.components
     computed = {
         "hom_G1": [hom_space(G1, L1).dim, hom_space(G1, L2).dim],
         "hom_G2": [hom_space(G2, L1).dim, hom_space(G2, L2).dim],
-        "ext_G1_vanish": all(ext_space(G1, L, p).graded_dim(0) == 0
-                             for p in (1, 2, 3) for L in (L1, L2)),
-        "ext_G2_vanish": all(ext_space(G2, L, p).graded_dim(0) == 0
-                             for p in (1, 2, 3) for L in (L1, L2)),
+        "ext_G1_vanish": vanish(0, G1),
+        "ext_G2_vanish": vanish(1, G2),
     }
     expected = {"hom_G1": [1, 0], "hom_G2": [0, 1],
                 "ext_G1_vanish": True, "ext_G2_vanish": True}
@@ -245,12 +245,8 @@ def _claim_corollary_les(**kw):
 
 
 def _claim_corollary_ff(**kw):
-    P, L1, L2, G1, G2 = _make_extensions()
-    dims = {}
-    for name, A in (("F1", G1), ("F2", G2)):
-        for name2, B in (("F1", G1), ("F2", G2)):
-            dims[f"{name}-{name2}"] = [ext_space(A, B, p).graded_dim(0)
-                                       for p in (1, 2, 3)]
+    dims = {f"F{a+1}-F{b+1}": list(row)
+            for (a, b), row in cone_pair_ext_table().items()}
     ok = all(all(v == 0 for v in row) for row in dims.values())
     return dims, "all positive-degree self-extension rows vanish", ok
 

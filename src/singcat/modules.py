@@ -77,25 +77,12 @@ class FPModule:
         """Module generated by elements of R^ambient_rank, presented by their
         syzygies.  Each element is a list of ambient_rank polynomials."""
         normed = [[ring.normal_form(p) for p in e] for e in elements]
-        vecs = [vec_from_polys(e) for e in normed]
-        gb = SubmoduleGB(ring.ambient, ambient_rank, vecs, pad_polys=ring.gb)
-        syz = gb.syzygies()
-        cols = [vec_to_polys(ring.ambient, s, len(elements)) for s in syz]
         degrees = None
         if ambient_degrees is not None:
-            degrees = []
-            for e in normed:
-                d = None
-                for i, p in enumerate(e):
-                    if not p.is_zero():
-                        d = _homogeneous_degree(ring, p) + ambient_degrees[i]
-                        break
-                if d is None:
-                    raise ValueError("zero generator in submodule presentation")
-                degrees.append(d)
-        cols = _prune_columns(ring, cols, len(elements))
-        cols = _sort_columns(ring, cols)
-        return cls(ring, len(elements), cols, degrees)
+            degrees = _column_degrees(ring, normed, ambient_degrees)
+            if degrees is None:
+                raise ValueError("zero generator in submodule presentation")
+        return cls(ring, len(elements), _syzygy_columns(ring, normed), degrees)
 
     def direct_sum(self, other: "FPModule") -> "FPModule":
         if other.ring != self.ring:

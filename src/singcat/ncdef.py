@@ -50,9 +50,10 @@ def _simple_homs(modules):
 
 class SimpleCollection:
     """Modules with Hom dims delta_{ij}, plus the (sticky) computation mode,
-    read from the Hom and Ext^1 spaces of the members.  homs[(i, j)] =
-    Hom(L_i, L_j) and ext1[(i, j)] = (Ext^1(L_i, L_j), basis items), both in
-    that mode, are built once and start state 0.
+    read from the Hom and Ext^1 spaces of the members.  hom_matrix is the
+    simple check's matrix of Hom dimensions; homs[(i, j)] = Hom(L_i, L_j)
+    and ext1[(i, j)] = (Ext^1(L_i, L_j), basis items), both in that mode,
+    are built once and start state 0.
 
     mode 'full': all Hom/Ext^1 spaces are finite-dimensional and the whole
     iteration uses total spaces (finite-length local models).  mode
@@ -73,6 +74,7 @@ class SimpleCollection:
             raise DeformationError(f"not a simple collection: Hom matrix {matrix}")
         self.modules = list(modules)
         self.ring = ring
+        self.hom_matrix = matrix
         self.graded = all(m.gen_degrees is not None for m in modules)
         spaces = _ext1_spaces(modules, modules)
         if (all(h.mode == "full" for h in homs.values())

@@ -10,7 +10,11 @@ never guessed.
 The audit bundles tie everything together for the two geometries carrying a
 non-factorial double point: the projective cone over a quadric surface and
 the two-point blow-up of projective three-space contracted along the line
-joining the centers.
+joining the centers.  Both rest on one local model, the cone pair L1, L2
+and its rank-two extensions F1, F2: cone_pair builds the collection and
+its deformation run once per process, and cone_pair_ext_table holds the
+one table of dim Ext^p(F_a, F_b)_0.  The audits and the section 6 claims
+of the manifest read them.
 """
 
 from __future__ import annotations
@@ -19,9 +23,9 @@ import copy
 import functools
 
 from . import models
-from .homs import ext_space
-from .ncdef import SimpleCollection, flatness_filtration_check, run, simple_check
-from .toric import TDivisor, cohomology, divisor_from_combo, fan_library, intersect_curve
+from .homs import HomError, ext_space
+from .ncdef import SimpleCollection, flatness_filtration_check, run
+from .toric import cohomology, divisor_from_combo, fan_library, intersect_curve
 
 
 class SodError(ValueError):
@@ -30,11 +34,6 @@ class SodError(ValueError):
 
 # ---------------------------------------------------------------------------
 # pairwise data for divisor-class collections
-
-
-def divisor_ext_row(fan, A: TDivisor, B: TDivisor):
-    """dims of Hom(O(A), O(B)[p]) for p = 0..rank, via H^p(B - A)."""
-    return cohomology(fan, B - A)
 
 
 def check_exceptional(fan, objects, names=None):
@@ -46,10 +45,11 @@ def check_exceptional(fan, objects, names=None):
     """
     n = len(objects)
     names = names or [f"obj{i}" for i in range(n)]
+    # Hom(O(A), O(B)[p]) = H^p(B - A)
     table = {}
     for i in range(n):
         for j in range(n):
-            table[(i, j)] = divisor_ext_row(fan, objects[i], objects[j])
+            table[(i, j)] = cohomology(fan, objects[j] - objects[i])
     witnesses = []
     strong_witnesses = []
     for i in range(n):
@@ -309,46 +309,60 @@ def check_collection_manifest(data: dict):
 # hypothesis audits
 
 
+@functools.cache
+def cone_pair():
+    """The local model at the double point, built once per process: the
+    simple collection L1 = (x, z), L2 = (x, w) over the projective cone and
+    its deformation run, whose state 1 holds the rank-two extensions F1, F2.
+
+    Every Ext^1 class the run extends along is checked to be nonzero."""
+    P = models.projective_cone_ring("Q")
+    coll = SimpleCollection([models.cone_L1(P), models.cone_L2(P)])
+    for space, items in coll.ext1.values():
+        for it in items:
+            if space.element_class_is_zero(space.item_vec(it)):
+                raise HomError("zero class in the Ext^1 basis of the cone pair")
+    return coll, run(coll, max_iter=8)
+
+
+@functools.cache
+def cone_pair_ext_table():
+    """table[(a, b)] = dim Ext^p(F_a, F_b)_0 for p = 1, 2, 3 on the final
+    components of the cone-pair run."""
+    comps = cone_pair()[1].final_state.components
+    return {(a, b): tuple(ext_space(Fa, Fb, p).graded_dim(0) for p in (1, 2, 3))
+            for a, Fa in enumerate(comps) for b, Fb in enumerate(comps)}
+
+
 def _local_cone_conditions():
     """Module-side conditions at the double point: the simple collection and
     the rank-one extension dimensions on the projective cone model."""
-    P = models.projective_cone_ring("Q")
-    L1, L2 = models.cone_L1(P), models.cone_L2(P)
-    ok, matrix = simple_check([L1, L2])
-    ext01 = ext_space(L1, L2, 1).graded_dim(0)
-    ext10 = ext_space(L2, L1, 1).graded_dim(0)
-    ext00 = ext_space(L1, L1, 1).graded_dim(0)
-    ext11 = ext_space(L2, L2, 1).graded_dim(0)
-    ext1 = [[ext00, ext01], [ext10, ext11]]
+    coll, _report = cone_pair()
+    homs = [list(row) for row in coll.hom_matrix]
+    ext1 = [[len(coll.ext1[(i, j)][1]) for j in range(2)] for i in range(2)]
+    simple = homs == [[1, 0], [0, 1]]
     return {
-        "simple_collection": ok,
-        "hom_matrix": matrix,
+        "simple_collection": simple,
+        "hom_matrix": homs,
         "ext1_matrix": ext1,
-        "pass": ok and ext1 == [[0, 1], [1, 0]],
+        "pass": simple and ext1 == [[0, 1], [1, 0]],
     }
 
 
 @functools.cache
 def _deformation_conclusions():
-    """Run the iteration on the cone pair and verify the conclusions.
+    """Verify the conclusions on the cone-pair run.
 
     Both audits share this local model, so it runs once per process;
     callers copy the cached dict before handing it out."""
-    P = models.projective_cone_ring("Q")
-    coll = SimpleCollection([models.cone_L1(P), models.cone_L2(P)])
-    report = run(coll, max_iter=8)
+    report = cone_pair()[1]
     state = report.final_state
     alg = report.algebra()
     rad = alg.radical()
     rad_sq = alg.subspace_dim(alg.multiply_subspaces(rad, rad))
     flat_ok, flat_detail = flatness_filtration_check(state)
-    ext_ff = {}
-    for p in (1, 2, 3):
-        dims = []
-        for Fi in state.components:
-            for Fj in state.components:
-                dims.append(ext_space(Fi, Fj, p).graded_dim(0))
-        ext_ff[p] = max(dims)
+    rows = cone_pair_ext_table().values()
+    ext_ff = {p: max(row[p - 1] for row in rows) for p in (1, 2, 3)}
     return {
         "terminated": report.outcome == "terminated",
         "termination_step": report.final_step,

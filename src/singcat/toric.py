@@ -201,13 +201,13 @@ class Fan:
 
     def is_complete(self) -> bool:
         """Exact: raises ToricError if the cones do not form a fan; True iff
-        every maximal cone is full-dimensional and each of its facets is a
-        wall of exactly two maximal cones (then the support is closed and
-        has no boundary, so it is the whole space)."""
+        there is a maximal cone, every one is full-dimensional and each of
+        its facets is a wall of exactly two maximal cones (then the support
+        is closed and has no boundary, so it is the whole space)."""
         if self._complete is None:
             self._check_fan_axiom()
             walls = self.walls()
-            self._complete = all(
+            self._complete = bool(self.max_cones) and all(
                 mat_rank(Matrix.from_int_rows(QQ, [self.rays[i] for i in c]))
                 == self.rank and all(f in walls for f in self._facets[c])
                 for c in self.max_cones)
@@ -399,8 +399,9 @@ def intersect_curve(D: TDivisor, wall, fan: Fan | None = None) -> int:
         cone = fan.max_cones[cidx]
         if len(cone) != fan.rank:
             raise ToricError("wall adjacent to a non-simplicial cone")
-        det = _int_det([list(fan.rays[i]) for i in cone])
-        if abs(det) != 1:
+        # unimodular iff every Smith invariant of the ray matrix is 1
+        _U, snf, _V = smith_normal_form([fan.rays[i] for i in cone])
+        if any(snf[k][k] != 1 for k in range(fan.rank)):
             raise ToricError("fan is not smooth along the wall")
     extra_a = [i for i in fan.max_cones[ca] if i not in wall][0]
     extra_b = [i for i in fan.max_cones[cb] if i not in wall][0]
@@ -418,30 +419,6 @@ def intersect_curve(D: TDivisor, wall, fan: Fan | None = None) -> int:
     if val.denominator != 1:
         raise ToricError("non-integral intersection number on a smooth wall")
     return int(val)
-
-
-def _int_det(rows):
-    n = len(rows)
-    m = [[Fraction(x) for x in r] for r in rows]
-    det = Fraction(1)
-    for c in range(n):
-        piv = None
-        for r in range(c, n):
-            if m[r][c] != 0:
-                piv = r
-                break
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for r in range(c + 1, n):
-            f = m[r][c] * inv
-            if f:
-                m[r] = [a - f * b for a, b in zip(m[r], m[c])]
-    return int(det)
 
 
 def smith_normal_form(mat):

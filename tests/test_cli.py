@@ -136,6 +136,23 @@ def test_negative_cone_index_is_an_input_error(capsys):
     assert "unbounded" not in err
 
 
+def test_fan_with_no_cones_is_an_input_error(capsys):
+    # used to exit 2 with "max() arg is an empty sequence"
+    fan = P2_TEXT.replace("[[0,1],[1,2],[0,2]]", "[]")
+    code, out, err = run_toric(capsys, fan, "[0,0,0]")
+    assert code == 2 and out == "" and "complete fan" in err
+
+
+def test_wall_of_a_singular_cone_is_an_input_error(capsys):
+    # the cone on (1,0) and (1,2) has determinant 2
+    fan = "fan rank=2 rays=[[1,0],[1,2],[-1,0],[0,-1]] cones=[[0,1],[1,2],[2,3],[3,0]]"
+    code = main(["intersect", "--fan", fan, "--divisor", "[0,1,0,0]",
+                 "--curve", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "not smooth along the wall" in captured.err
+
+
 def test_ext_empty_range_exit_code(capsys):
     code = main(["ext", "--ring", "Q[z]/(z^2)", "--M", "A/(z)", "--N", "A/(z)",
                  "--pmax", "1", "--pmin", "3"])

@@ -151,17 +151,30 @@ _BLOWUP_REPORT = {
 }
 
 
+def _clear_cone_pair_caches():
+    from singcat import sodcheck
+    for cached in (sodcheck.cone_pair, sodcheck.cone_pair_ext_table,
+                   sodcheck._deformation_conclusions):
+        cached.cache_clear()
+
+
 def test_deformation_conclusions_run_once_per_process(monkeypatch):
     from singcat import sodcheck
-    runs = []
-    real_run = sodcheck.run
+    from singcat.manifest import run_claims
+    runs, collections = [], []
+    real_run, real_collection = sodcheck.run, sodcheck.SimpleCollection
 
     def counting_run(*args, **kw):
         runs.append(args)
         return real_run(*args, **kw)
 
+    def counting_collection(*args, **kw):
+        collections.append(args)
+        return real_collection(*args, **kw)
+
     monkeypatch.setattr(sodcheck, "run", counting_run)
-    sodcheck._deformation_conclusions.cache_clear()
+    monkeypatch.setattr(sodcheck, "SimpleCollection", counting_collection)
+    _clear_cone_pair_caches()
     quadric = verify_odp_hypotheses("quadric_cone")
     blowup = verify_odp_hypotheses("blowup")
     assert len(runs) == 1
@@ -170,9 +183,52 @@ def test_deformation_conclusions_run_once_per_process(monkeypatch):
     # each report owns its conclusions: editing one leaves the others alone
     quadric["conclusions"]["ext_FF_degree0"][1] = 7
     quadric["conclusions"]["dim_R_trajectory"].append(6)
+    quadric["conditions"]["simple_collection"]["hom_matrix"][0][0] = 7
     assert blowup["conclusions"] == _CONCLUSIONS
+    assert blowup["conditions"]["simple_collection"]["local_model"] == _LOCAL_MODEL
     assert verify_odp_hypotheses("quadric_cone")["conclusions"] == _CONCLUSIONS
-    assert len(runs) == 1
+    # the section 6 claims on the extensions read the same run
+    for cid in ("odp-extension-objects", "odp-ff-vanishing"):
+        assert run_claims(cid=cid)["pass"]
+    assert len(runs) == 1 and len(collections) == 1
+
+
+def _make_extensions():
+    """The rank-two extensions laid out by hand: one Yoneda extension along
+    the degree-zero class of each Ext^1(L_i, L_j), i != j."""
+    from singcat import models
+    from singcat.homs import ext_space, yoneda_extension
+    P = models.projective_cone_ring("Q")
+    L1, L2 = models.cone_L1(P), models.cone_L2(P)
+    out = []
+    for quot, sub in ((L1, L2), (L2, L1)):
+        space = ext_space(quot, sub, 1)
+        item = space.basis_items(graded_degree=0)[0]
+        out.append(yoneda_extension(space.item_matrix(item), sub, quot,
+                                    require_nontrivial=True).E)
+    return out
+
+
+def test_cone_pair_state_one_is_the_hand_laid_extensions():
+    from singcat.sodcheck import cone_pair
+    _coll, report = cone_pair()
+    for got, want in zip(report.states[1].components, _make_extensions(),
+                         strict=True):
+        assert got.ngens == want.ngens
+        assert got.relations == want.relations
+        assert got.gen_degrees == want.gen_degrees
+
+
+def test_zero_extension_class_is_refused(monkeypatch):
+    from singcat.homs import HomError, MatrixSubquotient
+    monkeypatch.setattr(MatrixSubquotient, "element_class_is_zero",
+                        lambda self, vec: True)
+    _clear_cone_pair_caches()
+    try:
+        with pytest.raises(HomError, match="zero class"):
+            verify_odp_hypotheses("quadric_cone")
+    finally:
+        _clear_cone_pair_caches()
 
 
 def test_broken_bundle_fails_condition_one():

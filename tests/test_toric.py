@@ -53,6 +53,15 @@ def test_incomplete_fan_rejected():
         cohomology(affine, TDivisor(affine, [0, 0]))
 
 
+def test_fan_with_no_cones_is_not_complete():
+    # an empty `all` used to count it complete, and cohomology then failed
+    # on an empty max()
+    empty = Fan(2, [(1, 0), (0, 1), (-1, -1)], [], "no cones")
+    assert not empty.is_complete()
+    with pytest.raises(ToricError, match="complete fan"):
+        cohomology(empty, TDivisor(empty, [0, 0, 0]))
+
+
 def test_winding_fan_is_not_a_fan():
     # five 2-cones winding twice around the origin: every ray sits on
     # exactly two cones, but (0, 1) and (2, 3) overlap

@@ -114,11 +114,16 @@ class FiniteDimAlgebra:
         """Span generators of A*B for lists of coefficient vectors."""
         return [self.mul(a, b) for a in A for b in B]
 
-    def subspace_dim(self, vectors) -> int:
-        from .linalg import Matrix, rank
+    def subspace_basis(self, vectors):
+        """The nonzero rows of the rref of the vectors: a basis of their span."""
+        from .linalg import Matrix, rref
         if not vectors:
-            return 0
-        return rank(Matrix(self.field, vectors))
+            return []
+        red, pivots = rref(Matrix(self.field, vectors))
+        return red.rows[:len(pivots)]
+
+    def subspace_dim(self, vectors) -> int:
+        return len(self.subspace_basis(vectors))
 
     def to_str(self, vec) -> str:
         F = self.field

@@ -24,10 +24,13 @@ of the relations as its sorted terms, so a hit is exact and the same
 presentation over two fields never shares an entry.
 
 structure_constants is the one multiplication-table builder: from Hom
-blocks Hom(F_j, F_i) it composes every composable pair of basis matrices
-and reads the product's coordinates from big_gb.  End(M)
-(MorphismSpace.algebra) is its single-block case, and the deformation
-parameter algebras of ncdef are its r-block case.
+blocks Hom(F_j, F_i) it composes every composable pair of basis maps on
+their sparse flattened vectors (_compose, which visits only nonzero terms)
+and reads the product's coordinates from big_gb.  No entry is put in
+normal form first: big_gb reduces modulo the ideal through its pads, so
+the coordinates are canonical either way.  End(M) (MorphismSpace.algebra)
+is its single-block case, and the deformation parameter algebras of ncdef
+are its r-block case.
 
 Stable Hom follows the free-cover recipe: Hom(M,N) modulo the image of
 Hom(M, R^{g_N}) -> Hom(M,N) induced by the generator surjection R^{g_N} -> N.
@@ -41,6 +44,7 @@ from __future__ import annotations
 from .findim import FiniteDimAlgebra
 from .modules import FPModule, FreeResolution, mat_mul
 from .modgb import SubmoduleGB, vec_from_polys, vec_to_polys
+from .poly import mon_mul
 from .quotient import QuotientRing
 
 
@@ -68,6 +72,24 @@ def _flat(h, entries):
         for m, c in p.terms.items():
             out[(j * h + i, m)] = c
     return out
+
+
+def _compose(F, phi, h, psi, g):
+    """Flattened phi o psi (h rows) of flattened phi (h rows) and psi (g
+    rows, as many as phi has columns): the entry (col*h + a, m1*m2) sums
+    phi's column b times psi's row b.  Only nonzero terms are visited, and
+    sums that cancel to zero are dropped."""
+    phi_cols = {}
+    for (p, m), c in phi.items():
+        phi_cols.setdefault(p // h, []).append((p % h, m, c))
+    out = {}
+    for (p, m2), c2 in psi.items():
+        col, b = divmod(p, g)
+        for a, m1, c1 in phi_cols.get(b, ()):
+            key = (col * h + a, mon_mul(m1, m2))
+            term = F.mul(c1, c2)
+            out[key] = F.add(out[key], term) if key in out else term
+    return {key: c for key, c in out.items() if not F.is_zero(c)}
 
 
 def _vec_to_matrix(ring, vec, nrows, ncols):
@@ -148,7 +170,6 @@ class MatrixSubquotient:
         return self.big_gb().tracked_staircase(graded_degree, self.gen_degrees())
 
     def item_vec(self, item):
-        from .poly import mon_mul
         idx, mon = item
         out = {}
         for (p, m), c in self.U[idx].items():
@@ -323,42 +344,44 @@ def structure_constants(blocks, r):
     blocks[(i, j)] is the MorphismSpace Hom(F_j, F_i) with a k-basis.  The
     algebra's basis is the layout list of (i, j, k), the k-th basis map of
     blocks[(i, j)].  The product of phi: F_j -> F_i and psi: F_l -> F_j is
-    phi o psi in blocks[(i, l)] (matrix product over R, then normal form),
-    read in coordinates by that block's big_gb; phi o psi' is zero when the
+    phi o psi in blocks[(i, l)], composed on the sparse flattened vectors
+    of the two maps (_compose) with no normal form of any entry, and read
+    in coordinates by that block's big_gb; phi o psi' is zero when the
     target of psi' is not F_j.  Returns (layout, table, idents), idents[i]
     being the coordinate vector of the identity of F_i.
     """
-    ring = blocks[(0, 0)].M.ring
-    zero = ring.field.zero()
+    F = blocks[(0, 0)].M.ring.field
+    zero = F.zero()
     layout = [(i, j, k) for i in range(r) for j in range(r)
               for k in range(blocks[(i, j)].dim)]
     slot = {key: t for t, key in enumerate(layout)}
-    mats = {key: space.basis_matrices() for key, space in blocks.items()}
+    vecs = {key: [space.msq.item_vec(it) for it in space.basis]
+            for key, space in blocks.items()}
+    rows = [blocks[(i, i)].M.ngens for i in range(r)]
 
-    def placed(i, j, cols):
-        vec = [zero] * len(layout)
-        for k, c in enumerate(blocks[(i, j)].coords(cols)):
-            vec[slot[(i, j, k)]] = c
-        return vec
+    def placed(i, j, vec):
+        space = blocks[(i, j)]
+        out = [zero] * len(layout)
+        for k, c in enumerate(space.msq.coords(vec, space.basis)):
+            out[slot[(i, j, k)]] = c
+        return out
 
     table = []
     for (i1, j1, k1) in layout:
-        phi = mats[(i1, j1)][k1]
+        phi = vecs[(i1, j1)][k1]
         row = []
         for (i2, j2, k2) in layout:
             if j1 != i2:
                 row.append([zero] * len(layout))
                 continue
-            # stored by columns: cols(phi o psi) = cols(psi) * cols(phi)
-            product = mat_mul(ring, mats[(i2, j2)][k2], phi)
-            row.append(placed(i1, j2, [[ring.normal_form(p) for p in col]
-                                       for col in product]))
+            product = _compose(F, phi, rows[i1], vecs[(i2, j2)][k2], rows[j1])
+            row.append(placed(i1, j2, product))
         table.append(row)
     idents = []
     for i in range(r):
-        g = blocks[(i, i)].M.ngens
-        idents.append(placed(i, i, [[ring.one() if a == b else ring.zero()
-                                     for a in range(g)] for b in range(g)]))
+        one = blocks[(i, i)].M.ring.one()
+        idents.append(placed(i, i, _flat(rows[i], [(b, b, one)
+                                                   for b in range(rows[i])])))
     return layout, table, idents
 
 

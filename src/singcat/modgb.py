@@ -99,6 +99,7 @@ def _reduce_full(F, ok, v: Vec, by_pos) -> Vec:
     The heap holds one entry per term ever added to the working vector;
     an entry whose term has since cancelled is skipped.  Each entry carries
     the key object stored in the working vector, so the result shares it."""
+    one = F.one()
     work = dict(v)
     heap = [(t[0], ok(t[1]), t) for t in work]
     heapq.heapify(heap)
@@ -110,7 +111,8 @@ def _reduce_full(F, ok, v: Vec, by_pos) -> Vec:
         p, m = lead
         for blead, g in by_pos.get(p, ()):
             if mon_divides(blead[1], m):
-                c = F.neg(F.div(work[lead], g[blead]))
+                b = g[blead]
+                c = F.neg(work[lead] if b == one else F.div(work[lead], b))
                 for t in vec_add_into(F, work, g, c, mon_div(m, blead[1])):
                     heapq.heappush(heap, (t[0], ok(t[1]), t))
                 break
@@ -369,6 +371,8 @@ def groebner_basis(generators, order: str | None = None):
 
 def poly_normal_form(p: Polynomial, gb_polys) -> Polynomial:
     """Normal form of p against a list of polynomials (assumed a GB)."""
+    if p.is_zero():
+        return p
     ring = p.ring
     index = [((0, g.lead_monomial()), vec_from_polys([g]))
              for g in gb_polys if not g.is_zero()]

@@ -32,8 +32,8 @@ def syzygies(ring: QuotientRing, columns):
 
 def mat_mul(ring, A, B):
     """Product A*B of row-major matrices of ambient polynomials, skipping
-    zero entries of A; no normal form is taken.  For matrices stored by
-    columns, cols(A*B) = mat_mul(ring, cols(B), cols(A))."""
+    zero entries of A and of B; no normal form is taken.  For matrices
+    stored by columns, cols(A*B) = mat_mul(ring, cols(B), cols(A))."""
     ncols = len(B[0]) if B else 0
     out = []
     for row in A:
@@ -42,7 +42,8 @@ def mat_mul(ring, A, B):
             if a.is_zero():
                 continue
             for j, b in enumerate(brow):
-                acc[j] = acc[j] + a * b
+                if not b.is_zero():
+                    acc[j] = acc[j] + a * b
         out.append(acc)
     return out
 

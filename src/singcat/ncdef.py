@@ -272,9 +272,14 @@ def flatness_filtration_check(state: DeformationState):
     Verifies that the filtration bookkeeping matches the algebra: factor
     multiplicities equal dim e_i R, radical layers of R match the factors
     added per step, the block idempotents are orthogonal and sum to one,
-    and R modulo its radical is k^r.  Returns (ok, detail dict).  Raises
-    AlgebraError when the powers of the trace-form radical stop shrinking,
-    as they do where the trace form vanishes (over F2).
+    and R modulo its radical is k^r.  Returns (ok, detail dict).
+
+    The radical layers dim rad^s/rad^(s+1) come from the powers of the
+    trace-form radical, each kept as an rref basis: rad^(s+1) is the span
+    of the |rad^s|*|rad| products, cut back to a basis before the next
+    step, so no step holds more than |rad|^2 products.  Raises
+    AlgebraError when the powers stop shrinking, as they do where the
+    trace form vanishes (over F2).
     """
     alg = state.algebra()
     idem = state.block_idempotents()
@@ -326,9 +331,8 @@ def flatness_filtration_check(state: DeformationState):
     layers = [alg.dim - len(rad)]
     power = rad
     for _ in range(alg.dim if rad else 0):
-        nxt = alg.multiply_subspaces(power, rad)
-        d_now = alg.subspace_dim(power)
-        d_next = alg.subspace_dim(nxt)
+        nxt = alg.subspace_basis(alg.multiply_subspaces(power, rad))
+        d_now, d_next = len(power), len(nxt)
         if d_next == d_now:
             # a nilpotent ideal shrinks at every power; the trace form can
             # vanish on all of A in small characteristic

@@ -1,15 +1,18 @@
 """Hom/Ext/stable Hom against worked examples over the small rings."""
 
+import random
+
 import pytest
 
 from singcat import homs
+from singcat.fields import GF, QQ
 from singcat.quotient import parse_ring
-from singcat.modules import FPModule
-from singcat.poly import Polynomial
+from singcat.modules import FPModule, mat_mul
+from singcat.poly import Polynomial, PolyRing, mon_mul
 from singcat.homs import (hom_space, stable_hom, ext_dims, ext_space,
                           yoneda_extension, is_mcm, fiber_generators,
                           HomError, InfiniteDimensionError)
-from singcat.modgb import SubmoduleGB, vec_add_into
+from singcat.modgb import SubmoduleGB, vec_add_into, vec_from_polys, vec_to_polys
 
 
 from singcat.homs import ext_is_zero
@@ -514,3 +517,51 @@ def test_remembered_cocycles_equal_a_recomputation():
     assert len(pairs) >= 10
     for kept, fresh in pairs:
         assert kept == fresh
+
+
+# -- sparse composition of Hom maps ---------------------------------------------
+
+
+def _random_map(rng, F, nvars, nrows, ncols):
+    """A flattened nrows x ncols matrix (column-major) with coefficients
+    +-1 and squarefree monomials, so that sums of products often cancel."""
+    vec = {}
+    for _ in range(rng.randint(0, 2 * nrows * ncols)):
+        mon = tuple(rng.randint(0, 1) for _ in range(nvars))
+        vec[(rng.randrange(nrows * ncols), mon)] = F.from_int(rng.choice((-1, 1)))
+    return vec
+
+
+def _columns(R, vec, nrows, ncols):
+    polys = vec_to_polys(R, vec, nrows * ncols)
+    return [polys[j * nrows:(j + 1) * nrows] for j in range(ncols)]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "F32003"])
+def test_sparse_composition_matches_the_dense_product(field):
+    # phi: g columns of h rows, psi: w columns of g rows, with h != g, so a
+    # product that mixed up the two row counts would misplace its entries
+    rng = random.Random(7)
+    R = PolyRing(field, ["x", "y"])
+    cancelled = 0
+    for _trial in range(60):
+        h, g = rng.sample(range(1, 5), 2)
+        w = rng.randint(1, 3)
+        phi = _random_map(rng, field, 2, h, g)
+        psi = _random_map(rng, field, 2, g, w)
+        # stored by columns: cols(phi o psi) = mat_mul(cols(psi), cols(phi))
+        dense = mat_mul(R, _columns(R, psi, g, w), _columns(R, phi, h, g))
+        want = vec_from_polys([p for col in dense for p in col])
+        assert homs._compose(field, phi, h, psi, g) == want
+        products = set()
+        for (p, m2) in psi:
+            col, b = divmod(p, g)
+            products.update((col * h + q % h, mon_mul(m1, m2))
+                            for (q, m1) in phi if q // h == b)
+        cancelled += len(products) - len(want)
+    assert cancelled > 20
+    # (x, y) o (y, -x)^T = xy - yx: every sum cancels
+    x, y = (1, 0), (0, 1)
+    one, minus = field.one(), field.neg(field.one())
+    assert homs._compose(field, {(0, x): one, (1, y): one}, 1,
+                         {(0, y): one, (1, x): minus}, 2) == {}

@@ -164,6 +164,19 @@ def test_flatness_check_refuses_the_trace_radical_over_f2():
     assert time.perf_counter() - start < 1
 
 
+def test_flatness_check_at_tower_depth_eight():
+    # the radical powers must stay bases: as lists of all products they
+    # grow as |rad|^k, past any memory at this depth
+    _B, coll = node_collection()
+    state = run(coll, max_iter=9).final_state
+    assert state.algebra().dim == 17
+    start = time.perf_counter()
+    ok, detail = flatness_filtration_check(state)
+    assert time.perf_counter() - start < 1
+    assert ok, detail
+    assert detail["radical_layers"] == [1, 2, 2, 2, 2, 2, 2, 2, 2]
+
+
 # -- the shared structure-constant builder -----------------------------------
 
 

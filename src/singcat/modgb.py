@@ -19,10 +19,26 @@ Computations over a quotient ring S/I are handled by padding the generator
 list with f*e_i for the ideal generators f.  Pads are never tagged, so a
 certificate is taken modulo the untracked generators plus the pads.
 
-One reducer, `_reduce_full`, serves Buchberger's algorithm, normal forms
-of module elements and `poly_normal_form`.  It pops the next leading term
-from a heap of (position, ascending order key) entries instead of scanning
-the working vector, and shares its add loop, `vec_add_into`, with the
+Inside the engine a term is one int (Bachmann and Schoenemann, "Monomial
+representations for Groebner bases computations", ISSAC 1998), built by
+the `Packing` of the ring's variable count and order.  Each exponent fills
+a field of _FIELD_BITS bits whose top bit is a guard bit, so exponents stay
+below `Packing.bound` = 2^15.  For grevlex the last exponent takes the top
+field and the total degree, subtracted from its largest value, sits above
+all fields; for lex the first exponent takes the top field and the packed
+exponents are complemented (negated within the fields).  The position goes above everything.  Then the
+position-over-term order is the order of the ints (the largest term is the
+smallest int), multiplying a term by a monomial adds an int, "lead l
+divides term t" is one subtraction and a mask test on the guard bits, and
+the same guard bits flag an exponent that reaches the bound.  Input at or
+above the bound, and a product that would reach it, raise
+ExponentBoundError; nothing wraps.  Vectors are packed on the way in and
+unpacked on the way out (normal forms, certificates, syzygies, `basis`);
+the basis is kept packed.
+
+One reducer, `Packing.reduce`, serves Buchberger's algorithm, normal forms
+of module elements and `PolyReducer`.  It pops the next leading term from a
+heap of ints and shares its add loop, `Packing.add_multiple`, with the
 S-pairs.  The reduced basis comes from a minimal basis by reducing each
 tail once.  One staircase enumerator, `_standard_monomials`, gives the
 standard monomials of each position, all of them or those of one degree;
@@ -33,41 +49,166 @@ of the tracked generators modulo the untracked ones and the pads.
 
 from __future__ import annotations
 
-import heapq
+import functools
 import itertools
+from heapq import heapify, heappop, heappush
+from operator import itemgetter
 
 from .errors import InvariantError
-from .poly import PolyRing, Polynomial, mon_mul, mon_div, mon_divides, mon_lcm
+from .poly import Memo, PolyRing, Polynomial, mon_divides, mon_lcm
 
 Vec = dict  # (pos, monomial) -> coefficient
 
-
-def vec_is_zero(v: Vec) -> bool:
-    return not v
+_FIELD_BITS = 16
 
 
-def vec_add_into(F, out: Vec, v: Vec, c, mon):
-    """out += c * x^mon * v; returns the keys this added to out."""
-    created = []
-    for (p, m), a in v.items():
-        key = (p, mon_mul(m, mon))
-        b = F.mul(c, a)
-        if key in out:
-            s = F.add(out[key], b)
-            if F.is_zero(s):
-                del out[key]
-            else:
-                out[key] = s
+class ExponentBoundError(ValueError):
+    """An exponent at or above the packing bound, in the input or in a
+    product formed during a build; it is refused, never wrapped."""
+
+
+class Packing:
+    """Packed terms over `nvars` variables under `order`.
+
+    code[m] is the packed monomial m and mon[c] unpacks it; both keep what
+    they computed, so every build over rings of this shape shares them.
+    The term (p, m) is (p << shift) + code[m], and multiplying it by a
+    monomial n adds code[n] - unit."""
+
+    def __init__(self, nvars: int, order: str):
+        width = _FIELD_BITS
+        self.bound = bound = 1 << (width - 1)
+        low = width * nvars
+        if order == "grevlex":
+            self._shifts = [width * i for i in range(nvars)]
+            top = nvars * (bound - 1)
+            self.unit = top << low
+            self.flip = 0
+            self.shift = low + top.bit_length()
+        else:  # lex
+            self._shifts = [width * (nvars - 1 - i) for i in range(nvars)]
+            self.unit = self.flip = (1 << low) - 1
+            self.shift = low
+        self._low = low
+        self._grevlex = order == "grevlex"
+        self.guard = sum(bound << s for s in self._shifts)
+        # bound - 1 in every field: l + half - t keeps a field's guard bit
+        # clear exactly when l's exponent is at most t's
+        self._half = self.guard - sum(1 << s for s in self._shifts)
+        self.code_mask = (1 << self.shift) - 1
+        self.code = Memo(self._pack)
+        self.mon = Memo(self._unpack)
+
+    def _pack(self, m):
+        for e in m:
+            if e >= self.bound:
+                raise ExponentBoundError(
+                    f"exponent {e} in monomial {m} reaches the packing "
+                    f"bound {self.bound}")
+        packed = sum(e << s for e, s in zip(m, self._shifts))
+        if self._grevlex:
+            c = self.unit + packed - (sum(m) << self._low)
         else:
-            out[key] = b
-            created.append(key)
-    return created
+            c = self.flip ^ packed
+        self.mon[c] = m
+        return c
+
+    def _fields(self, x):
+        """The exponent fields of a position-free packed value x."""
+        packed = (x ^ self.flip) & ((1 << self._low) - 1)
+        full = (1 << _FIELD_BITS) - 1
+        return tuple((packed >> s) & full for s in self._shifts)
+
+    def _unpack(self, c):
+        m = self._fields(c)
+        self.code[m] = c
+        return m
+
+    def term(self, pos: int, m) -> int:
+        return (pos << self.shift) + self.code[m]
+
+    def pack(self, v: Vec) -> dict:
+        code, s = self.code, self.shift
+        return {(p << s) + code[m]: c for (p, m), c in v.items()}
+
+    def unpack_term(self, t: int):
+        return t >> self.shift, self.mon[t & self.code_mask]
+
+    def unpack(self, v: dict, offset: int = 0) -> Vec:
+        mon, s, mask = self.mon, self.shift, self.code_mask
+        return {((t >> s) - offset, mon[t & mask]): c for t, c in v.items()}
+
+    def divides(self, lead: int, t: int) -> bool:
+        """Whether the monomial of term `lead` divides that of `t`."""
+        flip = self.flip
+        return not ((lead ^ flip) + self._half - (t ^ flip)) & self.guard
+
+    def reducer(self, lead: int, g: dict):
+        """The reducer-index entry of the packed vector g with lead term
+        `lead`: the lead's divisibility key, the lead and g."""
+        return (lead ^ self.flip) + self._half, lead, g
+
+    def add_multiple(self, F, out: dict, g: dict, c, q: int, heap):
+        """out += c * x^n * g, where q = code[n] - unit; each term new to
+        out is pushed onto heap.  A product with an exponent at the bound
+        flips that field's guard bit, so it matches no term of out and is
+        refused where it would be added."""
+        flip, guard = self.flip, self.guard
+        mul, add, is_zero = F.mul, F.add, F.is_zero
+        for k, a in g.items():
+            k += q
+            b = mul(c, a)
+            if k in out:
+                s = add(out[k], b)
+                if is_zero(s):
+                    del out[k]
+                else:
+                    out[k] = s
+            elif (k ^ flip) & guard:
+                raise ExponentBoundError(
+                    f"a product in a Groebner build reaches exponent "
+                    f"{max(self._fields(k))}, at or above "
+                    f"the packing bound {self.bound}")
+            else:
+                out[k] = b
+                heappush(heap, k)
+
+    def reduce(self, F, work: dict, index, heap=None) -> dict:
+        """Remainder of the packed vector `work` (consumed) modulo the
+        entries of index, a dict lead position -> `reducer` entries: every
+        term is reduced, largest first, by the first entry whose lead
+        divides it; the result lists its terms in decreasing order.
+
+        `heap` holds every term ever added to work, or is None for a heap
+        of work's terms; an entry whose term has since cancelled is
+        skipped."""
+        if heap is None:
+            heap = list(work)
+            heapify(heap)
+        one, neg, div = F.one(), F.neg, F.div
+        shift, flip, guard = self.shift, self.flip, self.guard
+        add_multiple = self.add_multiple
+        result = {}
+        while heap:
+            t = heappop(heap)
+            if t not in work:
+                continue
+            tt = t ^ flip
+            for key, lead, g in index.get(t >> shift, ()):
+                if not (key - tt) & guard:
+                    b = g[lead]
+                    c = neg(work[t] if b == one else div(work[t], b))
+                    add_multiple(F, work, g, c, t - lead, heap)
+                    break
+            else:
+                result[t] = work.pop(t)
+        return result
 
 
-def vec_scale(F, v: Vec, c) -> Vec:
-    if F.is_zero(c):
-        return {}
-    return {k: F.mul(c, a) for k, a in v.items()}
+@functools.cache
+def packing(nvars: int, order: str) -> Packing:
+    """The one Packing of every ring with this variable count and order."""
+    return Packing(nvars, order)
 
 
 def vec_from_polys(polys, offset=0) -> Vec:
@@ -90,37 +231,6 @@ def vec_to_polys(ring: PolyRing, v: Vec, npos: int):
     return [Polynomial(ring, t) for t in polys]
 
 
-def _reduce_full(F, ok, v: Vec, by_pos) -> Vec:
-    """Remainder of v modulo the (lead, vector) pairs of by_pos, indexed by
-    lead position: every term is reduced, largest first (lowest position,
-    then smallest ascending order key ok); the result lists its terms in
-    decreasing order.
-
-    The heap holds one entry per term ever added to the working vector;
-    an entry whose term has since cancelled is skipped.  Each entry carries
-    the key object stored in the working vector, so the result shares it."""
-    one = F.one()
-    work = dict(v)
-    heap = [(t[0], ok(t[1]), t) for t in work]
-    heapq.heapify(heap)
-    result: Vec = {}
-    while heap:
-        lead = heapq.heappop(heap)[2]
-        if lead not in work:
-            continue
-        p, m = lead
-        for blead, g in by_pos.get(p, ()):
-            if mon_divides(blead[1], m):
-                b = g[blead]
-                c = F.neg(work[lead] if b == one else F.div(work[lead], b))
-                for t in vec_add_into(F, work, g, c, mon_div(m, blead[1])):
-                    heapq.heappush(heap, (t[0], ok(t[1]), t))
-                break
-        else:
-            result[lead] = work.pop(lead)
-    return result
-
-
 class SubmoduleGB:
     """Reduced Groebner basis of the span of `gens` (plus the pads f*e_p)
     in S^npos, built as a graph module in which the first `tracked`
@@ -135,96 +245,101 @@ class SubmoduleGB:
         self.field = ring.field
         self.npos = npos
         self.pads = list(pad_polys)
-        graph = [dict(g) for g in gens]
+        self._pk = pk = packing(ring.nvars, ring.order)
+        graph = [pk.pack(g) for g in gens]
         self.ngens = len(graph)
         self.tracked = self.ngens if tracked is None else tracked
         if not 0 <= self.tracked <= self.ngens:
             raise ValueError(f"tracked={tracked} outside 0..{self.ngens}")
-        self._key = lambda t, ok=ring.order_key: (t[0], ok(t[1]))
         one, unit = self.field.one(), (0,) * ring.nvars
         for j in range(self.tracked):
-            graph[j][(npos + j, unit)] = one
+            graph[j][pk.term(npos + j, unit)] = one
         for f in self.pads:
             for p in range(npos):
-                graph.append({(p, m): c for m, c in f.terms.items()})
-        self.basis = self._buchberger(graph)
-        self._by_pos = {}
-        for lead, vec in self.basis:
-            self._by_pos.setdefault(lead[0], []).append((lead, vec))
+                graph.append(pk.pack({(p, m): c for m, c in f.terms.items()}))
+        # the reduced basis: `reducer` entries in ascending order of lead
+        self._basis = self._buchberger(graph)
+        self._index = {}
+        for entry in self._basis:
+            self._index.setdefault(entry[1] >> pk.shift, []).append(entry)
         self._syz = None
+        self._tracked_std = False  # not walked yet
+
+    @property
+    def basis(self):
+        """The reduced basis as (lead, vector) pairs of (position, monomial)
+        terms, by ascending lead; unpacked on each access."""
+        pk = self._pk
+        return [(pk.unpack_term(lead), pk.unpack(g))
+                for _key, lead, g in self._basis]
 
     # -- basis construction -------------------------------------------------
 
-    def _lead(self, v: Vec):
-        return min(v, key=self._key)
-
-    def _spair(self, lu, u, lv, v):
-        F = self.field
-        pu, mu = lu
-        pv, mv = lv
-        m = mon_lcm(mu, mv)
-        out: Vec = {}
-        vec_add_into(F, out, u, F.inv(u[lu]), mon_div(m, mu))
-        vec_add_into(F, out, v, F.neg(F.inv(v[lv])), mon_div(m, mv))
-        return out
-
     def _buchberger(self, gens):
-        F, ok = self.field, self.ring.order_key
-        basis = []
+        F, pk = self.field, self._pk
+        shift, code_mask = pk.shift, pk.code_mask
+        basis = []   # reducer entries, in the order they were found
+        leads = []   # the lead monomial of each
         by_pos: dict = {}
         # basis indices of each lead position, in ascending order: only
         # elements that lead at the same position form a pair
         index_at: dict = {}
 
-        def push(v: Vec):
-            lead = self._lead(v)
-            v = vec_scale(F, v, F.inv(v[lead]))
-            basis.append((lead, v))
-            by_pos.setdefault(lead[0], []).append((lead, v))
-            index_at.setdefault(lead[0], []).append(len(basis) - 1)
-            return lead
+        def push(v):
+            lead = min(v)
+            c = F.inv(v[lead])
+            entry = pk.reducer(lead, {t: F.mul(c, a) for t, a in v.items()})
+            basis.append(entry)
+            leads.append(pk.mon[lead & code_mask])
+            by_pos.setdefault(lead >> shift, []).append(entry)
+            index_at.setdefault(lead >> shift, []).append(len(basis) - 1)
+            return lead >> shift
 
         for g in gens:
-            g = _reduce_full(F, ok, g, by_pos)
+            g = pk.reduce(F, g, by_pos)
             if g:
                 push(g)
 
         def pair_entry(i, j):
-            li, lj = basis[i][0], basis[j][0]
-            return (sum(mon_lcm(li[1], lj[1])), i, j)
+            return (sum(mon_lcm(leads[i], leads[j])), i, j)
 
         pairs = [pair_entry(i, j) for group in index_at.values()
                  for a, i in enumerate(group) for j in group[:a]]
-        heapq.heapify(pairs)
+        heapify(pairs)
         while pairs:
-            _deg, i, j = heapq.heappop(pairs)
-            li, u = basis[i]
-            lj, v = basis[j]
-            s = self._spair(li, u, lj, v)
-            s = _reduce_full(F, ok, s, by_pos)
+            _deg, i, j = heappop(pairs)
+            _key, li, u = basis[i]
+            _key, lj, v = basis[j]
+            lcm = pk.code[mon_lcm(leads[i], leads[j])]
+            s, heap = {}, []
+            pk.add_multiple(F, s, u, F.inv(u[li]),
+                            lcm - (li & code_mask), heap)
+            pk.add_multiple(F, s, v, F.neg(F.inv(v[lj])),
+                            lcm - (lj & code_mask), heap)
+            s = pk.reduce(F, s, by_pos, heap)
             if s:
-                lead = push(s)
-                group = index_at[lead[0]]
+                group = index_at[push(s)]
                 k = group[-1]
                 for t in group[:-1]:
-                    heapq.heappush(pairs, pair_entry(k, t))
+                    heappush(pairs, pair_entry(k, t))
         # A minimal basis (no lead divides another at its position), then one
         # pass of tail reduction modulo it, gives the unique reduced basis.
         # Leads are distinct: each element was reduced by all earlier ones.
         minimal: dict = {}
-        for lead, v in basis:
-            if not any(l2 != lead and mon_divides(l2[1], lead[1])
-                       for l2, _w in by_pos[lead[0]]):
-                minimal.setdefault(lead[0], []).append((lead, v))
-        basis = []
+        for entry in basis:
+            lead = entry[1]
+            if not any(l2 != lead and pk.divides(l2, lead)
+                       for _k, l2, _w in by_pos[lead >> shift]):
+                minimal.setdefault(lead >> shift, []).append(entry)
+        reduced_basis = []
         for group in minimal.values():
-            for lead, v in group:
+            for _key, lead, v in group:
                 tail = dict(v)
                 reduced = {lead: tail.pop(lead)}
-                reduced.update(_reduce_full(F, ok, tail, minimal))
-                basis.append((lead, reduced))
-        basis.sort(key=lambda lv: self._key(lv[0]))
-        return basis
+                reduced.update(pk.reduce(F, tail, minimal))
+                reduced_basis.append(pk.reducer(lead, reduced))
+        reduced_basis.sort(key=itemgetter(1))
+        return reduced_basis
 
     # -- queries -------------------------------------------------------------
 
@@ -242,26 +357,29 @@ class SubmoduleGB:
         positions 0..tracked-1 such that v = nf + sum cert_j * gens_j modulo
         the untracked generators and the padded ideal part.
         """
-        red = _reduce_full(self.field, self.ring.order_key, v, self._by_pos)
-        nf = {k: c for k, c in red.items() if k[0] < self.npos}
+        pk = self._pk
+        red = pk.reduce(self.field, pk.pack(v), self._index)
+        limit = self.npos << pk.shift
+        nf = pk.unpack({t: c for t, c in red.items() if t < limit})
         if not with_cert:
             return nf
         self._require_tracked("a membership certificate")
         neg = self.field.neg
-        cert = {(p - self.npos, m): neg(c) for (p, m), c in red.items()
-                if p >= self.npos}
-        return nf, cert
+        cert = {t: neg(c) for t, c in red.items() if t >= limit}
+        return nf, pk.unpack(cert, self.npos)
 
     def contains(self, v: Vec) -> bool:
-        return vec_is_zero(self.normal_form(v))
+        return not self.normal_form(v)
 
     def syzygies(self):
         """Reduced basis of the syzygies of `gens` and the pads, projected
         onto the tracked coordinates, in basis order."""
         self._require_tracked("syzygies")
         if self._syz is None:
-            self._syz = [{(q - self.npos, mm): c for (q, mm), c in v.items()}
-                         for (p, _m), v in self.basis if p >= self.npos]
+            limit = self.npos << self._pk.shift
+            self._syz = [self._pk.unpack(g, self.npos)
+                         for _key, lead, g in self._basis
+                         if lead >= limit]
         return self._syz
 
     # -- staircase bases and dimensions -----------------------------------------
@@ -271,9 +389,11 @@ class SubmoduleGB:
         first + i, i < count: all of them, or those of internal degree
         `degree` when first + i has degree pos_degrees[i]; None if there
         are infinitely many."""
+        mon, code_mask = self._pk.mon, self._pk.code_mask
         out = []
         for i in range(count):
-            leads = [lead[1] for lead, _v in self._by_pos.get(first + i, ())]
+            leads = [mon[lead & code_mask]
+                     for _key, lead, _g in self._index.get(first + i, ())]
             want = None if degree is None else degree - pos_degrees[i]
             std = _standard_monomials(self.ring, leads, want)
             if std is None:
@@ -297,9 +417,14 @@ class SubmoduleGB:
     def tracked_staircase(self, degree=None, pos_degrees=None):
         """_staircase of the tag block: the tag-led elements are the reduced
         basis of syzygies(), so the pairs (j, m) give the k-basis x^m gens_j
-        of the tracked span modulo the untracked generators and the pads."""
+        of the tracked span modulo the untracked generators and the pads.
+        The whole staircase is walked once and handed out as a new list."""
         self._require_tracked("a staircase of the tracked generators")
-        return self._staircase(self.npos, self.tracked, degree, pos_degrees)
+        if degree is not None:
+            return self._staircase(self.npos, self.tracked, degree, pos_degrees)
+        if self._tracked_std is False:
+            self._tracked_std = self._staircase(self.npos, self.tracked)
+        return None if self._tracked_std is None else list(self._tracked_std)
 
 
 def _standard_monomials(ring: PolyRing, leads, degree=None):
@@ -369,14 +494,31 @@ def groebner_basis(generators, order: str | None = None):
     return [vec_to_polys(ring, v, 1)[0] for _lead, v in gb.basis]
 
 
+class PolyReducer:
+    """Normal forms of polynomials modulo a fixed list of reducers (assumed
+    a Groebner basis; they need not be monic), packed once."""
+
+    def __init__(self, ring: PolyRing, gb_polys):
+        self.ring = ring
+        self._pk = pk = packing(ring.nvars, ring.order)
+        code = pk.code
+        entries = []
+        for g in gb_polys:
+            if not g.is_zero():
+                packed = {code[m]: c for m, c in g.terms.items()}
+                entries.append(pk.reducer(min(packed), packed))
+        self._index = {0: entries} if entries else {}
+
+    def normal_form(self, p: Polynomial) -> Polynomial:
+        if p.is_zero() or not self._index:
+            return p
+        pk = self._pk
+        code, mon = pk.code, pk.mon
+        nf = pk.reduce(self.ring.field, {code[m]: c for m, c in p.terms.items()},
+                       self._index)
+        return Polynomial(p.ring, {mon[t]: c for t, c in nf.items()})
+
+
 def poly_normal_form(p: Polynomial, gb_polys) -> Polynomial:
     """Normal form of p against a list of polynomials (assumed a GB)."""
-    if p.is_zero():
-        return p
-    ring = p.ring
-    index = [((0, g.lead_monomial()), vec_from_polys([g]))
-             for g in gb_polys if not g.is_zero()]
-    if not index:
-        return p
-    nf = _reduce_full(ring.field, ring.order_key, vec_from_polys([p]), {0: index})
-    return Polynomial(ring, {m: c for (_pos, m), c in nf.items()})
+    return PolyReducer(p.ring, gb_polys).normal_form(p)

@@ -48,18 +48,18 @@ def lex_key(m: Monomial):
 ORDER_KEYS = {"grevlex": grevlex_key, "lex": lex_key}
 
 
-class _OrderKeys(dict):
-    """monomial -> order key, each computed on first lookup."""
+class Memo(dict):
+    """key -> fn(key), each computed on first lookup."""
 
-    __slots__ = ("key",)
+    __slots__ = ("fn",)
 
-    def __init__(self, key):
+    def __init__(self, fn):
         super().__init__()
-        self.key = key
+        self.fn = fn
 
-    def __missing__(self, m):
-        k = self[m] = self.key(m)
-        return k
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 class PolyRing:
@@ -74,7 +74,7 @@ class PolyRing:
         if order not in ORDER_KEYS:
             raise ValueError(f"unknown monomial order {order!r}")
         self.order = order
-        self.order_key = _OrderKeys(ORDER_KEYS[order]).__getitem__
+        self.order_key = Memo(ORDER_KEYS[order]).__getitem__
         self.weights = tuple(weights) if weights is not None else (1,) * len(self.variables)
         if len(self.weights) != len(self.variables):
             raise ValueError("weight vector arity mismatch")

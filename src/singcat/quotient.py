@@ -6,7 +6,7 @@ import re
 
 from .fields import field_by_name
 from .poly import PolyRing, Polynomial, parse_polynomial
-from .modgb import groebner_basis, poly_normal_form
+from .modgb import PolyReducer, groebner_basis
 
 
 class QuotientRing:
@@ -19,6 +19,7 @@ class QuotientRing:
             if g.ring != ambient:
                 raise ValueError("ideal generator outside the ambient ring")
         self.gb = groebner_basis(self.ideal_gens) if self.ideal_gens else []
+        self._reducer = PolyReducer(ambient, self.gb)
         self.hypersurface = len(self.gb) == 1
 
     @property
@@ -30,7 +31,7 @@ class QuotientRing:
         return self.ambient.variables
 
     def normal_form(self, p: Polynomial) -> Polynomial:
-        return poly_normal_form(p, self.gb)
+        return self._reducer.normal_form(p)
 
     def is_zero(self, p: Polynomial) -> bool:
         return self.normal_form(p).is_zero()

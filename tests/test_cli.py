@@ -266,3 +266,12 @@ def test_user_fan_grammar(capsys):
                            "--divisor", "[-1,-1,-1]")
     assert code == 0
     assert report["h"] == [0, 0, 1]
+
+
+def test_groebner_refuses_an_exponent_past_the_packing_bound(capsys):
+    # the S-pair of the two generators reaches y^32768
+    code = main(["groebner", "--ring", "Q[x,y]",
+                 "--gens", "x^32767+y^32767; x*y"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "exponent 32768, at or above the packing bound 32768" in err

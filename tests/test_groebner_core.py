@@ -7,8 +7,8 @@ import pytest
 from singcat.errors import InvariantError
 from singcat.fields import QQ, GF
 from singcat.poly import PolyRing, mon_div, mon_divides
-from singcat.modgb import (SubmoduleGB, _reduce_full, groebner_basis,
-                           poly_normal_form, vec_add_into, vec_from_polys,
+from singcat.modgb import (ExponentBoundError, SubmoduleGB, groebner_basis,
+                           packing, poly_normal_form, vec_from_polys,
                            vec_to_polys)
 from singcat.quotient import QuotientRing, parse_ring
 
@@ -129,10 +129,12 @@ def test_padded_module_bases_are_reduced(monkeypatch):
     padded = [gb for gb in built if gb.pads]
     assert len(padded) > 30
     for gb in padded:
+        ok = gb.ring.order_key
         leads = [lead for lead, _v in gb.basis]
         for lead, v in gb.basis:
             # the lead is the largest term: the smallest under the ascending key
-            assert v[lead] == gb.field.one() and min(v, key=gb._key) == lead
+            assert v[lead] == gb.field.one()
+            assert min(v, key=lambda t: (t[0], ok(t[1]))) == lead
             for t in v:
                 # a lead divides only its own lead term
                 divisors = [l2 for l2 in leads if l2[0] == t[0] and mon_divides(l2[1], t[1])]
@@ -197,6 +199,17 @@ def test_lex_groebner_basis_known_answers():
     assert [repr(g) for g in groebner_basis(gens)] == ["t^2-x", "t*x-y", "x^2-t*y"]
 
 
+def vec_add_into(F, out, v, c, mon):
+    """Reference add loop on unpacked terms: out += c * x^mon * v."""
+    for (p, m), a in v.items():
+        key = (p, tuple(x + y for x, y in zip(m, mon)))
+        s = F.add(out.get(key, F.zero()), F.mul(c, a))
+        if F.is_zero(s):
+            out.pop(key, None)
+        else:
+            out[key] = s
+
+
 # Reference reducer: a scan for the largest term at every step, under
 # descending order keys, with its own add loop.
 _DESCENDING_KEYS = {
@@ -253,16 +266,21 @@ def test_heap_reducer_matches_max_scan_reference(field, order):
         gens = [g for g in gens if g]
         if trial % 2:
             # a reduced basis: the reducers met in Buchberger and normal forms
-            by_pos = SubmoduleGB(R, npos, gens)._by_pos
+            by_pos = {}
+            for lead, g in SubmoduleGB(R, npos, gens).basis:
+                by_pos.setdefault(lead[0], []).append((lead, g))
         else:
             # arbitrary reducers, each indexed by its largest term
             by_pos = {}
             for g in gens:
                 lead = max(g, key=lambda t: (-t[0], dkey(t[1])))
                 by_pos.setdefault(lead[0], []).append((lead, g))
+        pk = packing(R.nvars, R.order)
+        index = {p: [pk.reducer(pk.term(*lead), pk.pack(g))
+                     for lead, g in group] for p, group in by_pos.items()}
         for _ in range(5):
             v = _random_vec(rng, field, 3, npos, rng.randint(0, 8), 4)
-            got = _reduce_full(field, R.order_key, v, by_pos)
+            got = pk.unpack(pk.reduce(field, pk.pack(v), index))
             want = _reference_reduce(field, order, v, by_pos)
             assert list(got.items()) == list(want.items())
             checked += bool(want)
@@ -364,3 +382,66 @@ def test_tracked_build_matches_full_graph_module(field, padded):
                 members += not nf
                 checked += 1
     assert checked > 300 and members > 250 and syzygies > 80
+
+
+# -- packed terms ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("order,weighted", [("grevlex", False), ("lex", False),
+                                            ("grevlex", True)],
+                         ids=["grevlex", "lex", "weighted"])
+def test_packed_terms_agree_with_the_order_keys(order, weighted):
+    rng = random.Random(41)
+    checked = divisible = 0
+    for nvars in range(6):
+        names = [f"x{i}" for i in range(nvars)]
+        weights = [rng.randint(1, 4) for _ in names] if weighted else None
+        R = PolyRing(QQ, names, order=order, weights=weights)
+        pk = packing(R.nvars, R.order)
+        top = pk.bound - 1
+        # small exponents, equal ones and the largest allowed
+        choices = [0, 0, 1, 2, 3, top - 1, top]
+        mons = {tuple(rng.choice(choices) for _ in names) for _ in range(60)}
+        mons = sorted(mons)
+        assert (sorted(mons, key=pk.code.__getitem__)
+                == sorted(mons, key=R.order_key))
+        terms = [(rng.randrange(3), m) for m in mons]
+        assert (sorted(terms, key=lambda t: pk.term(*t))
+                == sorted(terms, key=lambda t: (t[0], R.order_key(t[1]))))
+        assert all(pk.unpack_term(pk.term(*t)) == t for t in terms)
+        for a in mons:
+            # a product that reaches the largest allowed exponent
+            b = tuple(rng.choice([0, min(1, top - e), top - e]) for e in a)
+            ab = tuple(x + y for x, y in zip(a, b))
+            assert pk.code[ab] - pk.unit == \
+                (pk.code[a] - pk.unit) + (pk.code[b] - pk.unit)
+            for c in (ab, b, rng.choice(mons)):
+                p = rng.randrange(3)
+                got = pk.divides(pk.term(p, a), pk.term(p, c))
+                assert got == mon_divides(a, c), (a, c)
+                divisible += got
+                checked += 1
+    assert checked > 500 and divisible > 150
+
+
+def test_exponents_at_the_packing_bound_are_refused():
+    R = PolyRing(QQ, ["x", "y"])
+    bound = packing(R.nvars, R.order).bound
+    x, y = R.gens()
+    top = bound - 1
+    assert groebner_basis([x ** top + y]) == [x ** top + y]
+    # on input: a generator, and a polynomial to normal-form
+    with pytest.raises(ExponentBoundError,
+                       match=f"exponent {bound} .*bound {bound}"):
+        groebner_basis([x ** bound + y])
+    with pytest.raises(ExponentBoundError,
+                       match=f"exponent {bound} .*bound {bound}"):
+        poly_normal_form(y ** bound, groebner_basis([x * y]))
+    # mid-build: the S-pair y*(x^top + y^top) - x^(top-1)*(x*y) = y^bound
+    with pytest.raises(ExponentBoundError,
+                       match=f"exponent {bound}, at or above the packing "
+                             f"bound {bound}"):
+        groebner_basis([x ** top + y ** top, x * y])
+    # and in lex, where the packed exponents are negated
+    with pytest.raises(ExponentBoundError, match=f"exponent {bound},"):
+        groebner_basis([x ** top + y ** top, x * y], order="lex")

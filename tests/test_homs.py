@@ -12,7 +12,7 @@ from singcat.poly import Polynomial, PolyRing, mon_mul
 from singcat.homs import (hom_space, stable_hom, ext_dims, ext_space,
                           yoneda_extension, is_mcm, fiber_generators,
                           HomError, InfiniteDimensionError)
-from singcat.modgb import SubmoduleGB, vec_add_into, vec_from_polys, vec_to_polys
+from singcat.modgb import SubmoduleGB, vec_from_polys, vec_to_polys
 
 
 from singcat.homs import ext_is_zero
@@ -362,7 +362,12 @@ def _assert_matches_reference(msq):
     coeffs = [F.from_int(k + 1) for k in range(len(items))]
     vec = {}
     for c, it in zip(coeffs, items):
-        vec_add_into(F, vec, msq.item_vec(it), c, (0,) * msq.ring.ambient.nvars)
+        for key, a in msq.item_vec(it).items():
+            s = F.add(vec.get(key, F.zero()), F.mul(c, a))
+            if F.is_zero(s):
+                vec.pop(key, None)
+            else:
+                vec[key] = s
     assert msq.coords(vec, items) == coeffs
     if msq.dim() is None:
         return
@@ -437,6 +442,31 @@ def test_subquotient_builds_one_groebner_basis(monkeypatch):
     items = msq.basis_items()
     assert msq.coords(msq.item_vec(items[0]), items) == [C.field.one()]
     assert builds == [msq.nrows * msq.ncols]
+
+
+def test_auto_hom_space_walks_the_staircase_once(monkeypatch):
+    # mode="auto" asks dim() and then basis_items(): one walk serves both
+    from singcat import modgb
+    from singcat.models import node_point_module, node_surface
+    walked = []
+    real = modgb._standard_monomials
+
+    def counting(ring, leads, degree=None):
+        walked.append(degree)
+        return real(ring, leads, degree)
+
+    monkeypatch.setattr(modgb, "_standard_monomials", counting)
+    k = node_point_module(node_surface())
+    space = hom_space(k, k, mode="auto")
+    msq = space.msq
+    assert space.mode == "full" and space.dim == 1
+    # one ungraded staircase per tracked generator, walked once
+    assert walked == [None] * len(msq.U)
+    # callers get their own list: clearing one leaves the next intact
+    items = msq.basis_items()
+    items.clear()
+    assert msq.basis_items() == space.basis and msq.dim() == 1
+    assert walked == [None] * len(msq.U)
 
 
 # -- cocycle modules, once per content ------------------------------------------

@@ -9,10 +9,22 @@ is the p = 0 case of Ext.  The matrix factorization homology of
 matfac.mf_stable_hom uses the same pieces: _flat places polynomial entries
 into a flattened h-row block, and a Groebner basis that tracks only the
 first k generators (SubmoduleGB's `tracked`) gives their syzygies cut to
-those k coordinates.  A subquotient builds one basis, big_gb, of U
-(tracked), V and the ideal pads: its tag block's staircase is a k-basis
-of span(U)/span(V), and a certificate's tag part gives coordinates over
-it.  Graded degree-d bases need generator degrees on source and target.
+those k coordinates.  A subquotient that reads a basis builds one, big_gb,
+of U (tracked), V and the ideal pads: its tag block's staircase is a
+k-basis of span(U)/span(V), and a certificate's tag part gives
+coordinates over it.  Graded degree-d bases need generator degrees on
+source and target.
+
+A dimension alone needs no basis (lead_dim, which graded_dim, ext_dims
+and matfac.mf_stable_hom call).  U is a Groebner basis of the module Z
+it spans and the null space W, the span of V and the pads, lies in Z, so
+dim Z/W is the number of monomials that LT(Z) holds and LT(W) does not
+(modgb.lead_quotient_dim).  The leads of W come from a basis built
+anyway: for Ext^p, p >= 1, the main block of Ext^(p-1)'s cocycle build,
+which spans the coboundaries, rel(N) in each column and the pads; for
+the matrix factorization homology, the other kernel build; otherwise an
+untagged basis of V and the pads (_null_gb).  A count by degree refuses
+an inhomogeneous generator of U or V.
 
 The cocycles are the one Groebner build every subquotient, stable-Hom free
 cover and Ext^p starts from, and the same input keeps coming back (the
@@ -21,7 +33,9 @@ same Hom space more than once).  _cocycles keeps each result, as a tuple,
 for the life of the process, as fan_library keeps its fans: the key is the
 content of the input, the QuotientRing, h, r and every entry of d_next and
 of the relations as its sorted terms, so a hit is exact and the same
-presentation over two fields never shares an entry.
+presentation over two fields never shares an entry.  Beside each result,
+under the same key, _SPAN_LEADS keeps the lead monomials of the build's
+main block, the null space of the next Ext.
 
 structure_constants is the one multiplication-table builder: from Hom
 blocks Hom(F_j, F_i) it composes every composable pair of basis maps on
@@ -43,8 +57,9 @@ from __future__ import annotations
 
 from .findim import FiniteDimAlgebra
 from .modules import FPModule, FreeResolution, mat_mul
-from .modgb import SubmoduleGB, vec_from_polys, vec_to_polys
-from .poly import mon_mul
+from .modgb import (SubmoduleGB, lead_quotient_dim, leads_by_position,
+                    vec_from_polys, vec_to_polys)
+from .poly import Memo, mon_mul
 from .quotient import QuotientRing
 
 
@@ -104,10 +119,17 @@ class MatrixSubquotient:
     The one subquotient object: every Hom, Ext^p, stable Hom and matrix
     factorization homology space is one of these.  Optional row/column
     generator degrees enable graded degree-d bases.
+
+    U is a Groebner basis, in the position-over-term order, of the module
+    Z it spans over the ambient ring, and the null space W, the span of V
+    and the ideal pads, lies in Z; lead_dim counts on the leading terms of
+    the two.  null_leads, if given, returns the lead monomials of a
+    Groebner basis of W that a caller already has, one list per position;
+    otherwise they come from _null_gb().
     """
 
     def __init__(self, ring: QuotientRing, nrows: int, ncols: int, U, V,
-                 row_degrees=None, col_degrees=None):
+                 row_degrees=None, col_degrees=None, null_leads=None):
         self.ring = ring
         self.nrows = nrows
         self.ncols = ncols
@@ -117,6 +139,7 @@ class MatrixSubquotient:
         self.col_degrees = col_degrees
         self._big = None
         self._gbV = None
+        self._null_leads = null_leads
 
     def _position_degrees(self):
         if self.row_degrees is None or self.col_degrees is None:
@@ -134,15 +157,19 @@ class MatrixSubquotient:
                                     tracked=len(self.U))
         return self._big
 
-    def gen_degrees(self):
-        """Map degree of each U generator (graded context only)."""
+    def _map_degrees(self, vecs):
+        """The set of map degrees of the terms of each vector (graded
+        context only)."""
         pos_degs = self._position_degrees()
         if pos_degs is None:
             raise HomError("not a graded context")
+        deg = Memo(self.ring.ambient.weighted_deg)
+        return [{deg[m] + pos_degs[p] for (p, m) in v} for v in vecs]
+
+    def gen_degrees(self):
+        """Map degree of each U generator (graded context only)."""
         out = []
-        for u in self.U:
-            degs = {self.ring.ambient.weighted_deg(m) + pos_degs[p]
-                    for (p, m) in u}
+        for degs in self._map_degrees(self.U):
             if len(degs) != 1:
                 raise HomError("inhomogeneous hom generator in graded context")
             out.append(degs.pop())
@@ -155,8 +182,31 @@ class MatrixSubquotient:
         std = self.big_gb().tracked_staircase()
         return None if std is None else len(std)
 
+    def lead_dim(self, degree=None):
+        """Total k-dimension (None if infinite), or that of the given graded
+        degree, counted from the leading terms of U and of a Groebner basis
+        of the null space: no basis of the quotient is built."""
+        if not self.U:
+            return 0
+        pos_degs = None
+        if degree is not None:
+            # a count by degree is exact only for homogeneous generators
+            self.gen_degrees()
+            for k, degs in enumerate(self._map_degrees(self.V)):
+                if len(degs) > 1:
+                    raise HomError(f"inhomogeneous null generator V[{k}] in "
+                                   f"graded context: map degrees "
+                                   f"{sorted(degs)}")
+            pos_degs = self._position_degrees()
+        z_leads = leads_by_position(self.ring.ambient, self.nrows * self.ncols,
+                                    self.U)
+        w_leads = (self._null_leads() if self._null_leads is not None
+                   else self._null_gb().leads())
+        return lead_quotient_dim(self.ring.ambient, z_leads, w_leads, degree,
+                                 pos_degs)
+
     def graded_dim(self, degree: int = 0):
-        return len(self.basis_items(degree))
+        return self.lead_dim(degree)
 
     def basis_items(self, graded_degree=None):
         """Staircase basis as (generator index, monomial) pairs."""
@@ -234,13 +284,33 @@ def _relation_blocks(h, ncols, relations):
     return out
 
 
-# _cocycles results for the life of the process, keyed by content
+# _cocycles results for the life of the process, keyed by content, and
+# beside them, under the same key, the lead monomials of the main block of
+# the same build
 _COCYCLES: dict = {}
+_SPAN_LEADS: dict = {}
 
 
 def _columns_key(cols):
     return tuple(tuple(tuple(sorted(p.terms.items())) for p in col)
                  for col in cols)
+
+
+def _cocycle_entry(memo, ring: QuotientRing, h, r, d_next, relations):
+    """memo[key] (memo is _COCYCLES or _SPAN_LEADS) for the content key of
+    the cocycle build of (ring, h, r, d_next, relations), d_next nonempty;
+    the build runs on the first call for that content and fills both."""
+    key = (ring, h, r, _columns_key(d_next), _columns_key(relations))
+    out = memo.get(key)
+    if out is None:
+        gens = (_unit_images(h, r, d_next)
+                + _relation_blocks(h, len(d_next), relations))
+        gb = SubmoduleGB(ring.ambient, h * len(d_next), gens,
+                         pad_polys=ring.gb, tracked=r * h)
+        _COCYCLES[key] = tuple(gb.syzygies())
+        _SPAN_LEADS[key] = gb.leads()
+        out = memo[key]
+    return out
 
 
 def _cocycles(ring: QuotientRing, h, r, d_next, relations):
@@ -251,18 +321,19 @@ def _cocycles(ring: QuotientRing, h, r, d_next, relations):
     if not d_next:
         return tuple(_flat(h, [(j, i, ring.one())])
                      for j in range(r) for i in range(h))
-    key = (ring, h, r, _columns_key(d_next), _columns_key(relations))
-    out = _COCYCLES.get(key)
-    if out is None:
-        gens = (_unit_images(h, r, d_next)
-                + _relation_blocks(h, len(d_next), relations))
-        gb = SubmoduleGB(ring.ambient, h * len(d_next), gens,
-                         pad_polys=ring.gb, tracked=r * h)
-        out = _COCYCLES[key] = tuple(gb.syzygies())
-    return out
+    return _cocycle_entry(_COCYCLES, ring, h, r, d_next, relations)
 
 
-def _subquotient(N: FPModule, r, d_next, null_extra, col_degrees):
+def _span_leads(ring: QuotientRing, h, r, d_next, relations):
+    """Lead monomials, one list per position, of the reduced basis of the
+    span of the maps E o d_next (E: R^r -> R^h), the relation columns in
+    each of the len(d_next) columns and the ideal pads: the main block of
+    _cocycles' build of the same input."""
+    return _cocycle_entry(_SPAN_LEADS, ring, h, r, d_next, relations)
+
+
+def _subquotient(N: FPModule, r, d_next, null_extra, col_degrees,
+                 null_leads=None):
     """Cocycles phi: R^r -> N (phi o d_next in rel(N)) modulo rel(N) in each
     column and the extra null generators."""
     ring, h = N.ring, N.ngens
@@ -271,7 +342,8 @@ def _subquotient(N: FPModule, r, d_next, null_extra, col_degrees):
     U = _cocycles(ring, h, r, d_next, N.relations)
     V = _relation_blocks(h, r, N.relations) + list(null_extra)
     return MatrixSubquotient(ring, h, r, U, V,
-                             row_degrees=N.gen_degrees, col_degrees=col_degrees)
+                             row_degrees=N.gen_degrees, col_degrees=col_degrees,
+                             null_leads=null_leads)
 
 
 # ---------------------------------------------------------------------------
@@ -428,12 +500,14 @@ def stable_hom(M: FPModule, N: FPModule) -> MorphismSpace:
 def _ext_subquotient(M: FPModule, N: FPModule, p: int, res: FreeResolution):
     """Ext^p(M, N) as a matrix subquotient of Hom(F_p, N): cocycles modulo
     rel(N) and the coboundaries psi o d_p."""
-    coboundaries = []
+    coboundaries, null_leads = [], None
     if p >= 1:
-        coboundaries = [v for v in _unit_images(N.ngens, res.rank(p - 1),
-                                                res.differential(p)) if v]
+        h, r, d_p = N.ngens, res.rank(p - 1), res.differential(p)
+        coboundaries = [v for v in _unit_images(h, r, d_p) if v]
+        # the null space is the span of Ext^(p-1)'s cocycle build
+        null_leads = lambda: _span_leads(N.ring, h, r, d_p, N.relations)
     return _subquotient(N, res.rank(p), res.differential(p + 1), coboundaries,
-                        res.step_degrees[p])
+                        res.step_degrees[p], null_leads)
 
 
 def ext_dims(M: FPModule, N: FPModule, p_max: int, p_min: int = 0):
@@ -461,8 +535,7 @@ def ext_dims(M: FPModule, N: FPModule, p_max: int, p_min: int = 0):
                 and p - 2 in out):
             out[p] = out[p - 2]
             continue
-        msq = _ext_subquotient(M, N, p, res)
-        d = msq.dim()
+        d = _ext_subquotient(M, N, p, res).lead_dim()
         if d is None:
             raise InfiniteDimensionError(f"Ext^{p} is infinite-dimensional over k")
         out[p] = d

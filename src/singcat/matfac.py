@@ -13,7 +13,8 @@ Stable Hom dimensions are the homology of the Z/2-graded Hom complex
 computed exactly, so no degree bounds enter: morphisms modulo homotopy in
 even degree, maps to the shift in odd.  Each homology space ker(d_out) /
 im(d_in) is a homs.MatrixSubquotient over the free ring S, the same object
-that carries every Hom, Ext and stable Hom space of modules.
+that carries every Hom, Ext and stable Hom space of modules, and its
+dimension is counted from leading terms (MatrixSubquotient.lead_dim).
 """
 
 from __future__ import annotations
@@ -272,6 +273,12 @@ def _hom_complex_columns(X, Y, blocks):
 def mf_stable_hom(X: MatrixFactorization, Y: MatrixFactorization):
     """(even, odd) dimensions of stable homs between two factorizations.
 
+    One Groebner basis per differential of the Hom complex: its tag block
+    is the kernel, and its main block, the image, is the null space of
+    the other homology, since the two differentials compose to zero over
+    S.  Each dimension is counted from the leads of the two, with no
+    tagged basis of the quotient.
+
     Raises MFError when a dimension is infinite (non-isolated singularity).
     """
     if X.ring != Y.ring or X.f != Y.f:
@@ -290,10 +297,12 @@ def mf_stable_hom(X: MatrixFactorization, Y: MatrixFactorization):
                                      [(0, Y.A, None), (1, None, X.A)]])
     free = QuotientRing(S, [])
     npos = 2 * X.size * Y.size
+    gb0, gb1 = SubmoduleGB(S, npos, d0), SubmoduleGB(S, npos, d1)
     dims = []
-    for d_out, d_in in ((d0, d1), (d1, d0)):
-        kernel = SubmoduleGB(S, npos, d_out).syzygies()
-        dims.append(MatrixSubquotient(free, Y.size, 2 * X.size, kernel, d_in).dim())
+    for gb_out, d_in, gb_in in ((gb0, d1, gb1), (gb1, d0, gb0)):
+        msq = MatrixSubquotient(free, Y.size, 2 * X.size, gb_out.syzygies(),
+                                d_in, null_leads=gb_in.leads)
+        dims.append(msq.lead_dim())
     if None in dims:
         raise MFError("infinite-dimensional stable hom: the singular locus "
                       "of the potential is not isolated on the support")

@@ -45,6 +45,8 @@ standard monomials of each position, all of them or those of one degree;
 the quotient dimensions are the lengths of those lists, with None for an
 infinite staircase.  The tag block's staircase is a k-basis of the span
 of the tracked generators modulo the untracked ones and the pads.
+`lead_quotient_dim` counts dim Z/W for W in Z from the leads of a basis
+of each, with no basis of the quotient.
 """
 
 from __future__ import annotations
@@ -278,6 +280,9 @@ class SubmoduleGB:
     def _buchberger(self, gens):
         F, pk = self.field, self._pk
         shift, code_mask = pk.shift, pk.code_mask
+        # every basis element is pushed monic, so an S-pair is u*x^a - v*x^b
+        one = F.one()
+        minus_one = F.neg(one)
         basis = []   # reducer entries, in the order they were found
         leads = []   # the lead monomial of each
         by_pos: dict = {}
@@ -312,10 +317,8 @@ class SubmoduleGB:
             _key, lj, v = basis[j]
             lcm = pk.code[mon_lcm(leads[i], leads[j])]
             s, heap = {}, []
-            pk.add_multiple(F, s, u, F.inv(u[li]),
-                            lcm - (li & code_mask), heap)
-            pk.add_multiple(F, s, v, F.neg(F.inv(v[lj])),
-                            lcm - (lj & code_mask), heap)
+            pk.add_multiple(F, s, u, one, lcm - (li & code_mask), heap)
+            pk.add_multiple(F, s, v, minus_one, lcm - (lj & code_mask), heap)
             s = pk.reduce(F, s, by_pos, heap)
             if s:
                 group = index_at[push(s)]
@@ -384,16 +387,24 @@ class SubmoduleGB:
 
     # -- staircase bases and dimensions -----------------------------------------
 
+    def leads(self, first=0, count=None):
+        """The lead monomials of the reduced basis at positions first + i,
+        i < count, one list per position in ascending order of lead; by
+        default the main block, the leading terms of the span."""
+        mon, code_mask = self._pk.mon, self._pk.code_mask
+        if count is None:
+            count = self.npos
+        return [[mon[lead & code_mask]
+                 for _key, lead, _g in self._index.get(first + i, ())]
+                for i in range(count)]
+
     def _staircase(self, first, count, degree=None, pos_degrees=None):
         """(i, monomial) pairs of the standard monomials at positions
         first + i, i < count: all of them, or those of internal degree
         `degree` when first + i has degree pos_degrees[i]; None if there
         are infinitely many."""
-        mon, code_mask = self._pk.mon, self._pk.code_mask
         out = []
-        for i in range(count):
-            leads = [mon[lead & code_mask]
-                     for _key, lead, _g in self._index.get(first + i, ())]
+        for i, leads in enumerate(self.leads(first, count)):
             want = None if degree is None else degree - pos_degrees[i]
             std = _standard_monomials(self.ring, leads, want)
             if std is None:
@@ -445,6 +456,49 @@ def _standard_monomials(ring: PolyRing, leads, degree=None):
     else:
         candidates = _monomials_of_weighted_degree(ring, degree)
     return [m for m in candidates if not any(mon_divides(g, m) for g in leads)]
+
+
+def leads_by_position(ring: PolyRing, npos: int, vecs):
+    """The lead monomial of each nonzero vector of `vecs` in S^npos under
+    the position-over-term order, one list per position, in the order of
+    `vecs`."""
+    pk = packing(ring.nvars, ring.order)
+    out = [[] for _ in range(npos)]
+    for v in vecs:
+        if v:
+            p, m = pk.unpack_term(min(pk.term(p, m) for p, m in v))
+            out[p].append(m)
+    return out
+
+
+def lead_quotient_dim(ring: PolyRing, z_leads, w_leads, degree=None,
+                      pos_degrees=None):
+    """dim_k Z/W for submodules W of Z in S^n, from the lead monomials of a
+    Groebner basis of each, one list per position: the standard monomials
+    of a submodule are a k-basis of the quotient of S^n by it (Macaulay's
+    theorem), so dim Z/W counts the monomials that LT(Z) holds and LT(W)
+    does not.  Returns the whole dimension, None if infinite, or the dimension of the
+    piece of internal degree `degree` when position i has degree
+    pos_degrees[i] and both bases are homogeneous.
+
+    The monomials are counted lead by lead: those counted for the j-th
+    lead a of Z at a position are a*n for the n standard for the colon
+    leads (b - a)_+ of the leads b of W there and (c - a)_+ of the earlier
+    leads c of Z there, so none is counted twice."""
+    total = 0
+    for p, (zs, ws) in enumerate(zip(z_leads, w_leads)):
+        for j, a in enumerate(zs):
+            if any(mon_divides(b, a) for b in ws):
+                continue  # every multiple of a lies in LT(W)
+            colon = [tuple(max(e - f, 0) for e, f in zip(b, a))
+                     for b in itertools.chain(ws, zs[:j])]
+            want = None if degree is None else \
+                degree - pos_degrees[p] - ring.weighted_deg(a)
+            std = _standard_monomials(ring, colon, want)
+            if std is None:
+                return None
+            total += len(std)
+    return total
 
 
 def _monomials_of_weighted_degree(ring: PolyRing, d: int):

@@ -345,6 +345,8 @@ def _assert_matches_reference(msq):
                  for (p, m), v in big.basis if p >= npos]
     assert tag_block == ref.basis
     assert msq.dim() == ref.quotient_dim()
+    # the count from the leading terms of U and of the null space
+    assert msq.lead_dim() == ref.quotient_dim()
     graded = msq.row_degrees is not None and msq.col_degrees is not None
     if graded:
         degs = msq.gen_degrees()
@@ -401,6 +403,12 @@ def test_subquotient_staircase_matches_second_build(monkeypatch):
     k, free = FPModule.cyclic(A, [A.parse("z")]), FPModule.free(A, 1)
     spaces.extend(ext_space(k, free, p) for p in (0, 1, 2))
     spaces.append(hom_space(cone_L1(C), FPModule.free(C, 1, degrees=(0,))).msq)
+    # several leads of U at one position whose multiples meet outside the
+    # null space: Hom(A/m^2, A) is spanned by x^2 y, x y^2 and x^2 y^2
+    A3 = parse_ring("Q[x,y]/(x^3,y^3)")
+    Mq = FPModule.cyclic(A3, [A3.parse(g) for g in ("x^2", "x*y", "y^2")])
+    spaces.append(hom_space(Mq, FPModule.free(A3, 1), mode="module").msq)
+    spaces.extend(ext_space(Mq, Mq, p) for p in (1, 2))
     P = projective_cone_ring()
     L1, L2 = cone_L1(P), cone_L2(P)
     for M in (L1, L2):
@@ -423,6 +431,7 @@ def test_subquotient_staircase_matches_second_build(monkeypatch):
     spaces.extend(made)
     nonempty = [msq for msq in spaces if msq.U]
     assert len(nonempty) >= 30
+    assert any(msq.dim() is None for msq in nonempty)
     for msq in nonempty:
         _assert_matches_reference(msq)
 
@@ -442,6 +451,83 @@ def test_subquotient_builds_one_groebner_basis(monkeypatch):
     items = msq.basis_items()
     assert msq.coords(msq.item_vec(items[0]), items) == [C.field.one()]
     assert builds == [msq.nrows * msq.ncols]
+
+
+@pytest.mark.parametrize("field", ["Q", "F32003"])
+def test_ext_dims_count_the_basis_of_each_ext_space(field):
+    # ext_dims counts from leading terms; ext_space reads a basis from the
+    # tagged build of each space
+    C = cone_ring(field)
+    A = parse_ring(f"{field}[z]/(z^2)")
+    k = FPModule.cyclic(A, [A.parse("z")])
+    cases = [(M, N, 1) for M in (cone_L1(C), cone_L2(C))
+             for N in (cone_L1(C), cone_L2(C))] + [(k, k, 0)]
+    for M, N, p_min in cases:
+        want = {p: len(ext_space(M, N, p).basis_items())
+                for p in range(p_min, 5)}
+        homs._COCYCLES.clear()
+        homs._SPAN_LEADS.clear()
+        assert ext_dims(M, N, 4, p_min=p_min) == want
+
+
+def test_counts_build_no_tagged_basis(monkeypatch):
+    from singcat import sodcheck
+    from singcat.matfac import knorrer, mf_from_module, mf_stable_hom
+    from singcat.models import node_curve, branch_module_z, branch_module_w
+    C = cone_ring()
+    L1, L2 = cone_L1(C), cone_L2(C)
+    B = node_curve()
+    Kz = knorrer(mf_from_module(branch_module_z(B)), "x", "y")
+    Kw = knorrer(mf_from_module(branch_module_w(B)), "x", "y")
+    # the run reads Ext^1 bases of the cone pair; the table only counts
+    sodcheck.cone_pair()
+    table = sodcheck.cone_pair_ext_table()
+    sodcheck.cone_pair_ext_table.cache_clear()
+    homs._COCYCLES.clear()
+    homs._SPAN_LEADS.clear()
+
+    def refuse(self):
+        raise AssertionError("a tagged basis was built for a count")
+
+    monkeypatch.setattr(homs.MatrixSubquotient, "big_gb", refuse)
+    assert ext_dims(L1, L2, 6, p_min=1) == {1: 1, 2: 0, 3: 1, 4: 0, 5: 1,
+                                           6: 0}
+    assert sodcheck.cone_pair_ext_table() == table
+    assert mf_stable_hom(Kz, Kw) == (0, 1)
+
+
+def test_mf_stable_hom_builds_two_bases(monkeypatch):
+    # one kernel build per differential; each one's main block is the
+    # other homology's null space
+    from singcat.matfac import knorrer, mf_from_module, mf_stable_hom
+    from singcat.models import node_curve, branch_module_z, branch_module_w
+    B = node_curve()
+    Kz = knorrer(mf_from_module(branch_module_z(B)), "x", "y")
+    Kw = knorrer(mf_from_module(branch_module_w(B)), "x", "y")
+    builds = _count_builds(monkeypatch)
+    assert mf_stable_hom(Kz, Kw) == (0, 1)
+    assert len(builds) == 2
+    assert mf_stable_hom(Kz, Kz) == (1, 0)
+    assert len(builds) == 4
+
+
+def test_graded_count_refuses_an_inhomogeneous_null_generator():
+    A = parse_ring("Q[x,y]")
+    one = (0, 0)
+    U = [{(0, one): 1}, {(1, one): 1}]
+    # x e0, y e0, x e1 and (y^2 + y) e1: k^3, but only the first three
+    # are homogeneous
+    V = [{(0, (1, 0)): 1}, {(0, (0, 1)): 1}, {(1, (1, 0)): 1},
+         {(1, (0, 2)): 1, (1, (0, 1)): 1}]
+    msq = homs.MatrixSubquotient(A, 2, 1, U, V, row_degrees=(0, 0),
+                                 col_degrees=(0,))
+    with pytest.raises(HomError, match=r"inhomogeneous null generator V\[3\]"):
+        msq.graded_dim(0)
+    # the total count reads no degree
+    assert msq.lead_dim() == msq.dim() == 3
+    homogeneous = homs.MatrixSubquotient(A, 2, 1, U, V[:3], row_degrees=(0, 0),
+                                         col_degrees=(0,))
+    assert [homogeneous.graded_dim(d) for d in range(3)] == [2, 1, 1]
 
 
 def test_auto_hom_space_walks_the_staircase_once(monkeypatch):
@@ -515,10 +601,12 @@ def test_cocycles_over_two_fields_share_no_entry(monkeypatch):
 
 
 def _recompute_every_entry():
-    """Each remembered cocycle module, and the same input computed again
-    with nothing remembered."""
-    saved = dict(homs._COCYCLES)
+    """Each remembered cocycle module with the leads kept beside it, and
+    the same input computed again with nothing remembered."""
+    saved, leads = dict(homs._COCYCLES), dict(homs._SPAN_LEADS)
+    assert leads.keys() == saved.keys()
     homs._COCYCLES.clear()
+    homs._SPAN_LEADS.clear()
     for key, kept in saved.items():
         ring, h, r, d_next, relations = key
 
@@ -526,7 +614,9 @@ def _recompute_every_entry():
             return [[Polynomial(ring.ambient, dict(terms)) for terms in col]
                     for col in cols]
 
-        yield kept, homs._cocycles(ring, h, r, columns(d_next), columns(relations))
+        args = (ring, h, r, columns(d_next), columns(relations))
+        yield ((kept, leads[key]),
+               (homs._cocycles(*args), homs._span_leads(*args)))
 
 
 def test_remembered_cocycles_equal_a_recomputation():

@@ -12,18 +12,26 @@ first k generators (SubmoduleGB's `tracked`) gives their syzygies cut to
 those k coordinates.  A subquotient that reads a basis builds one, big_gb,
 of U (tracked), V and the ideal pads: its tag block's staircase is a
 k-basis of span(U)/span(V), and a certificate's tag part gives
-coordinates over it.  Graded degree-d bases need generator degrees on
+coordinates over it, empty exactly when the class is zero
+(element_class_is_zero).  Graded degree-d bases need generator degrees on
 source and target.
 
-A dimension alone needs no basis (lead_dim, which graded_dim, ext_dims
-and matfac.mf_stable_hom call).  U is a Groebner basis of the module Z
-it spans and the null space W, the span of V and the pads, lies in Z, so
-dim Z/W is the number of monomials that LT(Z) holds and LT(W) does not
-(modgb.lead_quotient_dim).  The leads of W come from a basis built
-anyway: for Ext^p, p >= 1, the main block of Ext^(p-1)'s cocycle build,
-which spans the coboundaries, rel(N) in each column and the pads; for
-the matrix factorization homology, the other kernel build; otherwise an
-untagged basis of V and the pads (_null_gb).  A count by degree refuses
+A map exists only as its sparse flattened vector (item_vec), composed by
+_compose and read by big_gb or rel_gb, which reduce modulo the ideal
+through their pads, so no entry is put in normal form.  It becomes
+columns of polynomials only in item_matrix, for the relation columns of
+yoneda_extension's FPModule, which takes the normal forms once.
+
+A dimension alone needs no basis (lead_dim, which graded_dim, ext_dims,
+is_zero_space and matfac.mf_stable_hom call).  U is a Groebner basis of
+the module Z it spans and the null space W, the span of V and the pads,
+lies in Z, so dim Z/W is the number of monomials that LT(Z) holds and
+LT(W) does not (modgb.lead_quotient_dim), and Z = W exactly when that
+count is 0.  The leads of W come from a basis built anyway: for Ext^p,
+p >= 1, the main block of Ext^(p-1)'s cocycle build, which spans the
+coboundaries, rel(N) in each column and the pads; for the matrix
+factorization homology, the other kernel build; otherwise an untagged
+basis of V and the pads, built for the count.  A count by degree refuses
 an inhomogeneous generator of U or V.
 
 The cocycles are the one Groebner build every subquotient, stable-Hom free
@@ -40,11 +48,9 @@ main block, the null space of the next Ext.
 structure_constants is the one multiplication-table builder: from Hom
 blocks Hom(F_j, F_i) it composes every composable pair of basis maps on
 their sparse flattened vectors (_compose, which visits only nonzero terms)
-and reads the product's coordinates from big_gb.  No entry is put in
-normal form first: big_gb reduces modulo the ideal through its pads, so
-the coordinates are canonical either way.  End(M) (MorphismSpace.algebra)
-is its single-block case, and the deformation parameter algebras of ncdef
-are its r-block case.
+and reads the product's coordinates from big_gb.  End(M)
+(MorphismSpace.algebra) is its single-block case, and the deformation
+parameter algebras of ncdef are its r-block case.
 
 Stable Hom follows the free-cover recipe: Hom(M,N) modulo the image of
 Hom(M, R^{g_N}) -> Hom(M,N) induced by the generator surjection R^{g_N} -> N.
@@ -56,7 +62,7 @@ extensions of ncdef (stacked classes into a direct sum).
 from __future__ import annotations
 
 from .findim import FiniteDimAlgebra
-from .modules import FPModule, FreeResolution, mat_mul
+from .modules import FPModule, FreeResolution
 from .modgb import (SubmoduleGB, lead_quotient_dim, leads_by_position,
                     vec_from_polys, vec_to_polys)
 from .poly import Memo, mon_mul
@@ -69,14 +75,6 @@ class InfiniteDimensionError(ValueError):
 
 class HomError(ValueError):
     pass
-
-
-def _matrix_to_vec(cols):
-    """Columns (lists of polynomials) to a flattened vector, column-major."""
-    flat = []
-    for col in cols:
-        flat.extend(col)
-    return vec_from_polys(flat)
 
 
 def _flat(h, entries):
@@ -107,12 +105,6 @@ def _compose(F, phi, h, psi, g):
     return {key: c for key, c in out.items() if not F.is_zero(c)}
 
 
-def _vec_to_matrix(ring, vec, nrows, ncols):
-    polys = vec_to_polys(ring.ambient, vec, nrows * ncols)
-    return [[ring.normal_form(polys[j * nrows + i]) for i in range(nrows)]
-            for j in range(ncols)]
-
-
 class MatrixSubquotient:
     """Space of h x w matrices over R: span(U) / span(V), U and V flattened.
 
@@ -125,7 +117,9 @@ class MatrixSubquotient:
     and the ideal pads, lies in Z; lead_dim counts on the leading terms of
     the two.  null_leads, if given, returns the lead monomials of a
     Groebner basis of W that a caller already has, one list per position;
-    otherwise they come from _null_gb().
+    otherwise lead_dim builds an untagged basis of W.  A map is read as
+    its flattened vector (item_vec); item_matrix splits it into columns
+    with unreduced entries.
     """
 
     def __init__(self, ring: QuotientRing, nrows: int, ncols: int, U, V,
@@ -138,7 +132,6 @@ class MatrixSubquotient:
         self.row_degrees = row_degrees
         self.col_degrees = col_degrees
         self._big = None
-        self._gbV = None
         self._null_leads = null_leads
 
     def _position_degrees(self):
@@ -198,10 +191,11 @@ class MatrixSubquotient:
                                    f"graded context: map degrees "
                                    f"{sorted(degs)}")
             pos_degs = self._position_degrees()
-        z_leads = leads_by_position(self.ring.ambient, self.nrows * self.ncols,
-                                    self.U)
-        w_leads = (self._null_leads() if self._null_leads is not None
-                   else self._null_gb().leads())
+        npos = self.nrows * self.ncols
+        z_leads = leads_by_position(self.ring.ambient, npos, self.U)
+        w_leads = (self._null_leads() if self._null_leads is not None else
+                   SubmoduleGB(self.ring.ambient, npos, self.V,
+                               pad_polys=self.ring.gb, tracked=0).leads())
         return lead_quotient_dim(self.ring.ambient, z_leads, w_leads, degree,
                                  pos_degs)
 
@@ -227,39 +221,44 @@ class MatrixSubquotient:
         return out
 
     def item_matrix(self, item):
-        return _vec_to_matrix(self.ring, self.item_vec(item), self.nrows, self.ncols)
+        """The item's map as columns of polynomials, entries not reduced:
+        relation columns for an FPModule, which takes the normal forms."""
+        h = self.nrows
+        polys = vec_to_polys(self.ring.ambient, self.item_vec(item),
+                             h * self.ncols)
+        return [polys[j * h:(j + 1) * h] for j in range(self.ncols)]
+
+    def _certificate(self, vec):
+        """The tag part of vec's certificate over big_gb: its class over the
+        staircase items, empty exactly when the class is zero."""
+        nf, cert = ((vec, {}) if not self.U
+                    else self.big_gb().normal_form(vec, with_cert=True))
+        if nf:
+            raise HomError("matrix does not lie in the hom space")
+        return cert
 
     def coords(self, vec, basis_items):
         """Coordinates of a flattened matrix in span(U) over the given basis."""
         F = self.ring.field
-        # the tag terms are already reduced against the tag-led elements
-        nf, cert = self.big_gb().normal_form(vec, with_cert=True)
-        if nf:
-            raise HomError("matrix does not lie in the hom space")
         index = {it: k for k, it in enumerate(basis_items)}
         out = [F.zero()] * len(basis_items)
-        for key, c in cert.items():
+        # the tag terms are already reduced against the tag-led elements
+        for key, c in self._certificate(vec).items():
             if key not in index:
                 raise HomError("coordinate outside the chosen basis "
                                "(mixed degrees or stale basis)")
             out[index[key]] = c
         return out
 
-    def _null_gb(self) -> SubmoduleGB:
-        if self._gbV is None:
-            self._gbV = SubmoduleGB(self.ring.ambient, self.nrows * self.ncols,
-                                    self.V, pad_polys=self.ring.gb, tracked=0)
-        return self._gbV
-
     def is_zero_space(self) -> bool:
-        """True iff span(U) is contained in span(V) + ideal."""
-        if not self.U:
-            return True
-        gbV = self._null_gb()
-        return all(gbV.contains(u) for u in self.U)
+        """True iff span(U) is contained in span(V) + ideal: exact from the
+        leading terms since W lies in Z, and an infinite count is nonzero."""
+        return self.lead_dim() == 0
 
     def element_class_is_zero(self, vec) -> bool:
-        return self._null_gb().contains(vec)
+        """True iff vec, an element of span(U), lies in span(V) + ideal;
+        HomError if it is outside span(U)."""
+        return not self._certificate(vec)
 
 
 # ---------------------------------------------------------------------------
@@ -378,19 +377,23 @@ class MorphismSpace:
             raise HomError("module-mode hom space has no k-basis")
         return len(self.basis)
 
-    def basis_matrices(self):
-        return [self.msq.item_matrix(it) for it in self.basis]
-
     def coords(self, matrix_cols):
-        return self.msq.coords(_matrix_to_vec(matrix_cols), self.basis)
+        return self.msq.coords(vec_from_polys([p for col in matrix_cols
+                                               for p in col]), self.basis)
 
     def verify_bases_are_morphisms(self) -> bool:
-        """Exact check: every basis matrix sends rel(M) into rel(N)-span."""
+        """Exact check: every basis map sends rel(M) into rel(N)-span; each
+        column of item_vec o rel(M) (_compose) is tested against rel_gb."""
+        h, g = self.N.ngens, self.M.ngens
+        rels = vec_from_polys([p for col in self.M.relations for p in col])
         relN_gb = self.N.rel_gb()
-        for mat in self.basis_matrices():
-            for image in mat_mul(self.M.ring, self.M.relations, mat):
-                if not relN_gb.contains(vec_from_polys(image)):
-                    return False
+        for it in self.basis:
+            image = {}
+            for (p, m), c in _compose(self.M.ring.field, self.msq.item_vec(it),
+                                      h, rels, g).items():
+                image.setdefault(p // h, {})[(p % h, m)] = c
+            if not all(relN_gb.contains(col) for col in image.values()):
+                return False
         return True
 
     def algebra(self) -> FiniteDimAlgebra:
@@ -589,8 +592,7 @@ class Extension:
                 return False
         # ker(proj) subset image(incl) + rel(E), the span of the same gens
         for relcol in self.B.relations:
-            lifted = [ring.normal_form(p) for p in relcol] + [ring.zero()] * gA
-            if not gb.contains(vec_from_polys(lifted)):
+            if not gb.contains(vec_from_polys(relcol)):
                 return False
         return True
 
@@ -608,9 +610,8 @@ def yoneda_extension(cocycle_cols, A: FPModule, B: FPModule,
     if len(cocycle_cols) != len(B.relations):
         raise HomError("cocycle shape does not match the relations of B")
     if require_nontrivial:
-        space = ext_space(B, A, 1)
-        vec = _matrix_to_vec([[ring.normal_form(p) for p in col] for col in cocycle_cols])
-        if not vec or space.element_class_is_zero(vec):
+        vec = vec_from_polys([p for col in cocycle_cols for p in col])
+        if ext_space(B, A, 1).element_class_is_zero(vec):
             raise HomError("zero class passed with require_nontrivial")
     # E's generators are B's, then A's; FPModule takes the normal forms
     gE = B.ngens + A.ngens
@@ -650,14 +651,10 @@ def is_mcm(M: FPModule, bound: int | None = None):
 def fiber_generators(M: FPModule, point_polys) -> int:
     """dim_k M/mM for the maximal ideal m generated by point_polys."""
     ring = M.ring
+    # the basis carries the ideal pads, so f needs no normal form
     gens = [vec_from_polys(col) for col in M.relations]
-    for i in range(M.ngens):
-        for f in point_polys:
-            col = [ring.zero()] * M.ngens
-            col[i] = ring.normal_form(f)
-            v = vec_from_polys(col)
-            if v:
-                gens.append(v)
+    gens += [vec_from_polys([f], offset=i)
+             for i in range(M.ngens) for f in point_polys]
     gb = SubmoduleGB(ring.ambient, M.ngens, gens, pad_polys=ring.gb, tracked=0)
     d = gb.quotient_dim()
     if d is None:

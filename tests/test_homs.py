@@ -119,6 +119,19 @@ def test_module_mode_presentation():
         H.dim  # module mode carries no k-basis
 
 
+def test_verify_bases_are_morphisms_refuses_a_non_cocycle():
+    # over k[z]/(z^2), Hom(k, R) is z*R; the map 1: k -> R sends the
+    # relation z to z, which is not zero in R
+    A = parse_ring("Q[z]/(z^2)")
+    k, R = FPModule.cyclic(A, [A.parse("z")]), FPModule.free(A, 1)
+    assert hom_space(k, R).verify_bases_are_morphisms()
+    one = {(0, (0,)): A.field.one()}
+    msq = homs.MatrixSubquotient(A, 1, 1, [one], [])
+    space = homs.MorphismSpace(k, R, msq, "full", False)
+    assert space.dim == 2
+    assert not space.verify_bases_are_morphisms()
+
+
 def test_hom_is_ext_zero():
     # Hom(M, N) is the p = 0 case of Ext: the same generators U, the same
     # null generators V, and so the same dimension
@@ -248,6 +261,18 @@ def test_nontrivial_flag_rejects_zero_class():
         yoneda_extension(zero_cocycle, Mz, Mw, require_nontrivial=True)
 
 
+def test_nontrivial_flag_refuses_a_non_cocycle():
+    # a 1 in row 0 of column 0 does not lie in the cocycles of
+    # Ext^1(L1, L2): its class is not read, and no extension is built
+    C = cone_ring()
+    L1, L2 = cone_L1(C), cone_L2(C)
+    cols = [[C.zero()] * L2.ngens for _ in L1.relations]
+    cols[0][0] = C.one()
+    with pytest.raises(HomError, match="does not lie in the hom space"):
+        yoneda_extension(cols, L2, L1, require_nontrivial=True)
+    assert not yoneda_extension(cols, L2, L1).verify_exact()
+
+
 def make_extension(quotient, sub, graded=True):
     """Extension 0 -> sub -> E -> quotient -> 0 along the generator of
     Ext^1(quotient, sub): the degree-0 generator in graded mode, else the
@@ -312,6 +337,19 @@ def test_is_mcm_on_cone_modules():
     assert not ok
     free = FPModule.free(C, 1, degrees=(0,))
     assert is_mcm(free) == (True, None)
+
+
+def test_ext_is_zero_agrees_with_ext_dims():
+    C = cone_ring()
+    for M in (cone_L1(C), cone_L2(C)):
+        for N in (cone_L1(C), cone_L2(C)):
+            dims = ext_dims(M, N, 4, p_min=1)
+            assert [ext_is_zero(M, N, p) for p in range(1, 5)] == \
+                [dims[p] == 0 for p in range(1, 5)]
+    # the plane sheaf's Ext^1 is infinite-dimensional, hence nonzero
+    OL = FPModule.cyclic(C, [C.parse("x"), C.parse("w")])
+    assert ext_space(OL, OL, 1).lead_dim() is None
+    assert ext_is_zero(OL, OL, 1) is False
 
 
 def test_fiber_generator_counts():

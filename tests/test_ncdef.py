@@ -195,15 +195,17 @@ def reference_table(blocks, r):
             vec[layout.index((i, j, k))] = c
         return vec
 
+    mats = {key: [space.msq.item_matrix(it) for it in space.basis]
+            for key, space in blocks.items()}
     table = []
     for (i1, j1, k1) in layout:
-        phi = blocks[(i1, j1)].basis_matrices()[k1]
+        phi = mats[(i1, j1)][k1]
         row = []
         for (i2, j2, k2) in layout:
             if j1 != i2:
                 row.append([zero] * len(layout))
                 continue
-            psi = blocks[(i2, j2)].basis_matrices()[k2]
+            psi = mats[(i2, j2)][k2]
             # column c of phi o psi is the sum over b of psi[c][b] * phi[b]
             comp = []
             for psi_col in psi:

@@ -78,7 +78,6 @@ def parse_module_arg(ring, text):
     if rel_lists is None:
         raise InputError(f"cannot parse relation block {rel_text!r}")
     cols = [[ring.parse(str(p)) for p in col] for col in rel_lists]
-    from .modules import FPModule
     return FPModule(ring, len(gen_names), cols)
 
 

@@ -17,10 +17,11 @@ coordinates over it, empty exactly when the class is zero
 source and target.
 
 A map exists only as its sparse flattened vector (item_vec), composed by
-_compose and read by big_gb or rel_gb, which reduce modulo the ideal
-through their pads, so no entry is put in normal form.  It becomes
-columns of polynomials only in item_matrix, for the relation columns of
-yoneda_extension's FPModule, which takes the normal forms once.
+modgb.compose, the one product of matrices over a ring, and read by big_gb
+or rel_gb, which reduce modulo the ideal through their pads, so no entry
+is put in normal form.  It becomes columns of polynomials only in
+item_matrix, for the relation columns of yoneda_extension's FPModule,
+which takes the normal forms once.
 
 A dimension alone needs no basis (lead_dim, which graded_dim, ext_dims,
 is_zero_space and matfac.mf_stable_hom call).  U is a Groebner basis of
@@ -37,18 +38,18 @@ an inhomogeneous generator of U or V.
 The cocycles are the one Groebner build every subquotient, stable-Hom free
 cover and Ext^p starts from, and the same input keeps coming back (the
 resolutions over a hypersurface are 2-periodic, and callers ask for the
-same Hom space more than once).  _cocycles keeps each result, as a tuple,
-for the life of the process, as fan_library keeps its fans: the key is the
-content of the input, the QuotientRing, h, r and every entry of d_next and
-of the relations as its sorted terms, so a hit is exact and the same
-presentation over two fields never shares an entry.  Beside each result,
-under the same key, _SPAN_LEADS keeps the lead monomials of the build's
-main block, the null space of the next Ext.
+same Hom space more than once).  _COCYCLES keeps one record per build
+for the life of the process, as fan_library keeps its fans: the result of
+_cocycles, as a tuple, and the lead monomials of the build's main block,
+the null space of the next Ext (_span_leads).  The key is the content of
+the input, the QuotientRing, h, r and every entry of d_next and of the
+relations as its sorted terms, so a hit is exact and the same
+presentation over two fields never shares an entry.
 
 structure_constants is the one multiplication-table builder: from Hom
 blocks Hom(F_j, F_i) it composes every composable pair of basis maps on
-their sparse flattened vectors (_compose, which visits only nonzero terms)
-and reads the product's coordinates from big_gb.  End(M)
+their sparse flattened vectors (modgb.compose, which visits only nonzero
+terms) and reads the product's coordinates from big_gb.  End(M)
 (MorphismSpace.algebra) is its single-block case, and the deformation
 parameter algebras of ncdef are its r-block case.
 
@@ -63,8 +64,8 @@ from __future__ import annotations
 
 from .findim import FiniteDimAlgebra
 from .modules import FPModule, FreeResolution
-from .modgb import (SubmoduleGB, lead_quotient_dim, leads_by_position,
-                    vec_from_polys, vec_to_polys)
+from .modgb import (SubmoduleGB, compose, lead_quotient_dim,
+                    leads_by_position, vec_from_polys, vec_to_polys)
 from .poly import Memo, mon_mul
 from .quotient import QuotientRing
 
@@ -85,24 +86,6 @@ def _flat(h, entries):
         for m, c in p.terms.items():
             out[(j * h + i, m)] = c
     return out
-
-
-def _compose(F, phi, h, psi, g):
-    """Flattened phi o psi (h rows) of flattened phi (h rows) and psi (g
-    rows, as many as phi has columns): the entry (col*h + a, m1*m2) sums
-    phi's column b times psi's row b.  Only nonzero terms are visited, and
-    sums that cancel to zero are dropped."""
-    phi_cols = {}
-    for (p, m), c in phi.items():
-        phi_cols.setdefault(p // h, []).append((p % h, m, c))
-    out = {}
-    for (p, m2), c2 in psi.items():
-        col, b = divmod(p, g)
-        for a, m1, c1 in phi_cols.get(b, ()):
-            key = (col * h + a, mon_mul(m1, m2))
-            term = F.mul(c1, c2)
-            out[key] = F.add(out[key], term) if key in out else term
-    return {key: c for key, c in out.items() if not F.is_zero(c)}
 
 
 class MatrixSubquotient:
@@ -283,11 +266,9 @@ def _relation_blocks(h, ncols, relations):
     return out
 
 
-# _cocycles results for the life of the process, keyed by content, and
-# beside them, under the same key, the lead monomials of the main block of
-# the same build
+# one record per content key for the life of the process: _cocycles'
+# result and the lead monomials of the main block of the same build
 _COCYCLES: dict = {}
-_SPAN_LEADS: dict = {}
 
 
 def _columns_key(cols):
@@ -295,20 +276,18 @@ def _columns_key(cols):
                  for col in cols)
 
 
-def _cocycle_entry(memo, ring: QuotientRing, h, r, d_next, relations):
-    """memo[key] (memo is _COCYCLES or _SPAN_LEADS) for the content key of
-    the cocycle build of (ring, h, r, d_next, relations), d_next nonempty;
-    the build runs on the first call for that content and fills both."""
+def _cocycle_entry(ring: QuotientRing, h, r, d_next, relations):
+    """The (cocycles, span leads) record of the cocycle build of (ring, h,
+    r, d_next, relations), d_next nonempty; the build runs on the first
+    call for that content."""
     key = (ring, h, r, _columns_key(d_next), _columns_key(relations))
-    out = memo.get(key)
+    out = _COCYCLES.get(key)
     if out is None:
         gens = (_unit_images(h, r, d_next)
                 + _relation_blocks(h, len(d_next), relations))
         gb = SubmoduleGB(ring.ambient, h * len(d_next), gens,
                          pad_polys=ring.gb, tracked=r * h)
-        _COCYCLES[key] = tuple(gb.syzygies())
-        _SPAN_LEADS[key] = gb.leads()
-        out = memo[key]
+        out = _COCYCLES[key] = (tuple(gb.syzygies()), gb.leads())
     return out
 
 
@@ -320,7 +299,7 @@ def _cocycles(ring: QuotientRing, h, r, d_next, relations):
     if not d_next:
         return tuple(_flat(h, [(j, i, ring.one())])
                      for j in range(r) for i in range(h))
-    return _cocycle_entry(_COCYCLES, ring, h, r, d_next, relations)
+    return _cocycle_entry(ring, h, r, d_next, relations)[0]
 
 
 def _span_leads(ring: QuotientRing, h, r, d_next, relations):
@@ -328,7 +307,7 @@ def _span_leads(ring: QuotientRing, h, r, d_next, relations):
     span of the maps E o d_next (E: R^r -> R^h), the relation columns in
     each of the len(d_next) columns and the ideal pads: the main block of
     _cocycles' build of the same input."""
-    return _cocycle_entry(_SPAN_LEADS, ring, h, r, d_next, relations)
+    return _cocycle_entry(ring, h, r, d_next, relations)[1]
 
 
 def _subquotient(N: FPModule, r, d_next, null_extra, col_degrees,
@@ -383,14 +362,15 @@ class MorphismSpace:
 
     def verify_bases_are_morphisms(self) -> bool:
         """Exact check: every basis map sends rel(M) into rel(N)-span; each
-        column of item_vec o rel(M) (_compose) is tested against rel_gb."""
+        column of item_vec o rel(M) (modgb.compose) is tested against
+        rel_gb."""
         h, g = self.N.ngens, self.M.ngens
         rels = vec_from_polys([p for col in self.M.relations for p in col])
         relN_gb = self.N.rel_gb()
         for it in self.basis:
             image = {}
-            for (p, m), c in _compose(self.M.ring.field, self.msq.item_vec(it),
-                                      h, rels, g).items():
+            for (p, m), c in compose(self.M.ring.field, self.msq.item_vec(it),
+                                     h, rels, g).items():
                 image.setdefault(p // h, {})[(p % h, m)] = c
             if not all(relN_gb.contains(col) for col in image.values()):
                 return False
@@ -420,8 +400,8 @@ def structure_constants(blocks, r):
     algebra's basis is the layout list of (i, j, k), the k-th basis map of
     blocks[(i, j)].  The product of phi: F_j -> F_i and psi: F_l -> F_j is
     phi o psi in blocks[(i, l)], composed on the sparse flattened vectors
-    of the two maps (_compose) with no normal form of any entry, and read
-    in coordinates by that block's big_gb; phi o psi' is zero when the
+    of the two maps (modgb.compose) with no normal form of any entry, and
+    read in coordinates by that block's big_gb; phi o psi' is zero when the
     target of psi' is not F_j.  Returns (layout, table, idents), idents[i]
     being the coordinate vector of the identity of F_i.
     """
@@ -449,7 +429,7 @@ def structure_constants(blocks, r):
             if j1 != i2:
                 row.append([zero] * len(layout))
                 continue
-            product = _compose(F, phi, rows[i1], vecs[(i2, j2)][k2], rows[j1])
+            product = compose(F, phi, rows[i1], vecs[(i2, j2)][k2], rows[j1])
             row.append(placed(i1, j2, product))
         table.append(row)
     idents = []
@@ -631,14 +611,14 @@ def yoneda_extension(cocycle_cols, A: FPModule, B: FPModule,
 # MCM test and fiber counts
 
 
-def is_mcm(M: FPModule, bound: int | None = None):
-    """Ext^i(M, R) = 0 for 0 < i <= bound (Gorenstein criterion).
+def is_mcm(M: FPModule):
+    """Ext^i(M, R) = 0 for 0 < i <= max(krull_dim_bound, 1) (Gorenstein
+    criterion).
 
     Returns (True, None) or (False, first nonvanishing degree).
     """
     ring = M.ring
-    if bound is None:
-        bound = max(ring.krull_dim_bound(), 1)
+    bound = max(ring.krull_dim_bound(), 1)
     N = FPModule.free(ring, 1, degrees=(0,) if M.gen_degrees is not None else None)
     res = M.resolve(bound + 1)
     for p in range(1, bound + 1):

@@ -33,12 +33,6 @@ class Matrix:
     def from_int_rows(cls, field: Field, rows) -> "Matrix":
         return cls(field, [[field.from_int(x) for x in r] for r in rows])
 
-    def copy(self) -> "Matrix":
-        return Matrix(self.field, self.rows)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, list(map(list, zip(*self.rows))) if self.rows else [])
-
     def col(self, j: int):
         return [r[j] for r in self.rows]
 
@@ -51,22 +45,6 @@ class Matrix:
                 s = F.add(s, F.mul(a, b))
             out.append(s)
         return out
-
-    def __mul__(self, other: "Matrix") -> "Matrix":
-        F = self.field
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        ot = other.transpose().rows
-        out = []
-        for r in self.rows:
-            row = []
-            for c in ot:
-                s = F.zero()
-                for a, b in zip(r, c):
-                    s = F.add(s, F.mul(a, b))
-                row.append(s)
-            out.append(row)
-        return Matrix(F, out)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and other.field == self.field

@@ -1,9 +1,12 @@
 """Matrix factorizations of a hypersurface potential.
 
 A factorization of f over the ambient polynomial ring S is a square pair
-(A, B) with A*B = B*A = f*I.  coker(A mod f) is the associated MCM module
-over S/f; the shift functor swaps the factors and the Knoerrer functor
-doubles the size against a fresh quadratic term f + xy.
+(A, B) with A*B = B*A = f*I, checked (is_valid) by composing A and B,
+flattened column-major, both ways with modgb.compose, the one product of
+matrices over a ring, and comparing each product exactly with the
+flattened f*I.  coker(A mod f) is the associated MCM module over S/f; the
+shift functor swaps the factors and the Knoerrer functor doubles the size
+against a fresh quadratic term f + xy.
 
 Stable Hom dimensions are the homology of the Z/2-graded Hom complex
 
@@ -21,23 +24,13 @@ from __future__ import annotations
 
 from .poly import PolyRing, Polynomial
 from .quotient import QuotientRing
-from .modules import FPModule, _prune_columns, _sort_columns, mat_mul
-from .modgb import SubmoduleGB, vec_from_polys, vec_to_polys
+from .modules import FPModule, _prune_columns, _sort_columns
+from .modgb import SubmoduleGB, compose, vec_from_polys, vec_to_polys
 from .homs import MatrixSubquotient, _flat
 
 
 class MFError(ValueError):
     pass
-
-
-def _is_f_identity(ring: PolyRing, M, f: Polynomial) -> bool:
-    n = len(M)
-    for i in range(n):
-        for j in range(n):
-            want = f if i == j else ring.zero()
-            if M[i][j] != want:
-                return False
-    return True
 
 
 class MatrixFactorization:
@@ -53,14 +46,18 @@ class MatrixFactorization:
             raise MFError("A*B = B*A = f*I fails")
 
     def is_valid(self) -> bool:
-        if len(self.A) != len(self.B):
+        """A*B and B*A, composed on flattened matrices (modgb.compose), are
+        exactly the flattened f*I."""
+        n = self.size
+        if len(self.B) != n or any(len(r) != n for r in self.A + self.B):
             return False
-        if any(len(r) != self.size for r in self.A + self.B):
-            return False
-        if self.size == 0:
-            return True
-        return (_is_f_identity(self.ring, mat_mul(self.ring, self.A, self.B), self.f)
-                and _is_f_identity(self.ring, mat_mul(self.ring, self.B, self.A), self.f))
+        A, B = (vec_from_polys([M[i][j] for j in range(n) for i in range(n)])
+                for M in (self.A, self.B))
+        f_identity = vec_from_polys([self.f if i == j else None
+                                     for j in range(n) for i in range(n)])
+        F = self.ring.field
+        return (compose(F, A, n, B, n) == f_identity
+                and compose(F, B, n, A, n) == f_identity)
 
     def shift(self) -> "MatrixFactorization":
         return MatrixFactorization(self.ring, self.f, self.B, self.A, check=False)
@@ -104,10 +101,7 @@ def mf_check(ring: PolyRing, A, B, f: Polynomial) -> bool:
     if len(A) != len(B) or any(len(r) != len(A) for r in A) \
             or any(len(r) != len(B) for r in B):
         raise MFError("matrices must be square of equal size")
-    try:
-        return MatrixFactorization(ring, f, A, B).is_valid()
-    except MFError:
-        return False
+    return MatrixFactorization(ring, f, A, B, check=False).is_valid()
 
 
 def mf_shift(X: MatrixFactorization) -> MatrixFactorization:
@@ -216,16 +210,10 @@ def mf_from_module(M: FPModule) -> MatrixFactorization:
     S = R.ambient
     f = R.gb[0]
     g = M.ngens
-    cols = [[S_poly for S_poly in col] for col in M.relations]
-    gens = [vec_from_polys(col) for col in cols]
-    for i in range(g):
-        colf = [S.zero()] * g
-        colf[i] = f
-        gens.append(vec_from_polys(colf))
+    f_cols = [[f if t == i else S.zero() for t in range(g)] for i in range(g)]
     free_R = QuotientRing(S, [])
-    polys_cols = [vec_to_polys(S, v, g) for v in gens]
-    pruned = _prune_columns(free_R, polys_cols, g)
-    pruned = _sort_columns(free_R, pruned)
+    pruned = _sort_columns(free_R,
+                           _prune_columns(free_R, M.relations + f_cols, g))
     if len(pruned) == 0:
         return MatrixFactorization.zero(S, f)
     if len(pruned) != g:
@@ -234,9 +222,7 @@ def mf_from_module(M: FPModule) -> MatrixFactorization:
     A = [[pruned[j][i] for j in range(g)] for i in range(g)]
     gb = SubmoduleGB(S, g, [vec_from_polys(c) for c in pruned])
     Bcols = []
-    for i in range(g):
-        colf = [S.zero()] * g
-        colf[i] = f
+    for colf in f_cols:
         nf, cert = gb.normal_form(vec_from_polys(colf), with_cert=True)
         if nf:
             raise MFError("f*I does not lie in the kernel span: not a valid tail")

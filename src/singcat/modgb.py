@@ -47,6 +47,12 @@ infinite staircase.  The tag block's staircase is a k-basis of the span
 of the tracked generators modulo the untracked ones and the pads.
 `lead_quotient_dim` counts dim Z/W for W in Z from the leads of a basis
 of each, with no basis of the quotient.
+
+A matrix over S is a vector too: an h-row matrix is flattened column-major,
+its entry (row a, column j) at position j*h + a (`vec_from_polys` of its
+columns, one after another).  `compose` multiplies two such matrices; it is
+the one product of matrices over a ring, for Hom maps, differentials and
+matrix factorizations alike.
 """
 
 from __future__ import annotations
@@ -57,7 +63,7 @@ from heapq import heapify, heappop, heappush
 from operator import itemgetter
 
 from .errors import InvariantError
-from .poly import Memo, PolyRing, Polynomial, mon_divides, mon_lcm
+from .poly import Memo, PolyRing, Polynomial, mon_divides, mon_lcm, mon_mul
 
 Vec = dict  # (pos, monomial) -> coefficient
 
@@ -231,6 +237,26 @@ def vec_to_polys(ring: PolyRing, v: Vec, npos: int):
             raise ValueError("position out of range")
         polys[p][m] = c
     return [Polynomial(ring, t) for t in polys]
+
+
+def compose(F, phi, h, psi, g) -> Vec:
+    """The one product of matrices over a ring: flattened phi o psi (h
+    rows) of flattened phi (h rows) and psi (g rows, as many as phi has
+    columns), each stored column-major, position col*h + row.  The entry
+    (col*h + a, m1*m2) sums phi's column b times psi's row b.  Only nonzero
+    terms are visited, sums that cancel to zero are dropped, and no entry
+    is reduced modulo any ideal."""
+    phi_cols = {}
+    for (p, m), c in phi.items():
+        phi_cols.setdefault(p // h, []).append((p % h, m, c))
+    out = {}
+    for (p, m2), c2 in psi.items():
+        col, b = divmod(p, g)
+        for a, m1, c1 in phi_cols.get(b, ()):
+            key = (col * h + a, mon_mul(m1, m2))
+            term = F.mul(c1, c2)
+            out[key] = F.add(out[key], term) if key in out else term
+    return {key: c for key, c in out.items() if not F.is_zero(c)}
 
 
 class SubmoduleGB:

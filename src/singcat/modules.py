@@ -5,14 +5,15 @@ pruned of redundant generators in one forward pass and sorted canonically,
 so resolution tails over hypersurface rings tend to repeat literally; when
 d_{i+2} = d_i is detected the resolution is extended by copying.  A module
 caches its resolution, and a request for a longer one extends the cached
-one instead of starting again.
+one instead of starting again.  The checks on a resolution multiply its
+differentials, flattened column-major, with modgb.compose.
 """
 
 from __future__ import annotations
 
 from .poly import Polynomial
 from .quotient import QuotientRing
-from .modgb import SubmoduleGB, vec_from_polys, vec_to_polys
+from .modgb import SubmoduleGB, compose, vec_from_polys, vec_to_polys
 
 
 def syzygies(ring: QuotientRing, columns):
@@ -28,24 +29,6 @@ def syzygies(ring: QuotientRing, columns):
     gb = SubmoduleGB(ring.ambient, npos, vecs, pad_polys=ring.gb)
     return [[ring.normal_form(p) for p in vec_to_polys(ring.ambient, s, len(columns))]
             for s in gb.syzygies()]
-
-
-def mat_mul(ring, A, B):
-    """Product A*B of row-major matrices of ambient polynomials, skipping
-    zero entries of A and of B; no normal form is taken.  For matrices
-    stored by columns, cols(A*B) = mat_mul(ring, cols(B), cols(A))."""
-    ncols = len(B[0]) if B else 0
-    out = []
-    for row in A:
-        acc = [ring.zero()] * ncols
-        for a, brow in zip(row, B):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(brow):
-                if not b.is_zero():
-                    acc[j] = acc[j] + a * b
-        out.append(acc)
-    return out
 
 
 class FPModule:
@@ -190,11 +173,20 @@ class FreeResolution:
     def rank(self, p: int) -> int:
         return self.ranks[p]
 
+    def _flat(self, p: int):
+        """d_p flattened column-major (modgb's Vec form)."""
+        return vec_from_polys([a for col in self.differential(p) for a in col])
+
     def verify_complex(self) -> bool:
+        """d_(p-1) o d_p = 0 modulo the ideal for every p >= 2, each entry
+        of the product reduced by ring.is_zero."""
         ring = self.module.ring
         for p in range(2, len(self.diffs) + 1):
-            prod = mat_mul(ring, self.differential(p), self.differential(p - 1))
-            if not all(ring.is_zero(a) for col in prod for a in col):
+            h = self.rank(p - 2)
+            prod = compose(ring.field, self._flat(p - 1), h, self._flat(p),
+                           self.rank(p - 1))
+            if not all(ring.is_zero(a) for a in
+                       vec_to_polys(ring.ambient, prod, h * self.rank(p))):
                 return False
         return True
 
@@ -203,17 +195,15 @@ class FreeResolution:
         differentials lifts to matrices whose product is exactly f*I."""
         if self.periodic_from is None or not self.module.ring.hypersurface:
             return False
-        ring = self.module.ring
-        f = ring.gb[0]
+        f = self.module.ring.gb[0]
         i = self.periodic_from
-        A = self.differential(i + 1)
-        B = self.differential(i + 2)
-        if len(A) != len(B) or (A and len(A) != len(A[0])):
+        n = self.rank(i + 1)
+        if self.rank(i + 2) != n or (n and self.rank(i) != n):
             return False
-        for j, col in enumerate(mat_mul(ring, B, A)):
-            if col != [f if t == j else ring.zero() for t in range(len(col))]:
-                return False
-        return True
+        f_identity = vec_from_polys([f if t == j else None
+                                     for j in range(n) for t in range(n)])
+        return compose(self.module.ring.field, self._flat(i + 1), n,
+                       self._flat(i + 2), n) == f_identity
 
 
 def _syzygy_columns(ring: QuotientRing, cols):

@@ -214,14 +214,6 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading term")
         return min(self.terms, key=self.ring.order_key)
 
-    def lead_coeff(self):
-        return self.terms[self.lead_monomial()]
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero():
-            return self
-        return self.scale(self.ring.field.inv(self.lead_coeff()))
-
     def total_deg(self) -> int:
         if self.is_zero():
             return -1

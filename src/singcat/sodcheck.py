@@ -422,7 +422,8 @@ def verify_odp_hypotheses(bundle: str = "quadric_cone"):
             "local_model": _local_cone_conditions(),
             "pass": simple_pass,
         }
-        report["conditions"]["global_vanishing"] = _blowup_condition3(fan, D1, D2)
+        report["conditions"]["global_vanishing"] = _blowup_condition3(
+            fan, walls["l"], D1, D2)
     else:
         raise SodError(f"unknown bundle {bundle!r}")
     report["conclusions"] = copy.deepcopy(_deformation_conclusions())
@@ -434,8 +435,9 @@ def verify_odp_hypotheses(bundle: str = "quadric_cone"):
     return report
 
 
-def _blowup_condition3(fan, D1, D2):
-    """H^p of the pushforward twists on the contraction.
+def _blowup_condition3(fan, wall, D1, D2):
+    """H^p of the pushforward twists on the contraction of the curve on
+    the wall `wall`.
 
     The contracted curve has normal degree (-1,-1): a twist of degree >= -1
     along the curve pushes forward with vanishing higher direct images, so
@@ -444,8 +446,6 @@ def _blowup_condition3(fan, D1, D2):
     onto the length-one higher direct image (restriction to the curve is
     surjective on first cohomology), which forces the downstairs vanishing.
     """
-    walls = fan.walls()
-    wall = next(rs for rs in walls if rs == (1, 2))
     out = {"rows": {}, "annotations": []}
     ok = True
     for name, G in [("-D1+D2", D2 - D1), ("D1-D2", D1 - D2), ("0", D1 - D1)]:

@@ -11,5 +11,4 @@ def fresh_cocycles():
     kept beside them, so no test reads an entry another test made, and a
     comparison with a fresh recomputation stays a fresh recomputation."""
     homs._COCYCLES.clear()
-    homs._SPAN_LEADS.clear()
     yield

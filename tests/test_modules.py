@@ -1,7 +1,7 @@
 """FPModule presentations and free resolutions."""
 
 from singcat.quotient import parse_ring
-from singcat.modules import FPModule
+from singcat.modules import FPModule, FreeResolution
 
 
 def cone_ring():
@@ -88,6 +88,49 @@ def test_periodic_tail_lifts_to_factorization():
         res = M.resolve(8)
         assert res.periodic_from is not None
         assert res.periodic_pair_is_factorization()
+
+
+def _node_resolution(*diffs, periodic_from=None):
+    """A FreeResolution of B/(d_1) over B = Q[z,w]/(zw) with the given 1 x 1
+    differentials d_1, d_2, ..., each named by its entry."""
+    B = parse_ring("Q[z,w]/(z*w)")
+    M = FPModule.cyclic(B, [B.parse(diffs[0])])
+    return FreeResolution(M, [[[B.parse(d)]] for d in diffs],
+                          [1] * (len(diffs) + 1), [None] * (len(diffs) + 1),
+                          periodic_from)
+
+
+def test_verify_complex_refuses_a_nonzero_composite():
+    assert _node_resolution("w", "z", "w").verify_complex()
+    # w * w is not zero modulo zw
+    assert not _node_resolution("w", "w").verify_complex()
+    assert not _node_resolution("w", "z", "z", "z").verify_complex()
+
+
+def test_periodic_pair_must_multiply_to_exactly_f():
+    assert _node_resolution("w", "z", "w",
+                            periodic_from=1).periodic_pair_is_factorization()
+    # 2w * z = 2zw is zero modulo zw but is not f = zw itself
+    res = _node_resolution("z", "2*w", "z", periodic_from=1)
+    assert res.verify_complex()
+    assert not res.periodic_pair_is_factorization()
+
+
+def test_periodic_pair_needs_a_periodic_resolution():
+    B = parse_ring("Q[z,w]/(z*w)")
+    res = FPModule.cyclic(B, [B.parse("w")]).resolve(2)
+    assert res.periodic_from is None
+    assert not res.periodic_pair_is_factorization()
+
+
+def test_periodic_pair_needs_a_hypersurface_ring():
+    # the dual numbers presented by two equations: the resolution of the
+    # residue field is periodic, but there is no one f to factor
+    R = parse_ring("Q[z,w]/(z^2, w)")
+    assert not R.hypersurface
+    res = FPModule.cyclic(R, [R.parse("z")]).resolve(4)
+    assert res.periodic_from == 1 and res.verify_complex()
+    assert not res.periodic_pair_is_factorization()
 
 
 def test_syzygies_helper():

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from .poly import PolyRing, Polynomial
 from .quotient import QuotientRing
-from .modules import FPModule, _prune_columns, _sort_columns
+from .modules import FPModule, _prune_columns, _sort_columns, find_unit
 from .modgb import SubmoduleGB, compose, vec_from_polys, vec_to_polys
 from .homs import MatrixSubquotient, _flat
 
@@ -137,6 +137,7 @@ def knorrer(X: MatrixFactorization, xname: str, yname: str) -> MatrixFactorizati
 def reduce_trivial_blocks(X: MatrixFactorization) -> MatrixFactorization:
     """Split off trivial (unit, f)-blocks: the result presents the same
     object of the singularity category with no unit entries in A or B.
+    When no block splits off, the result is X itself, not a checked copy.
 
     Row operations on B are column operations on A and vice versa, so the
     factorization identities are preserved at every step."""
@@ -144,13 +145,6 @@ def reduce_trivial_blocks(X: MatrixFactorization) -> MatrixFactorization:
     F = ring.field
     A = [[p for p in row] for row in X.A]
     B = [[p for p in row] for row in X.B]
-
-    def find_unit(M):
-        for i, row in enumerate(M):
-            for j, p in enumerate(row):
-                if not p.is_zero() and p.total_deg() == 0:
-                    return i, j
-        return None
 
     def eliminate(M, other, i, j):
         # clear row i and column j of M around the unit at (i, j);
@@ -197,6 +191,8 @@ def reduce_trivial_blocks(X: MatrixFactorization) -> MatrixFactorization:
             B = [[B[k][t] for t in range(len(B)) if t != i] for k in range(len(B)) if k != j]
             continue
         break
+    if len(A) == X.size:
+        return X
     return MatrixFactorization(ring, X.f, A, B)
 
 

@@ -1,9 +1,11 @@
 """Finitely presented modules over affine quotient rings, and free resolutions.
 
-An FPModule is coker(R^r -> R^g) given by relation columns.  Syzygy steps are
-pruned of redundant generators in one forward pass and sorted canonically,
-so resolution tails over hypersurface rings tend to repeat literally; when
-d_{i+2} = d_i is detected the resolution is extended by copying.  A module
+An FPModule is coker(R^r -> R^g) given by relation columns, and
+minimal_presentation drops each generator that a constant relation entry
+makes redundant (no Groebner build).  Syzygy steps are pruned of redundant
+generators in one forward pass and sorted canonically, so resolution tails
+over hypersurface rings tend to repeat literally; when d_{i+2} = d_i is
+detected the resolution is extended by copying.  A module
 caches its resolution, and a request for a longer one extends the cached
 one instead of starting again.  The checks on a resolution multiply its
 differentials, flattened column-major, with modgb.compose.
@@ -29,6 +31,16 @@ def syzygies(ring: QuotientRing, columns):
     gb = SubmoduleGB(ring.ambient, npos, vecs, pad_polys=ring.gb)
     return [[ring.normal_form(p) for p in vec_to_polys(ring.ambient, s, len(columns))]
             for s in gb.syzygies()]
+
+
+def find_unit(rows):
+    """(i, j) of the first nonzero constant rows[i][j], rows in order and
+    each row left to right, or None."""
+    for i, row in enumerate(rows):
+        for j, p in enumerate(row):
+            if not p.is_zero() and p.total_deg() == 0:
+                return i, j
+    return None
 
 
 class FPModule:
@@ -79,6 +91,47 @@ class FPModule:
         if self.gen_degrees is not None and other.gen_degrees is not None:
             degs = self.gen_degrees + other.gen_degrees
         return FPModule(self.ring, g, cols, degs)
+
+    def minimal_presentation(self) -> "FPModule":
+        """The same module on fewer generators: while some relation column c
+        has a nonzero constant u at generator i, every other column c'
+        becomes c' - (c'_i/u)*c, and c, generator i and the columns that
+        are then zero go.  The pivot is taken at the last such generator,
+        so earlier generators stay, and the kept ones keep their degrees.
+        No Groebner basis is built; FPModule takes the normal forms once.
+
+        The substitution is exact over any ring.  For a graded module over
+        positive weights the entries are homogeneous, so once no constant
+        entry is left the presentation is minimal (graded Nakayama).  In
+        every other case the result presents the same module, though maybe
+        not minimally.  Returns self when nothing drops."""
+        ring, cols, keep = self.ring, self.relations, list(range(self.ngens))
+        while True:
+            hit = find_unit([c[i] for c in cols] for i in reversed(range(len(keep))))
+            if hit is None:
+                break
+            i, j = len(keep) - 1 - hit[0], hit[1]
+            pivot = cols[j]
+            inv = ring.ambient.const(ring.field.inv(pivot[i].constant_coeff()))
+            rest = []
+            for col in cols[:j] + cols[j + 1:]:
+                q = col[i] * inv
+                if not q.is_zero():
+                    col = [a - q * b for a, b in zip(col, pivot)]
+                col = col[:i] + col[i + 1:]
+                if any(not p.is_zero() for p in col):
+                    rest.append(col)
+            cols = rest
+            del keep[i]
+        if len(keep) == self.ngens:
+            return self
+        degrees = None
+        if self.gen_degrees is not None:
+            degrees = [self.gen_degrees[i] for i in keep]
+        M = FPModule(ring, len(keep), cols, degrees)
+        # a column can vanish only modulo the ideal (x*y over k[x,y]/(xy))
+        M.relations = [c for c in M.relations if any(not p.is_zero() for p in c)]
+        return M
 
     # -- cached machinery ----------------------------------------------------
 
@@ -179,13 +232,13 @@ class FreeResolution:
 
     def verify_complex(self) -> bool:
         """d_(p-1) o d_p = 0 modulo the ideal for every p >= 2, each entry
-        of the product reduced by ring.is_zero."""
+        of the product that has terms reduced by ring.is_zero."""
         ring = self.module.ring
         for p in range(2, len(self.diffs) + 1):
             h = self.rank(p - 2)
             prod = compose(ring.field, self._flat(p - 1), h, self._flat(p),
                            self.rank(p - 1))
-            if not all(ring.is_zero(a) for a in
+            if not all(a.is_zero() or ring.is_zero(a) for a in
                        vec_to_polys(ring.ambient, prod, h * self.rank(p))):
                 return False
         return True

@@ -7,7 +7,12 @@ universal extension
     0 -> (+)_j L_j ^ dim Ext^1(F^(i), L_j)  ->  new F^(i)  ->  F^(i)  -> 0
 
 along a basis of extension classes: homs.yoneda_extension, the one
-extension builder, along the stacked classes.  The parameter algebra is
+extension builder, along the stacked classes.  The new F^(i) is then
+FPModule.minimal_presentation of that extension, which keeps F^(i)'s
+generators and drops each added one that a constant relation entry makes
+redundant: along the node tower the n-th component is the cyclic
+B/(x^(n+1), y^(n+1)), not a module on 2n+1 generators, while the cone
+pair's components keep their presentations.  The parameter algebra is
 R = End((+) F^(i)), built from the pairwise Hom blocks by
 homs.structure_constants, the one table builder, which Hom algebras share;
 its idempotents are the block identities.  Graded collections use
@@ -219,6 +224,7 @@ def deform_step(state: DeformationState) -> DeformationState:
                                  F).E
             if coll.graded and E.gen_degrees is None:
                 raise DeformationError("universal extension left the graded world")
+            E = E.minimal_presentation()
         new_components.append(E)
         new_filtrations.append(state.filtrations[i]
                                + [(state.step + 1, j) for j in added])

@@ -219,11 +219,6 @@ class Polynomial:
             return -1
         return max(sum(m) for m in self.terms)
 
-    def weighted_deg(self) -> int:
-        if self.is_zero():
-            return -1
-        return max(self.ring.weighted_deg(m) for m in self.terms)
-
     def constant_coeff(self):
         return self.terms.get((0,) * self.ring.nvars, self.ring.field.zero())
 

@@ -26,10 +26,6 @@ class QuotientRing:
     def field(self):
         return self.ambient.field
 
-    @property
-    def variables(self):
-        return self.ambient.variables
-
     def normal_form(self, p: Polynomial) -> Polynomial:
         return self._reducer.normal_form(p)
 
@@ -41,9 +37,6 @@ class QuotientRing:
 
     def one(self) -> Polynomial:
         return self.ambient.one()
-
-    def gen(self, name: str) -> Polynomial:
-        return self.ambient.gen(name)
 
     def parse(self, text: str) -> Polynomial:
         return self.normal_form(parse_polynomial(self.ambient, text))

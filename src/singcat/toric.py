@@ -235,9 +235,6 @@ class TDivisor:
         self._check(other)
         return TDivisor(self.fan, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
-    def __neg__(self):
-        return TDivisor(self.fan, [-a for a in self.coeffs])
-
     def scale(self, n: int):
         return TDivisor(self.fan, [n * a for a in self.coeffs])
 

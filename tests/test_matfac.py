@@ -7,7 +7,8 @@ from singcat.poly import PolyRing
 from singcat.quotient import parse_ring
 from singcat.modules import FPModule
 from singcat.matfac import (MatrixFactorization, MFError, mf_check, mf_shift,
-                            knorrer, mf_from_module, mf_stable_hom)
+                            knorrer, mf_from_module, mf_stable_hom,
+                            reduce_trivial_blocks)
 from singcat.homs import stable_hom
 from singcat import models
 
@@ -201,3 +202,15 @@ def test_consistency_with_ext_parity_on_the_cone():
     assert mf_stable_hom(X2, X1) == (0, 1)
     for M, N, X, Y in [(L1, L1, X1, X1), (L1, L2, X1, X2)]:
         assert mf_stable_hom(X, Y)[0] == stable_hom(M, N).dim
+
+
+def test_reduce_trivial_blocks_returns_its_input_when_nothing_splits():
+    S = PolyRing(QQ, ["z"])
+    z, one, zero = S.gen("z"), S.one(), S.zero()
+    X = MatrixFactorization(S, z * z, [[z]], [[z]])
+    assert reduce_trivial_blocks(X) is X
+    # a trivial (1, f) block splits off, and the smaller pair is checked
+    Y = MatrixFactorization(S, z * z, [[z, zero], [zero, one]],
+                            [[z, zero], [zero, z * z]])
+    Z = reduce_trivial_blocks(Y)
+    assert Z is not Y and Z.size == 1 and Z.A == [[z]] and Z.B == [[z]]

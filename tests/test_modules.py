@@ -1,6 +1,12 @@
 """FPModule presentations and free resolutions."""
 
-from singcat.quotient import parse_ring
+import random
+
+import pytest
+
+from singcat import modgb, models
+from singcat.homs import ext_dims, hom_space, stable_hom
+from singcat.quotient import QuotientRing, parse_ring
 from singcat.modules import FPModule, FreeResolution
 
 
@@ -168,3 +174,103 @@ def test_prune_keeps_earliest_irredundant_columns():
     for cols in ([[x], [R.parse("x^2")], [y], [R.parse("x*y")]],
                  [[R.parse("x^2")], [x], [y]]):
         assert _prune_columns(R, cols, 1) == [[x], [y]]
+
+
+# -- minimal presentations ------------------------------------------------------
+
+
+def _scrambled(rng, M, extra):
+    """M over k[z]/(z^n) on `extra` more generators, each set equal to a
+    homogeneous multiple of an earlier one, then mixed by random graded
+    unimodular row and column operations and given a redundant relation.
+    Every entry stays homogeneous, so the module stays graded."""
+    R = M.ring
+    F, z = R.field, R.parse("z")
+    degs = list(M.gen_degrees)
+    cols = [list(c) for c in M.relations]
+    col_degs = [R.ambient.weighted_deg(c[0].lead_monomial()) + degs[0]
+                for c in cols]
+
+    def unit():
+        return R.ambient.const(F.from_int(rng.randint(2, 7)))
+
+    for _ in range(extra):
+        b, d = rng.randrange(len(degs)), rng.randint(0, 2)
+        cols = [c + [R.zero()] for c in cols]
+        new = [R.zero()] * len(degs) + [unit()]
+        new[b] = -(unit() * z ** d)
+        cols.append(new)
+        degs.append(degs[b] + d)
+        col_degs.append(degs[-1])
+    for _ in range(8):
+        i, j = rng.sample(range(len(degs)), 2)
+        if degs[j] >= degs[i]:  # row_i += c z^(deg_j - deg_i) row_j
+            p = unit() * z ** (degs[j] - degs[i])
+            for c in cols:
+                c[i] = c[i] + p * c[j]
+        s, t = rng.sample(range(len(cols)), 2)
+        if col_degs[s] >= col_degs[t]:  # col_s += c z^(deg_s - deg_t) col_t
+            q = unit() * z ** (col_degs[s] - col_degs[t])
+            cols[s] = [a + q * b for a, b in zip(cols[s], cols[t])]
+    q, s = unit() * z, rng.randrange(len(cols))
+    cols.append([q * a for a in cols[s]])
+    return FPModule(R, len(degs), cols, degs)
+
+
+def _dims(X, others):
+    return [(hom_space(X, N).dim, hom_space(N, X).dim, stable_hom(X, N).dim,
+             stable_hom(N, X).dim, ext_dims(X, N, 3)) for N in others]
+
+
+@pytest.mark.parametrize("field", ["Q", "F32003"])
+def test_minimal_presentation_of_scrambled_cyclic_modules(field):
+    # M_a = R/(z^a) over R = k[z]/(z^5) needs one generator
+    R = parse_ring(f"{field}[z]/(z^5)")
+    cyclic = [FPModule.cyclic(R, [R.parse(f"z^{a}")]) for a in range(1, 5)]
+    rng = random.Random(17)
+    for trial in range(8):
+        a = rng.randint(1, 4)
+        M = cyclic[a - 1]
+        X = _scrambled(rng, M, rng.randint(1, 3))
+        assert X.is_graded() and X.ngens > 1
+        least = X.minimal_presentation()
+        assert least.ngens == 1 and least.gen_degrees == (0,), trial
+        assert least.is_graded()
+        assert least.minimal_presentation() is least
+        assert least.k_dim() == a
+        assert _dims(X, cyclic) == _dims(least, cyclic) == _dims(M, cyclic)
+
+
+def test_minimal_presentation_keeps_what_has_no_constant_entry(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Groebner build")
+
+    R = parse_ring("Q[z]/(z^5)")
+    M = FPModule(R, 2, [[R.parse("z^2"), R.parse("z")]], [0, 1])
+    monkeypatch.setattr(modgb.SubmoduleGB, "__init__", refuse)
+    assert M.minimal_presentation() is M
+
+
+def test_minimal_presentation_drops_columns_zero_modulo_the_ideal():
+    # e1 = x*e0, so y*e1 = xy*e0 = 0: the relation y*e1 goes
+    B = parse_ring("Q[x,y]/(x*y)")
+    x, y, zero, one = B.parse("x"), B.parse("y"), B.zero(), B.parse("1")
+    M = FPModule(B, 2, [[x, -one], [zero, x], [zero, y], [y, zero]], [0, 1])
+    least = M.minimal_presentation()
+    assert (least.ngens, least.relations, least.gen_degrees) == \
+        (1, [[x * x], [y]], (0,))
+
+
+def test_verify_complex_reduces_only_nonzero_entries(monkeypatch):
+    seen = []
+    real = QuotientRing.is_zero
+
+    def recording(self, p):
+        seen.append(p.is_zero())
+        return real(self, p)
+
+    monkeypatch.setattr(QuotientRing, "is_zero", recording)
+    C = cone_ring()
+    for L in (models.cone_L1(C), models.cone_L2(C)):
+        assert L.resolve(6).verify_complex()
+    assert seen and not any(seen)

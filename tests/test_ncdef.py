@@ -89,6 +89,26 @@ def test_node_point_does_not_terminate():
     assert rep.dim_r_trajectory == [1, 3, 5, 7, 9]
 
 
+@pytest.mark.parametrize("field", ["Q", "F32003"])
+def test_node_components_are_cyclic(field):
+    # F_n = B/(x^(n+1), y^(n+1)): the copies' generators all drop
+    B = models.node_surface(field)
+    state = initial_state(SimpleCollection([models.node_point_module(B)]))
+    for n in range(1, 7):
+        state = deform_step(state)
+        E = state.components[0]
+        assert (E.ngens, E.relations, E.gen_degrees) == \
+            (1, [[B.parse(f"x^{n + 1}")], [B.parse(f"y^{n + 1}")]], (0,)), n
+
+
+def test_cone_components_keep_their_presentation():
+    coll = cone_collection()
+    step1 = deform_step(initial_state(coll))
+    for M in coll.modules + step1.components:
+        assert M.minimal_presentation() is M
+    assert [E.ngens for E in step1.components] == [4, 4]
+
+
 def test_dim_r_equals_filtration_length_everywhere():
     B, coll = node_collection()
     rep = run(coll, max_iter=4)
@@ -451,9 +471,16 @@ def test_universal_extension_matches_the_hand_laid_reference(field, model,
                 assert E is F
                 continue
             ext = next(new)
-            assert ext.E is E and ext.B is F
-            assert (E.ngens, E.relations, E.gen_degrees) == \
+            assert ext.B is F
+            assert (ext.E.ngens, ext.E.relations, ext.E.gen_degrees) == \
                 (ref.ngens, ref.relations, ref.gen_degrees), (steps, i)
+            if model == "cone":
+                assert ext.E is E
+            else:  # the node's extensions drop the copies' generators
+                least = ext.E.minimal_presentation()
+                assert least is not ext.E
+                assert (E.ngens, E.relations, E.gen_degrees) == \
+                    (least.ngens, least.relations, least.gen_degrees)
         assert next(new, None) is None
         state, steps = nxt, steps + 1
     assert steps == (1 if model == "cone" else 4)

@@ -19,9 +19,8 @@ print(f"outcome: {rep.outcome} at step {rep.final_step}")
 print(f"dim R trajectory: {rep.dim_r_trajectory}")
 alg = rep.algebra()
 print(f"parameter algebra on basis {alg.labels}")
-rad = alg.radical()
-sq = alg.subspace_dim(alg.multiply_subspaces(rad, rad))
-print(f"radical dimension {len(rad)}, radical squared {sq}: two arrows, "
+layers = alg.radical_layers()
+print(f"radical dimension {sum(layers[1:])}, radical squared {sum(layers[2:])}: two arrows, "
       f"square zero")
 ok, detail = flatness_filtration_check(rep.final_state)
 print(f"flatness filtration check: {ok}; factor multiplicities "

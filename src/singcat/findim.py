@@ -1,6 +1,9 @@
 """Finite-dimensional associative algebras given by structure constants,
 with exact idempotent search.
 
+There is one radical routine: radical() is the kernel of the trace form,
+read straight from the table, and radical_layers() gives its layers.
+
 Idempotents are solutions of the quadratic system e*e = e on a basis ansatz.
 The system always defines a smooth (hence reduced) scheme, so when it is
 zero-dimensional a lex Groebner basis plus exact root extraction enumerates
@@ -10,10 +13,12 @@ restricts scalars to the base field first.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import gcd
 
 from .fields import Field, QQ, PrimeField, QuadraticExtension
+from .linalg import Matrix, kernel_basis, rank, rref
 from .poly import PolyRing, Polynomial
 from .modgb import groebner_basis
 
@@ -32,8 +37,17 @@ class FiniteDimAlgebra:
         # mult_table[i][j] = coefficient vector of basis_i * basis_j
         self.mult_table = [[list(v) for v in row] for row in mult_table]
         self.unit = list(unit)
-        if len(self.mult_table) != self.dim or any(len(r) != self.dim for r in self.mult_table):
+        if (len(self.mult_table) != self.dim or len(self.unit) != self.dim
+                or any(len(r) != self.dim or any(len(v) != self.dim for v in r)
+                       for r in self.mult_table)):
             raise AlgebraError("structure constant table has wrong shape")
+
+    @functools.cached_property
+    def basis(self):
+        """The coefficient vectors of the basis elements."""
+        F = self.field
+        return [[F.one() if i == j else F.zero() for j in range(self.dim)]
+                for i in range(self.dim)]
 
     # -- arithmetic on coefficient vectors ------------------------------------
 
@@ -65,50 +79,70 @@ class FiniteDimAlgebra:
         return all(self.field.is_zero(self.field.sub(x, y)) for x, y in zip(a, b))
 
     def is_associative(self) -> bool:
-        basis = [[self.field.one() if i == j else self.field.zero() for j in range(self.dim)]
-                 for i in range(self.dim)]
-        for a in basis:
-            for b in basis:
+        for a in self.basis:
+            for b in self.basis:
                 ab = self.mul(a, b)
-                for c in basis:
+                for c in self.basis:
                     if not self.eq(self.mul(ab, c), self.mul(a, self.mul(b, c))):
                         return False
         return True
 
     def unit_acts_trivially(self) -> bool:
-        basis = [[self.field.one() if i == j else self.field.zero() for j in range(self.dim)]
-                 for i in range(self.dim)]
         return all(self.eq(self.mul(self.unit, b), b) and self.eq(self.mul(b, self.unit), b)
-                   for b in basis)
+                   for b in self.basis)
 
     def is_commutative(self) -> bool:
-        basis = [[self.field.one() if i == j else self.field.zero() for j in range(self.dim)]
-                 for i in range(self.dim)]
-        return all(self.eq(self.mul(a, b), self.mul(b, a)) for a in basis for b in basis)
+        table = self.mult_table
+        return all(self.eq(table[i][j], table[j][i])
+                   for i in range(self.dim) for j in range(i))
 
     def radical(self):
         """Basis (list of coefficient vectors) of the Jacobson radical.
 
         Uses the trace-form kernel, valid in characteristic zero; over F_p
         this is the radical of the trace form and is only used for report
-        purposes on algebras where it agrees.
+        purposes on algebras where it agrees.  The form is read from the
+        table: tr L_k = sum_j c_kj^j and T_ij = sum_k c_ij^k tr L_k.
         """
-        from .linalg import Matrix, kernel_basis
         F = self.field
-        basis = [[F.one() if i == j else F.zero() for j in range(self.dim)]
-                 for i in range(self.dim)]
 
-        def trace_of_mult(v):
+        def dot(v, w):
             t = F.zero()
-            for j in range(self.dim):
-                t = F.add(t, self.mul(v, basis[j])[j])
+            for c, d in zip(v, w):
+                if not F.is_zero(c):
+                    t = F.add(t, F.mul(c, d))
             return t
 
-        rows = []
-        for i in range(self.dim):
-            rows.append([trace_of_mult(self.mul(basis[i], basis[j])) for j in range(self.dim)])
-        ker = kernel_basis(Matrix(F, rows))
+        traces = [functools.reduce(F.add, (v[j] for j, v in enumerate(row)), F.zero())
+                  for row in self.mult_table]
+        form = [[dot(v, traces) for v in row] for row in self.mult_table]
+        ker = kernel_basis(Matrix(F, form))
         return [ker.col(j) for j in range(ker.ncols)]
+
+    def radical_layers(self):
+        """[dim A/rad, dim rad/rad^2, ...] up to the first zero power.
+
+        Each power is kept as an rref basis, so no step holds more than
+        |rad|^2 products.  Raises AlgebraError when the powers stop
+        shrinking, as they do where the trace form vanishes (over F2).
+        """
+        rad = self.radical()
+        layers = [self.dim - len(rad)]
+        power = rad
+        for _ in range(self.dim if rad else 0):
+            nxt = self.subspace_basis(self.multiply_subspaces(power, rad))
+            d_now, d_next = len(power), len(nxt)
+            if d_next == d_now:
+                # a nilpotent ideal shrinks at every power; the trace form can
+                # vanish on all of A in small characteristic
+                raise AlgebraError(f"radical powers stop shrinking at dimension "
+                                   f"{d_now} over {self.field.name} (dim A = {self.dim}): "
+                                   "the trace-form radical is not nilpotent")
+            layers.append(d_now - d_next)
+            if d_next == 0:
+                break
+            power = nxt
+        return layers
 
     def multiply_subspaces(self, A, B):
         """Span generators of A*B for lists of coefficient vectors."""
@@ -116,7 +150,6 @@ class FiniteDimAlgebra:
 
     def subspace_basis(self, vectors):
         """The nonzero rows of the rref of the vectors: a basis of their span."""
-        from .linalg import Matrix, rref
         if not vectors:
             return []
         red, pivots = rref(Matrix(self.field, vectors))
@@ -146,7 +179,6 @@ class FiniteDimAlgebra:
         images are coefficient vectors in `other`.  Verifies linearity data:
         bijectivity, unit preservation, and multiplicativity on all basis pairs.
         """
-        from .linalg import Matrix, rank
         if other.dim != self.dim or other.field != self.field:
             return False
         if rank(Matrix(self.field, images)) != self.dim:
@@ -226,21 +258,9 @@ def _idempotents_via_restriction(A: FiniteDimAlgebra, dim_bound: int):
     def join(vec2):
         return [(a, b) for a, b in zip(vec2[:n], vec2[n:])]
 
-    table = []
-    basis2 = []
-    for i in range(n):
-        e = [K.zero()] * n
-        e[i] = K.one()
-        basis2.append(e)
-    for i in range(n):
-        e = [K.zero()] * n
-        e[i] = K.i()
-        basis2.append(e)
-    for x in basis2:
-        row = []
-        for y in basis2:
-            row.append(split(A.mul(x, y)))
-        table.append(row)
+    basis2 = A.basis + [[K.i() if j == i else K.zero() for j in range(n)]
+                        for i in range(n)]
+    table = [[split(A.mul(x, y)) for y in basis2] for x in basis2]
     A2 = FiniteDimAlgebra(base, labels, table, split(A.unit))
     sols2 = algebra_idempotents(A2, dim_bound=2 * dim_bound)
     return [join(v) for v in sols2]

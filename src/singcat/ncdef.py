@@ -26,7 +26,7 @@ from __future__ import annotations
 from functools import reduce
 
 from .errors import InvariantError
-from .findim import AlgebraError, FiniteDimAlgebra
+from .findim import FiniteDimAlgebra
 from .homs import (MorphismSpace, ext_space, hom_space, structure_constants,
                    yoneda_extension)
 from .modules import FPModule
@@ -280,17 +280,13 @@ def flatness_filtration_check(state: DeformationState):
     added per step, the block idempotents are orthogonal and sum to one,
     and R modulo its radical is k^r.  Returns (ok, detail dict).
 
-    The radical layers dim rad^s/rad^(s+1) come from the powers of the
-    trace-form radical, each kept as an rref basis: rad^(s+1) is the span
-    of the |rad^s|*|rad| products, cut back to a basis before the next
-    step, so no step holds more than |rad|^2 products.  Raises
-    AlgebraError when the powers stop shrinking, as they do where the
-    trace form vanishes (over F2).
+    The radical layers dim rad^s/rad^(s+1) are
+    FiniteDimAlgebra.radical_layers, which raises AlgebraError where the
+    trace-form radical is not nilpotent (over F2).
     """
     alg = state.algebra()
     idem = state.block_idempotents()
     r = len(state.collection)
-    F = alg.field
     detail = {}
     ok = True
     # idempotent identities
@@ -312,12 +308,7 @@ def flatness_filtration_check(state: DeformationState):
     for filt in state.filtrations:
         for _step, j in filt:
             counts[j] += 1
-    mults = []
-    for e in idem:
-        basis = [[F.one() if s == t else F.zero() for t in range(alg.dim)]
-                 for s in range(alg.dim)]
-        span = [alg.mul(e, b) for b in basis]
-        mults.append(alg.subspace_dim(span))
+    mults = [alg.subspace_dim([alg.mul(e, b) for b in alg.basis]) for e in idem]
     detail["multiplicities"] = mults
     detail["filtration_counts"] = counts
     if mults != counts:
@@ -326,29 +317,14 @@ def flatness_filtration_check(state: DeformationState):
         ok = False
         detail["dim_mismatch"] = (sum(mults), alg.dim)
     # radical layers vs per-step factor counts
-    rad = alg.radical()
-    if alg.dim - len(rad) != r:
+    layers = alg.radical_layers()
+    if layers[0] != r:
         ok = False
-        detail["semisimple_rank"] = alg.dim - len(rad)
+        detail["semisimple_rank"] = layers[0]
     layer_counts = {}
     for filt in state.filtrations:
         for step, _j in filt:
             layer_counts[step] = layer_counts.get(step, 0) + 1
-    layers = [alg.dim - len(rad)]
-    power = rad
-    for _ in range(alg.dim if rad else 0):
-        nxt = alg.subspace_basis(alg.multiply_subspaces(power, rad))
-        d_now, d_next = len(power), len(nxt)
-        if d_next == d_now:
-            # a nilpotent ideal shrinks at every power; the trace form can
-            # vanish on all of A in small characteristic
-            raise AlgebraError(f"radical powers stop shrinking at dimension "
-                               f"{d_now} over {F.name} (dim A = {alg.dim}): "
-                               "the trace-form radical is not nilpotent")
-        layers.append(d_now - d_next)
-        if d_next == 0:
-            break
-        power = nxt
     # layers[s] = dim rad^s/rad^{s+1}; compare against factors added at step s
     expect = [layer_counts.get(s, 0) for s in range(len(layers))]
     got = [l for l in layers if l != 0]

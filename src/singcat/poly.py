@@ -117,10 +117,10 @@ class PolyRing:
     def with_order(self, order: str) -> "PolyRing":
         return PolyRing(self.field, self.variables, order, self.weights)
 
-    def extend(self, new_vars: Iterable[str], new_weights: Iterable[int] | None = None) -> "PolyRing":
+    def extend(self, new_vars: Iterable[str]) -> "PolyRing":
+        """The ring with new_vars appended, each of weight 1."""
         nv = tuple(new_vars)
-        nw = tuple(new_weights) if new_weights is not None else (1,) * len(nv)
-        return PolyRing(self.field, self.variables + nv, self.order, self.weights + nw)
+        return PolyRing(self.field, self.variables + nv, self.order, self.weights + (1,) * len(nv))
 
     def parse(self, text: str) -> "Polynomial":
         return parse_polynomial(self, text)
@@ -237,12 +237,10 @@ class Polynomial:
             out = out + part
         return out
 
-    def map_to(self, target: PolyRing, var_map: dict | None = None) -> "Polynomial":
+    def map_to(self, target: PolyRing) -> "Polynomial":
         """Reinterpret in another ring over the same field by variable name."""
-        positions = {}
-        for i, v in enumerate(self.ring.variables):
-            name = (var_map or {}).get(v, v)
-            positions[i] = target.variables.index(name)
+        positions = {i: target.variables.index(v)
+                     for i, v in enumerate(self.ring.variables)}
         out: dict = {}
         for m, c in self.terms.items():
             nm = [0] * target.nvars

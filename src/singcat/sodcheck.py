@@ -358,8 +358,6 @@ def _deformation_conclusions():
     report = cone_pair()[1]
     state = report.final_state
     alg = report.algebra()
-    rad = alg.radical()
-    rad_sq = alg.subspace_dim(alg.multiply_subspaces(rad, rad))
     flat_ok, flat_detail = flatness_filtration_check(state)
     rows = cone_pair_ext_table().values()
     ext_ff = {p: max(row[p - 1] for row in rows) for p in (1, 2, 3)}
@@ -368,7 +366,7 @@ def _deformation_conclusions():
         "termination_step": report.final_step,
         "dim_R": alg.dim,
         "dim_R_trajectory": report.dim_r_trajectory,
-        "radical_square_zero": rad_sq == 0 and len(rad) == 2,
+        "radical_square_zero": flat_detail["radical_layers"][1:] == [2],
         "flatness_filtration": flat_ok,
         "flatness_detail": flat_detail,
         "ext_FF_degree0": ext_ff,

@@ -1,11 +1,15 @@
 """Structure-constant algebras and exact idempotent search."""
 
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
+from singcat import models
 from singcat.fields import QQ, GF, QuadraticExtension
 from singcat.findim import FiniteDimAlgebra, algebra_idempotents, AlgebraError, univariate_roots
+from singcat.linalg import Matrix, kernel_basis
+from singcat.ncdef import SimpleCollection, run
 
 
 def dual_numbers_style(field, minus_one_square):
@@ -79,26 +83,24 @@ def test_idempotent_dim_bound():
         algebra_idempotents(A, dim_bound=1)
 
 
-def test_noncommutative_fallback_contains_zero_and_one():
-    # 2x2 matrix algebra: idempotent variety is positive-dimensional
-    QQz, QQo = QQ.zero(), QQ.one()
-    labels = ["e11", "e12", "e21", "e22"]
-
-    def unit_vec(k):
-        v = [QQz] * 4
-        v[k] = QQo
-        return v
+def matrix_algebra_2(field):
+    """M_2(k) on the matrix units e11, e12, e21, e22."""
+    z, o = field.zero(), field.one()
+    idx = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def emul(i, j, k, l):
         # e_ij * e_kl = delta_jk e_il
-        if j != k:
-            return [QQz] * 4
-        return unit_vec({(0, 0): 0, (0, 1): 1, (1, 0): 2, (1, 1): 3}[(i, l)])
+        return [o if j == k and (i, l) == pos else z for pos in idx]
 
-    idx = [(0, 0), (0, 1), (1, 0), (1, 1)]
     table = [[emul(*idx[a], *idx[b]) for b in range(4)] for a in range(4)]
-    M2 = FiniteDimAlgebra(QQ, labels, table, [QQo, QQz, QQz, QQo])
-    assert M2.is_associative()
+    return FiniteDimAlgebra(field, ["e11", "e12", "e21", "e22"], table, [o, z, z, o])
+
+
+def test_noncommutative_fallback_contains_zero_and_one():
+    # 2x2 matrix algebra: idempotent variety is positive-dimensional
+    QQz, QQo = QQ.zero(), QQ.one()
+    M2 = matrix_algebra_2(QQ)
+    assert M2.is_associative() and not M2.is_commutative()
     found = algebra_idempotents(M2)
     vecs = {tuple(v) for v in found}
     assert tuple([QQz] * 4) in vecs
@@ -117,6 +119,77 @@ def test_radical_of_dual_numbers():
     rad = A.radical()
     assert len(rad) == 1
     assert QQ.is_zero(rad[0][0]) and not QQ.is_zero(rad[0][1])
+
+
+def trace_form_reference(A):
+    """The trace form T_ij = tr L_(b_i b_j), with the trace of left
+    multiplication read through mul on basis vectors."""
+    F = A.field
+    basis = [[F.one() if i == j else F.zero() for j in range(A.dim)]
+             for i in range(A.dim)]
+
+    def trace_of_mult(v):
+        t = F.zero()
+        for j in range(A.dim):
+            t = F.add(t, A.mul(v, basis[j])[j])
+        return t
+
+    return [[trace_of_mult(A.mul(basis[i], basis[j])) for j in range(A.dim)]
+            for i in range(A.dim)]
+
+
+def cone_pair_algebra(field):
+    P = models.projective_cone_ring(field)
+    return run(SimpleCollection([models.cone_L1(P), models.cone_L2(P)]),
+               max_iter=8).algebra()
+
+
+def truncation(field, n):
+    return models.truncated_node_algebra(models.node_surface(field), n)
+
+
+def t2_plus_1(K):
+    return dual_numbers_style(K, K.from_int(-1))
+
+
+RADICAL_CASES = {
+    **{f"truncation-{n}-{field}": partial(truncation, field, n)
+       for field in ("Q", "F32003") for n in range(1, 7)},
+    "cone-pair-Q": partial(cone_pair_algebra, "Q"),
+    "cone-pair-F3": partial(cone_pair_algebra, "F3"),
+    # where p divides a trace, the kernel is not the Jacobson radical
+    "truncation-1-F3": partial(truncation, "F3", 1),
+    "cone-pair-F2": partial(cone_pair_algebra, "F2"),
+    "t2+1-Q": partial(t2_plus_1, QQ),
+    "t2+1-F5": partial(t2_plus_1, GF(5)),
+    "t2+1-Qi": partial(t2_plus_1, QuadraticExtension(QQ)),
+    "M2-Q": partial(matrix_algebra_2, QQ),
+}
+
+
+@pytest.mark.parametrize("case", RADICAL_CASES)
+def test_radical_is_the_kernel_of_the_trace_form(case):
+    A = RADICAL_CASES[case]()
+    ker = kernel_basis(Matrix(A.field, trace_form_reference(A)))
+    assert A.radical() == [ker.col(j) for j in range(ker.ncols)]
+
+
+@pytest.mark.parametrize("field", ["Q", "F32003"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_radical_layers_of_the_node_truncations(field, n):
+    assert truncation(field, n).radical_layers() == [1] + [2] * n
+
+
+def test_radical_layers_of_a_semisimple_algebra():
+    assert matrix_algebra_2(QQ).radical_layers() == [4]
+
+
+def test_short_entry_vectors_and_units_are_refused():
+    z, o = QQ.zero(), QQ.one()
+    with pytest.raises(AlgebraError, match="wrong shape"):
+        FiniteDimAlgebra(QQ, ["a", "b"], [[[o], [z, z]], [[z, z], [z, o]]], [o, o])
+    with pytest.raises(AlgebraError, match="wrong shape"):
+        FiniteDimAlgebra(QQ, ["a", "b"], [[[o, z], [z, z]], [[z, z], [z, o]]], [o])
 
 
 def test_univariate_roots_q():

@@ -2,6 +2,8 @@
 
 import pytest
 
+from singcat import sodcheck
+from singcat.findim import FiniteDimAlgebra
 from singcat.toric import fan_library, divisor_from_combo
 from singcat.sodcheck import (check_exceptional, check_orthogonal_to_deformation,
                               les_propagate, LESError,
@@ -237,3 +239,29 @@ def test_broken_bundle_fails_condition_one():
     bad_D2 = D2.scale(2)  # -2E1
     val = intersect_curve(bad_D2, walls["l"], fan)
     assert val == -2  # the audit's condition (1) would report this witness
+
+
+def test_deformation_conclusions_compute_one_radical(monkeypatch):
+    calls = {"radical": 0, "mul_in_radical": 0}
+    inside = []
+    radical, mul = FiniteDimAlgebra.radical, FiniteDimAlgebra.mul
+
+    def counting_radical(self):
+        calls["radical"] += 1
+        inside.append(True)
+        try:
+            return radical(self)
+        finally:
+            inside.pop()
+
+    def counting_mul(self, a, b):
+        if inside:
+            calls["mul_in_radical"] += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(FiniteDimAlgebra, "radical", counting_radical)
+    monkeypatch.setattr(FiniteDimAlgebra, "mul", counting_mul)
+    sodcheck._deformation_conclusions.cache_clear()
+    conclusions = sodcheck._deformation_conclusions()
+    assert conclusions["radical_square_zero"] and conclusions["flatness_filtration"]
+    assert calls == {"radical": 1, "mul_in_radical": 0}

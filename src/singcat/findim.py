@@ -1,6 +1,8 @@
 """Finite-dimensional associative algebras given by structure constants,
 with exact idempotent search.
 
+Each nonzero product of basis elements is a sparse row, and every routine
+visits the nonzero products only; mult_table is a dense view for reports.
 There is one radical routine: radical() is the kernel of the trace form,
 read straight from the table, and radical_layers() gives its layers.
 
@@ -14,11 +16,12 @@ restricts scalars to the base field first.
 from __future__ import annotations
 
 import functools
+import itertools
 from fractions import Fraction
 from math import gcd
 
 from .fields import Field, QQ, PrimeField, QuadraticExtension
-from .linalg import Matrix, kernel_basis, rank, rref
+from .linalg import Matrix, kernel_basis
 from .poly import PolyRing, Polynomial
 from .modgb import groebner_basis
 
@@ -28,26 +31,31 @@ class AlgebraError(ValueError):
 
 
 class FiniteDimAlgebra:
-    """Associative unital algebra: basis labels, structure constants, unit."""
+    """Associative unital algebra: labels, sparse products, unit.  products[i]
+    maps j to basis_i * basis_j as (k, coefficient) pairs, nonzero, by
+    ascending k, zero products absent; vectors are dense lists at the API."""
 
-    def __init__(self, field: Field, labels, mult_table, unit):
+    def __init__(self, field: Field, labels, products, unit):
         self.field = field
         self.labels = list(labels)
-        self.dim = len(self.labels)
-        # mult_table[i][j] = coefficient vector of basis_i * basis_j
-        self.mult_table = [[list(v) for v in row] for row in mult_table]
+        self.dim = n = len(self.labels)
+        self.products = [dict(prods) for prods in products]
         self.unit = list(unit)
-        if (len(self.mult_table) != self.dim or len(self.unit) != self.dim
-                or any(len(r) != self.dim or any(len(v) != self.dim for v in r)
-                       for r in self.mult_table)):
+        if (len(self.products) != n or len(self.unit) != n
+                or any(not 0 <= j < n or any(not 0 <= k < n for k, _c in row)
+                       for prods in self.products for j, row in prods.items())):
             raise AlgebraError("structure constant table has wrong shape")
+
+    @property
+    def mult_table(self):
+        """The dense view, for reports: mult_table[i][j] = basis_i * basis_j."""
+        return [[self._dense(prods.get(j, ())) for j in range(self.dim)]
+                for prods in self.products]
 
     @functools.cached_property
     def basis(self):
         """The coefficient vectors of the basis elements."""
-        F = self.field
-        return [[F.one() if i == j else F.zero() for j in range(self.dim)]
-                for i in range(self.dim)]
+        return [self._dense([(i, self.field.one())]) for i in range(self.dim)]
 
     # -- arithmetic on coefficient vectors ------------------------------------
 
@@ -61,39 +69,61 @@ class FiniteDimAlgebra:
         return [self.field.mul(c, x) for x in a]
 
     def mul(self, a, b):
-        F = self.field
-        out = self.zero_vec()
-        for i, ai in enumerate(a):
-            if F.is_zero(ai):
-                continue
-            for j, bj in enumerate(b):
-                if F.is_zero(bj):
-                    continue
-                c = F.mul(ai, bj)
-                for k, s in enumerate(self.mult_table[i][j]):
-                    if not F.is_zero(s):
-                        out[k] = F.add(out[k], F.mul(c, s))
-        return out
+        return self._dense(
+            self._product(self._sparse(a), self._sparse(b)).items())
 
     def eq(self, a, b):
-        return all(self.field.is_zero(self.field.sub(x, y)) for x, y in zip(a, b))
+        F = self.field
+        return all(x == y or F.is_zero(F.sub(x, y)) for x, y in zip(a, b))
+
+    def _sparse(self, vec):
+        is_zero = self.field.is_zero
+        return {k: c for k, c in enumerate(vec) if not is_zero(c)}
+
+    def _dense(self, pairs):
+        out = self.zero_vec()
+        for k, c in pairs:
+            out[k] = c
+        return out
+
+    def _add_multiple(self, out, c, pairs):
+        """out += c * (the sparse vector of the pairs), in place."""
+        F = self.field
+        for k, s in pairs:
+            t = F.mul(c, s)
+            out[k] = F.add(out[k], t) if k in out else t
+
+    def _product(self, u, v):
+        """u * v for sparse vectors, visiting only the nonzero products."""
+        F = self.field
+        out = {}
+        for i, a in u.items():
+            for j, row in self.products[i].items():
+                if j in v:
+                    self._add_multiple(out, F.mul(a, v[j]), row)
+        return {k: c for k, c in out.items() if not F.is_zero(c)}
+
+    def _same(self, u, v):
+        F, zero = self.field, self.field.zero()
+        return all(u.get(k) == v.get(k)
+                   or F.is_zero(F.sub(u.get(k, zero), v.get(k, zero)))
+                   for k in u.keys() | v.keys())
 
     def is_associative(self) -> bool:
-        for a in self.basis:
-            for b in self.basis:
-                ab = self.mul(a, b)
-                for c in self.basis:
-                    if not self.eq(self.mul(ab, c), self.mul(a, self.mul(b, c))):
-                        return False
-        return True
+        one, P = self.field.one(), self.products
+        return all(self._same(self._product(dict(P[i].get(j, ())), {l: one}),
+                              self._product({i: one}, dict(P[j].get(l, ()))))
+                   for i, j, l in itertools.product(range(self.dim), repeat=3))
 
     def unit_acts_trivially(self) -> bool:
-        return all(self.eq(self.mul(self.unit, b), b) and self.eq(self.mul(b, self.unit), b)
-                   for b in self.basis)
+        one, unit = self.field.one(), self._sparse(self.unit)
+        return all(self._same(self._product(unit, {b: one}), {b: one})
+                   and self._same(self._product({b: one}, unit), {b: one})
+                   for b in range(self.dim))
 
     def is_commutative(self) -> bool:
-        table = self.mult_table
-        return all(self.eq(table[i][j], table[j][i])
+        P = self.products
+        return all(self._same(dict(P[i].get(j, ())), dict(P[j].get(i, ())))
                    for i in range(self.dim) for j in range(i))
 
     def radical(self):
@@ -105,32 +135,31 @@ class FiniteDimAlgebra:
         table: tr L_k = sum_j c_kj^j and T_ij = sum_k c_ij^k tr L_k.
         """
         F = self.field
-
-        def dot(v, w):
-            t = F.zero()
-            for c, d in zip(v, w):
-                if not F.is_zero(c):
-                    t = F.add(t, F.mul(c, d))
-            return t
-
-        traces = [functools.reduce(F.add, (v[j] for j, v in enumerate(row)), F.zero())
-                  for row in self.mult_table]
-        form = [[dot(v, traces) for v in row] for row in self.mult_table]
+        total = functools.partial(functools.reduce, F.add)
+        traces = [total((c for j, row in prods.items() for m, c in row if m == j),
+                        F.zero()) for prods in self.products]
+        form = [self._dense((j, total((F.mul(c, traces[k]) for k, c in row),
+                                      F.zero())) for j, row in prods.items())
+                for prods in self.products]
         ker = kernel_basis(Matrix(F, form))
         return [ker.col(j) for j in range(ker.ncols)]
 
     def radical_layers(self):
         """[dim A/rad, dim rad/rad^2, ...] up to the first zero power.
 
-        Each power is kept as an rref basis, so no step holds more than
-        |rad|^2 products.  Raises AlgebraError when the powers stop
-        shrinking, as they do where the trace form vanishes (over F2).
+        Each power is kept as an echelon basis of sparse rows, and each
+        product of a power with the radical is reduced into the next as it
+        is made.  Raises AlgebraError when the powers stop shrinking, as
+        they do where the trace form vanishes (over F2).
         """
-        rad = self.radical()
+        rad = [self._sparse(v) for v in self.radical()]
         layers = [self.dim - len(rad)]
         power = rad
         for _ in range(self.dim if rad else 0):
-            nxt = self.subspace_basis(self.multiply_subspaces(power, rad))
+            nxt = {}
+            for a in power:
+                for b in rad:
+                    self._reduce_into(nxt, self._product(a, b))
             d_now, d_next = len(power), len(nxt)
             if d_next == d_now:
                 # a nilpotent ideal shrinks at every power; the trace form can
@@ -141,22 +170,32 @@ class FiniteDimAlgebra:
             layers.append(d_now - d_next)
             if d_next == 0:
                 break
-            power = nxt
+            power = list(nxt.values())
         return layers
+
+    def _reduce_into(self, rows, vec):
+        """Reduce the sparse vec by the echelon rows (pivot -> row, lowest
+        index the pivot with coefficient one) and add what is left, if any."""
+        F = self.field
+        vec = dict(vec)
+        while vec:
+            p = min(vec)
+            if p not in rows:
+                inv = F.inv(vec[p])
+                rows[p] = {k: F.mul(inv, c) for k, c in vec.items()}
+                return
+            self._add_multiple(vec, F.neg(vec[p]), rows[p].items())
+            vec = {k: c for k, c in vec.items() if not F.is_zero(c)}
 
     def multiply_subspaces(self, A, B):
         """Span generators of A*B for lists of coefficient vectors."""
         return [self.mul(a, b) for a in A for b in B]
 
-    def subspace_basis(self, vectors):
-        """The nonzero rows of the rref of the vectors: a basis of their span."""
-        if not vectors:
-            return []
-        red, pivots = rref(Matrix(self.field, vectors))
-        return red.rows[:len(pivots)]
-
     def subspace_dim(self, vectors) -> int:
-        return len(self.subspace_basis(vectors))
+        rows = {}
+        for v in vectors:
+            self._reduce_into(rows, self._sparse(v))
+        return len(rows)
 
     def to_str(self, vec) -> str:
         F = self.field
@@ -177,28 +216,27 @@ class FiniteDimAlgebra:
         """Check that basis_i -> images[i] extends to an algebra isomorphism.
 
         images are coefficient vectors in `other`.  Verifies linearity data:
-        bijectivity, unit preservation, and multiplicativity on all basis pairs.
+        bijectivity, unit preservation, and multiplicativity on all basis
+        pairs, each side built from nonzero products and image terms only.
         """
         if other.dim != self.dim or other.field != self.field:
             return False
-        if rank(Matrix(self.field, images)) != self.dim:
+        if other.subspace_dim(images) != self.dim:
             return False
+        sparse = [other._sparse(img) for img in images]
 
-        def image_of(vec):
-            out = other.zero_vec()
-            for c, img in zip(vec, images):
-                out = other.add(out, other.scale(c, img))
+        def image_of(pairs):
+            out = {}
+            for i, c in pairs:
+                other._add_multiple(out, c, sparse[i].items())
             return out
 
-        if not other.eq(image_of(self.unit), other.unit):
+        if not other._same(image_of(self._sparse(self.unit).items()),
+                           other._sparse(other.unit)):
             return False
-        for i in range(self.dim):
-            for j in range(self.dim):
-                lhs = other.mul(images[i], images[j])
-                rhs = image_of(self.mult_table[i][j])
-                if not other.eq(lhs, rhs):
-                    return False
-        return True
+        return all(other._same(other._product(sparse[i], sparse[j]),
+                               image_of(self.products[i].get(j, ())))
+                   for i, j in itertools.product(range(self.dim), repeat=2))
 
 
 def algebra_idempotents(A: FiniteDimAlgebra, dim_bound: int = 16):
@@ -220,28 +258,19 @@ def algebra_idempotents(A: FiniteDimAlgebra, dim_bound: int = 16):
     gens = ring.gens()
     # coordinates of e*e - e as quadratic polynomials
     eqs = [ring.zero() for _ in range(A.dim)]
-    for i in range(A.dim):
-        for j in range(A.dim):
-            cij = A.mult_table[i][j]
+    for i, prods in enumerate(A.products):
+        for j, row in prods.items():
             prod = gens[i] * gens[j]
-            for k, c in enumerate(cij):
-                if not F.is_zero(c):
-                    eqs[k] = eqs[k] + prod.scale(c)
+            for k, c in row:
+                eqs[k] = eqs[k] + prod.scale(c)
     for k in range(A.dim):
         eqs[k] = eqs[k] - gens[k]
     sols = solve_zero_dim(ring, [e for e in eqs if not e.is_zero()])
-    out = []
-    seen = set()
-    candidates = sols + [tuple(A.zero_vec()), tuple(A.unit)]
-    for cand in candidates:
-        vec = list(cand)
-        if not A.eq(A.mul(vec, vec), vec):
-            continue
-        key = tuple(F.to_str(c) for c in vec)
-        if key not in seen:
-            seen.add(key)
-            out.append(vec)
-    return out
+    found = {}  # by printed coefficients, in the order first found
+    for vec in map(list, sols + [tuple(A.zero_vec()), tuple(A.unit)]):
+        if A.eq(A.mul(vec, vec), vec):
+            found.setdefault(tuple(F.to_str(c) for c in vec), vec)
+    return list(found.values())
 
 
 def _idempotents_via_restriction(A: FiniteDimAlgebra, dim_bound: int):
@@ -258,10 +287,15 @@ def _idempotents_via_restriction(A: FiniteDimAlgebra, dim_bound: int):
     def join(vec2):
         return [(a, b) for a, b in zip(vec2[:n], vec2[n:])]
 
-    basis2 = A.basis + [[K.i() if j == i else K.zero() for j in range(n)]
-                        for i in range(n)]
-    table = [[split(A.mul(x, y)) for y in basis2] for x in basis2]
-    A2 = FiniteDimAlgebra(base, labels, table, split(A.unit))
+    basis2 = A.basis + [A._dense([(i, K.i())]) for i in range(n)]
+
+    def row(x, y):
+        return tuple((k, c) for k, c in enumerate(split(A.mul(x, y)))
+                     if not base.is_zero(c))
+
+    products = [{j: r for j, y in enumerate(basis2) if (r := row(x, y))}
+                for x in basis2]
+    A2 = FiniteDimAlgebra(base, labels, products, split(A.unit))
     sols2 = algebra_idempotents(A2, dim_bound=2 * dim_bound)
     return [join(v) for v in sols2]
 

@@ -28,12 +28,13 @@ is_zero_space and matfac.mf_stable_hom call).  U is a Groebner basis of
 the module Z it spans and the null space W, the span of V and the pads,
 lies in Z, so dim Z/W is the number of monomials that LT(Z) holds and
 LT(W) does not (modgb.lead_quotient_dim), and Z = W exactly when that
-count is 0.  The leads of W come from a basis built anyway: for Ext^p,
-p >= 1, the main block of Ext^(p-1)'s cocycle build, which spans the
-coboundaries, rel(N) in each column and the pads; for the matrix
-factorization homology, the other kernel build; otherwise an untagged
-basis of V and the pads, built for the count.  A count by degree refuses
-an inhomogeneous generator of U or V.
+count is 0.  The leads of Z are read off the tag block of the build that
+made U, and those of W come from a basis built anyway: for Ext^p, p >= 1,
+the main block of Ext^(p-1)'s cocycle build, which spans the coboundaries,
+rel(N) in each column and the pads; for the matrix factorization homology,
+the other kernel build; otherwise an untagged basis of V and the pads,
+built for the count.  A count by degree refuses an inhomogeneous generator
+of U or V.
 
 The cocycles are the one Groebner build every subquotient, stable-Hom free
 cover and Ext^p starts from, and the same input keeps coming back (the
@@ -41,7 +42,8 @@ resolutions over a hypersurface are 2-periodic, and callers ask for the
 same Hom space more than once).  _COCYCLES keeps one record per build
 for the life of the process, as fan_library keeps its fans: the result of
 _cocycles, as a tuple, and the lead monomials of the build's main block,
-the null space of the next Ext (_span_leads).  The key is the content of
+the null space of the next Ext (_span_leads), and of its tag block, U's
+own.  The key is the content of
 the input, the QuotientRing, h, r and every entry of d_next and of the
 relations as its sorted terms, so a hit is exact and the same
 presentation over two fields never shares an entry.
@@ -49,7 +51,8 @@ presentation over two fields never shares an entry.
 structure_constants is the one multiplication-table builder: from Hom
 blocks Hom(F_j, F_i) it composes every composable pair of basis maps on
 their sparse flattened vectors (modgb.compose, which visits only nonzero
-terms) and reads the product's coordinates from big_gb.  End(M)
+terms), reads the product's coordinates from big_gb and emits them as
+the sparse row FiniteDimAlgebra stores, so no dense row is padded.  End(M)
 (MorphismSpace.algebra) is its single-block case, and the deformation
 parameter algebras of ncdef are its r-block case.
 
@@ -64,8 +67,8 @@ from __future__ import annotations
 
 from .findim import FiniteDimAlgebra
 from .modules import FPModule, FreeResolution
-from .modgb import (SubmoduleGB, compose, lead_quotient_dim,
-                    leads_by_position, vec_from_polys, vec_to_polys)
+from .modgb import (SubmoduleGB, compose, lead_quotient_dim, vec_from_polys,
+                    vec_to_polys)
 from .poly import Memo, mon_mul
 from .quotient import QuotientRing
 
@@ -99,14 +102,16 @@ class MatrixSubquotient:
     Z it spans over the ambient ring, and the null space W, the span of V
     and the ideal pads, lies in Z; lead_dim counts on the leading terms of
     the two.  null_leads, if given, returns the lead monomials of a
-    Groebner basis of W that a caller already has, one list per position;
+    Groebner basis of W that a caller already has, one tuple per position;
     otherwise lead_dim builds an untagged basis of W.  A map is read as
     its flattened vector (item_vec); item_matrix splits it into columns
-    with unreduced entries.
+    with unreduced entries.  u_leads, one tuple per position, are the lead
+    monomials of U that the build that made U holds.
     """
 
     def __init__(self, ring: QuotientRing, nrows: int, ncols: int, U, V,
-                 row_degrees=None, col_degrees=None, null_leads=None):
+                 row_degrees=None, col_degrees=None, null_leads=None,
+                 u_leads=None):
         self.ring = ring
         self.nrows = nrows
         self.ncols = ncols
@@ -116,6 +121,7 @@ class MatrixSubquotient:
         self.col_degrees = col_degrees
         self._big = None
         self._null_leads = null_leads
+        self._u_leads = u_leads
 
     def _position_degrees(self):
         if self.row_degrees is None or self.col_degrees is None:
@@ -175,12 +181,11 @@ class MatrixSubquotient:
                                    f"{sorted(degs)}")
             pos_degs = self._position_degrees()
         npos = self.nrows * self.ncols
-        z_leads = leads_by_position(self.ring.ambient, npos, self.U)
         w_leads = (self._null_leads() if self._null_leads is not None else
                    SubmoduleGB(self.ring.ambient, npos, self.V,
                                pad_polys=self.ring.gb, tracked=0).leads())
-        return lead_quotient_dim(self.ring.ambient, z_leads, w_leads, degree,
-                                 pos_degs)
+        return lead_quotient_dim(self.ring.ambient, self._u_leads, w_leads,
+                                 degree, pos_degs)
 
     def graded_dim(self, degree: int = 0):
         return self.lead_dim(degree)
@@ -267,7 +272,7 @@ def _relation_blocks(h, ncols, relations):
 
 
 # one record per content key for the life of the process: _cocycles'
-# result and the lead monomials of the main block of the same build
+# result and the lead monomials of both blocks of the same build
 _COCYCLES: dict = {}
 
 
@@ -277,9 +282,14 @@ def _columns_key(cols):
 
 
 def _cocycle_entry(ring: QuotientRing, h, r, d_next, relations):
-    """The (cocycles, span leads) record of the cocycle build of (ring, h,
-    r, d_next, relations), d_next nonempty; the build runs on the first
-    call for that content."""
+    """The (cocycles, span leads, cocycle leads) record of the cocycle
+    build of (ring, h, r, d_next, relations); the build runs on the first
+    call for that content.  Without d_next every matrix unit is a cocycle,
+    and nothing is built or kept."""
+    if not d_next:
+        return (tuple(_flat(h, [(j, i, ring.one())])
+                      for j in range(r) for i in range(h)), None,
+                (((0,) * ring.ambient.nvars,),) * (r * h))
     key = (ring, h, r, _columns_key(d_next), _columns_key(relations))
     out = _COCYCLES.get(key)
     if out is None:
@@ -287,7 +297,8 @@ def _cocycle_entry(ring: QuotientRing, h, r, d_next, relations):
                 + _relation_blocks(h, len(d_next), relations))
         gb = SubmoduleGB(ring.ambient, h * len(d_next), gens,
                          pad_polys=ring.gb, tracked=r * h)
-        out = _COCYCLES[key] = (tuple(gb.syzygies()), gb.leads())
+        out = _COCYCLES[key] = (tuple(gb.syzygies()), gb.leads(),
+                                gb.leads(h * len(d_next), r * h))
     return out
 
 
@@ -296,14 +307,11 @@ def _cocycles(ring: QuotientRing, h, r, d_next, relations):
     the relation columns (in R^h) plus the ideal, as a tuple.  A Groebner
     build runs once per content of (ring, h, r, d_next, relations); a repeat
     returns the same reduced syzygy basis, in the same order."""
-    if not d_next:
-        return tuple(_flat(h, [(j, i, ring.one())])
-                     for j in range(r) for i in range(h))
     return _cocycle_entry(ring, h, r, d_next, relations)[0]
 
 
 def _span_leads(ring: QuotientRing, h, r, d_next, relations):
-    """Lead monomials, one list per position, of the reduced basis of the
+    """Lead monomials, one tuple per position, of the reduced basis of the
     span of the maps E o d_next (E: R^r -> R^h), the relation columns in
     each of the len(d_next) columns and the ideal pads: the main block of
     _cocycles' build of the same input."""
@@ -317,11 +325,11 @@ def _subquotient(N: FPModule, r, d_next, null_extra, col_degrees,
     ring, h = N.ring, N.ngens
     if r == 0:
         return MatrixSubquotient(ring, h, 0, [], [])
-    U = _cocycles(ring, h, r, d_next, N.relations)
+    U, _span, u_leads = _cocycle_entry(ring, h, r, d_next, N.relations)
     V = _relation_blocks(h, r, N.relations) + list(null_extra)
     return MatrixSubquotient(ring, h, r, U, V,
                              row_degrees=N.gen_degrees, col_degrees=col_degrees,
-                             null_leads=null_leads)
+                             null_leads=null_leads, u_leads=u_leads)
 
 
 # ---------------------------------------------------------------------------
@@ -402,41 +410,43 @@ def structure_constants(blocks, r):
     phi o psi in blocks[(i, l)], composed on the sparse flattened vectors
     of the two maps (modgb.compose) with no normal form of any entry, and
     read in coordinates by that block's big_gb; phi o psi' is zero when the
-    target of psi' is not F_j.  Returns (layout, table, idents), idents[i]
-    being the coordinate vector of the identity of F_i.
+    target of psi' is not F_j, and is never composed.  Returns (layout,
+    table, idents): the sparse rows FiniteDimAlgebra takes, and idents[i]
+    the coordinate vector of the identity of F_i.
     """
     F = blocks[(0, 0)].M.ring.field
-    zero = F.zero()
     layout = [(i, j, k) for i in range(r) for j in range(r)
               for k in range(blocks[(i, j)].dim)]
-    slot = {key: t for t, key in enumerate(layout)}
+    index = {}
+    for t, (i, j, k) in enumerate(layout):
+        index.setdefault((i, j), {})[blocks[(i, j)].basis[k]] = t
     vecs = {key: [space.msq.item_vec(it) for it in space.basis]
             for key, space in blocks.items()}
     rows = [blocks[(i, i)].M.ngens for i in range(r)]
 
     def placed(i, j, vec):
-        space = blocks[(i, j)]
-        out = [zero] * len(layout)
-        for k, c in enumerate(space.msq.coords(vec, space.basis)):
-            out[slot[(i, j, k)]] = c
-        return out
+        # a product of basis maps lies in the block's span, over its basis
+        slot = index[(i, j)]
+        return tuple(sorted((slot[it], c) for it, c
+                            in blocks[(i, j)].msq._certificate(vec).items()))
 
     table = []
     for (i1, j1, k1) in layout:
         phi = vecs[(i1, j1)][k1]
-        row = []
-        for (i2, j2, k2) in layout:
-            if j1 != i2:
-                row.append([zero] * len(layout))
-                continue
-            product = compose(F, phi, rows[i1], vecs[(i2, j2)][k2], rows[j1])
-            row.append(placed(i1, j2, product))
-        table.append(row)
+        prods = {}
+        for t, (i2, j2, k2) in enumerate(layout):
+            if i2 == j1:
+                psi = vecs[(i2, j2)][k2]
+                row = placed(i1, j2, compose(F, phi, rows[i1], psi, rows[j1]))
+                if row:
+                    prods[t] = row
+        table.append(prods)
     idents = []
     for i in range(r):
         one = blocks[(i, i)].M.ring.one()
-        idents.append(placed(i, i, _flat(rows[i], [(b, b, one)
-                                                   for b in range(rows[i])])))
+        ident = dict(placed(i, i, _flat(rows[i], [(b, b, one)
+                                                  for b in range(rows[i])])))
+        idents.append([ident.get(t, F.zero()) for t in range(len(layout))])
     return layout, table, idents
 
 

@@ -64,10 +64,11 @@ def _claim_x0(**kw):
 def _claim_x1(**kw):
     B = models.node_curve("Q")
     Mz, Mw = models.branch_module_z(B), models.branch_module_w(B)
+    Xz, Xw = mf_from_module(Mz), mf_from_module(Mw)
     computed = {
         "stable_hom_mz_mw": stable_hom(Mz, Mw).dim,
         "stable_end_mz": stable_hom(Mz, Mz).dim,
-        "mf_pair_mz_mw": list(mf_stable_hom(mf_from_module(Mz), mf_from_module(Mw))),
+        "mf_pair_mz_mw": list(mf_stable_hom(Xz, Xw)),
     }
     expected = {"stable_hom_mz_mw": 0, "stable_end_mz": 1,
                 "mf_pair_mz_mw": [0, 1]}
@@ -124,8 +125,8 @@ def _claim_x2(**kw):
 def _claim_x3(**kw):
     B = models.node_curve("Q")
     Mz, Mw = models.branch_module_z(B), models.branch_module_w(B)
-    Kz = knorrer(mf_from_module(Mz), "x", "y")
-    Kw = knorrer(mf_from_module(Mw), "x", "y")
+    Xz, Xw = mf_from_module(Mz), mf_from_module(Mw)
+    Kz, Kw = knorrer(Xz, "x", "y"), knorrer(Xw, "x", "y")
     from .quotient import parse_ring
     from .modules import FPModule
     R = parse_ring("Q[z,w,x,y]/(z*w+x*y)")
@@ -133,10 +134,8 @@ def _claim_x3(**kw):
                                        ambient_rank=1, ambient_degrees=[0])
     torsion = FPModule.cyclic(R, [R.parse("x"), R.parse("w")], degree=0)
     computed = {
-        "pair_dims_preserved": (mf_stable_hom(Kz, Kw) == mf_stable_hom(
-            mf_from_module(Mz), mf_from_module(Mw))),
-        "self_dims_preserved": (mf_stable_hom(Kz, Kz) == mf_stable_hom(
-            mf_from_module(Mz), mf_from_module(Mz))),
+        "pair_dims_preserved": mf_stable_hom(Kz, Kw) == mf_stable_hom(Xz, Xw),
+        "self_dims_preserved": mf_stable_hom(Kz, Kz) == mf_stable_hom(Xz, Xz),
         "matches_plane_module": list(mf_stable_hom(Kz, mf_from_module(plane_xw))),
         "reflexive_is_mcm": is_mcm(plane_xw)[0],
         "structure_sheaf_is_mcm": is_mcm(torsion)[0],
@@ -380,17 +379,12 @@ def _claim_73_node(**kw):
             p = B.parse(name)
             return [[p if a == b else B.zero() for a in range(g)] for b in range(g)]
 
-        x_img = block.coords(mult("x"))
-        y_img = block.coords(mult("y"))
         images = [list(alg.unit)]
-        acc = list(alg.unit)
-        for _ in range(n):
-            acc = alg.mul(acc, x_img)
-            images.append(list(acc))
-        acc = list(alg.unit)
-        for _ in range(n):
-            acc = alg.mul(acc, y_img)
-            images.append(list(acc))
+        for name in ("x", "y"):
+            image, acc = block.coords(mult(name)), list(alg.unit)
+            for _ in range(n):
+                acc = alg.mul(acc, image)
+                images.append(list(acc))
         iso_ok = iso_ok and oracle.verify_isomorphism(alg, images)
         ok, _detail = flatness_filtration_check(state)
         iso_ok = iso_ok and ok

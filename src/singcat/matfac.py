@@ -258,8 +258,8 @@ def mf_stable_hom(X: MatrixFactorization, Y: MatrixFactorization):
     One Groebner basis per differential of the Hom complex: its tag block
     is the kernel, and its main block, the image, is the null space of
     the other homology, since the two differentials compose to zero over
-    S.  Each dimension is counted from the leads of the two, with no
-    tagged basis of the quotient.
+    S.  Each dimension is counted from the leads of the two, the kernel's
+    read off the tag block, with no tagged basis of the quotient.
 
     Raises MFError when a dimension is infinite (non-isolated singularity).
     """
@@ -283,7 +283,8 @@ def mf_stable_hom(X: MatrixFactorization, Y: MatrixFactorization):
     dims = []
     for gb_out, d_in, gb_in in ((gb0, d1, gb1), (gb1, d0, gb0)):
         msq = MatrixSubquotient(free, Y.size, 2 * X.size, gb_out.syzygies(),
-                                d_in, null_leads=gb_in.leads)
+                                d_in, null_leads=gb_in.leads,
+                                u_leads=gb_out.leads(npos, gb_out.tracked))
         dims.append(msq.lead_dim())
     if None in dims:
         raise MFError("infinite-dimensional stable hom: the singular locus "

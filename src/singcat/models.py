@@ -115,32 +115,13 @@ def truncated_node_algebra(B: QuotientRing, n: int):
     F = B.field
     labels = ["1"] + [f"x^{i}" if i > 1 else "x" for i in range(1, n + 1)] \
         + [f"y^{i}" if i > 1 else "y" for i in range(1, n + 1)]
-    dim = 2 * n + 1
-
-    def index(a, b):
-        # monomial x^a y^b with ab = 0
-        if a == 0 and b == 0:
-            return 0
-        return a if b == 0 else n + b
-
-    def mono(k):
-        if k == 0:
-            return (0, 0)
-        if k <= n:
-            return (k, 0)
-        return (0, k - n)
-
-    table = []
-    for i in range(dim):
-        row = []
-        ai, bi = mono(i)
-        for j in range(dim):
-            aj, bj = mono(j)
-            a, b = ai + aj, bi + bj
-            vec = [F.zero()] * dim
-            if (a == 0 or b == 0) and a + b <= n:
-                vec[index(a, b)] = F.one()
-            row.append(vec)
-        table.append(row)
-    unit = [F.one()] + [F.zero()] * (dim - 1)
-    return FiniteDimAlgebra(F, labels, table, unit)
+    # the exponents (a, b) of x^a y^b: the products that stay in the list
+    # are the nonzero ones
+    monos = [(0, 0)] + [(a, 0) for a in range(1, n + 1)] \
+        + [(0, b) for b in range(1, n + 1)]
+    place = {m: k for k, m in enumerate(monos)}
+    products = [{j: ((place[(a + c, b + d)], F.one()),)
+                 for j, (c, d) in enumerate(monos) if (a + c, b + d) in place}
+                for a, b in monos]
+    unit = [F.one()] + [F.zero()] * (len(monos) - 1)
+    return FiniteDimAlgebra(F, labels, products, unit)

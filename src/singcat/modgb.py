@@ -415,14 +415,14 @@ class SubmoduleGB:
 
     def leads(self, first=0, count=None):
         """The lead monomials of the reduced basis at positions first + i,
-        i < count, one list per position in ascending order of lead; by
+        i < count, one tuple per position in ascending order of lead; by
         default the main block, the leading terms of the span."""
         mon, code_mask = self._pk.mon, self._pk.code_mask
         if count is None:
             count = self.npos
-        return [[mon[lead & code_mask]
-                 for _key, lead, _g in self._index.get(first + i, ())]
-                for i in range(count)]
+        return tuple(tuple(mon[lead & code_mask]
+                           for _key, lead, _g in self._index.get(first + i, ()))
+                     for i in range(count))
 
     def _staircase(self, first, count, degree=None, pos_degrees=None):
         """(i, monomial) pairs of the standard monomials at positions
@@ -482,19 +482,6 @@ def _standard_monomials(ring: PolyRing, leads, degree=None):
     else:
         candidates = _monomials_of_weighted_degree(ring, degree)
     return [m for m in candidates if not any(mon_divides(g, m) for g in leads)]
-
-
-def leads_by_position(ring: PolyRing, npos: int, vecs):
-    """The lead monomial of each nonzero vector of `vecs` in S^npos under
-    the position-over-term order, one list per position, in the order of
-    `vecs`."""
-    pk = packing(ring.nvars, ring.order)
-    out = [[] for _ in range(npos)]
-    for v in vecs:
-        if v:
-            p, m = pk.unpack_term(min(pk.term(p, m) for p, m in v))
-            out[p].append(m)
-    return out
 
 
 def lead_quotient_dim(ring: PolyRing, z_leads, w_leads, degree=None,

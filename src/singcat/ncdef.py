@@ -23,6 +23,7 @@ every Ext^1(F^(i), L_j) used by the iteration vanishes.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import reduce
 
 from .errors import InvariantError
@@ -290,10 +291,7 @@ def flatness_filtration_check(state: DeformationState):
     detail = {}
     ok = True
     # idempotent identities
-    one = alg.zero_vec()
-    for e in idem:
-        one = alg.add(one, e)
-    if not alg.eq(one, alg.unit):
+    if not alg.eq(reduce(alg.add, idem, alg.zero_vec()), alg.unit):
         ok = False
         detail["idempotent_sum"] = "does not equal 1"
     for a in range(r):
@@ -304,10 +302,8 @@ def flatness_filtration_check(state: DeformationState):
                 ok = False
                 detail["orthogonality"] = (a, b)
     # multiplicities: dim e_i R vs factor counts
-    counts = [0] * r
-    for filt in state.filtrations:
-        for _step, j in filt:
-            counts[j] += 1
+    factors = [f for filt in state.filtrations for f in filt]
+    counts = [sum(1 for _step, j in factors if j == i) for i in range(r)]
     mults = [alg.subspace_dim([alg.mul(e, b) for b in alg.basis]) for e in idem]
     detail["multiplicities"] = mults
     detail["filtration_counts"] = counts
@@ -321,10 +317,7 @@ def flatness_filtration_check(state: DeformationState):
     if layers[0] != r:
         ok = False
         detail["semisimple_rank"] = layers[0]
-    layer_counts = {}
-    for filt in state.filtrations:
-        for step, _j in filt:
-            layer_counts[step] = layer_counts.get(step, 0) + 1
+    layer_counts = Counter(step for step, _j in factors)
     # layers[s] = dim rad^s/rad^{s+1}; compare against factors added at step s
     expect = [layer_counts.get(s, 0) for s in range(len(layers))]
     got = [l for l in layers if l != 0]

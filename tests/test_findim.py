@@ -1,5 +1,6 @@
 """Structure-constant algebras and exact idempotent search."""
 
+import random
 from fractions import Fraction
 from functools import partial
 
@@ -12,6 +13,26 @@ from singcat.linalg import Matrix, kernel_basis
 from singcat.ncdef import SimpleCollection, run
 
 
+def sparse_products(field, table):
+    """The nonzero products of a dense table as sparse rows of (index,
+    coefficient) pairs: the table FiniteDimAlgebra takes."""
+    out = []
+    for row in table:
+        prods = {}
+        for j, vec in enumerate(row):
+            pairs = tuple((k, c) for k, c in enumerate(vec)
+                          if not field.is_zero(c))
+            if pairs:
+                prods[j] = pairs
+        out.append(prods)
+    return out
+
+
+def from_table(field, labels, table, unit):
+    """An algebra built by hand from a dense table."""
+    return FiniteDimAlgebra(field, labels, sparse_products(field, table), unit)
+
+
 def dual_numbers_style(field, minus_one_square):
     """k[t]/(t^2 - s) on basis (1, t) with t^2 = s."""
     z, o = field.zero(), field.one()
@@ -20,7 +41,7 @@ def dual_numbers_style(field, minus_one_square):
         [[o, z], [z, o]],
         [[z, o], [s, z]],
     ]
-    return FiniteDimAlgebra(field, ["1", "t"], table, [o, z])
+    return from_table(field, ["1", "t"], table, [o, z])
 
 
 def split_kk(field):
@@ -29,7 +50,7 @@ def split_kk(field):
         [[o, z], [z, z]],
         [[z, z], [z, o]],
     ]
-    return FiniteDimAlgebra(field, ["a", "b"], table, [o, o])
+    return from_table(field, ["a", "b"], table, [o, o])
 
 
 def brute_force_idempotents_f5(A):
@@ -93,7 +114,7 @@ def matrix_algebra_2(field):
         return [o if j == k and (i, l) == pos else z for pos in idx]
 
     table = [[emul(*idx[a], *idx[b]) for b in range(4)] for a in range(4)]
-    return FiniteDimAlgebra(field, ["e11", "e12", "e21", "e22"], table, [o, z, z, o])
+    return from_table(field, ["e11", "e12", "e21", "e22"], table, [o, z, z, o])
 
 
 def test_noncommutative_fallback_contains_zero_and_one():
@@ -115,7 +136,7 @@ def test_radical_of_dual_numbers():
         [[QQ.one(), QQ.zero()], [QQ.zero(), QQ.one()]],
         [[QQ.zero(), QQ.one()], [QQ.zero(), QQ.zero()]],
     ]
-    A = FiniteDimAlgebra(QQ, ["1", "t"], table, [QQ.one(), QQ.zero()])
+    A = from_table(QQ, ["1", "t"], table, [QQ.one(), QQ.zero()])
     rad = A.radical()
     assert len(rad) == 1
     assert QQ.is_zero(rad[0][0]) and not QQ.is_zero(rad[0][1])
@@ -185,11 +206,151 @@ def test_radical_layers_of_a_semisimple_algebra():
 
 
 def test_short_entry_vectors_and_units_are_refused():
-    z, o = QQ.zero(), QQ.one()
+    # a sparse row names its entries, so the short vector of a dense table
+    # is now an entry or a product outside the basis, or a missing row
+    o = QQ.one()
     with pytest.raises(AlgebraError, match="wrong shape"):
-        FiniteDimAlgebra(QQ, ["a", "b"], [[[o], [z, z]], [[z, z], [z, o]]], [o, o])
+        FiniteDimAlgebra(QQ, ["a", "b"], [{0: ((0, o),)}, {1: ((2, o),)}], [o, o])
     with pytest.raises(AlgebraError, match="wrong shape"):
-        FiniteDimAlgebra(QQ, ["a", "b"], [[[o, z], [z, z]], [[z, z], [z, o]]], [o])
+        FiniteDimAlgebra(QQ, ["a", "b"], [{0: ((0, o),)}, {2: ((1, o),)}], [o, o])
+    with pytest.raises(AlgebraError, match="wrong shape"):
+        FiniteDimAlgebra(QQ, ["a", "b"], [{0: ((0, o),)}], [o, o])
+    with pytest.raises(AlgebraError, match="wrong shape"):
+        FiniteDimAlgebra(QQ, ["a", "b"], [{0: ((0, o),)}, {1: ((1, o),)}], [o])
+
+
+# -- the sparse table against the dense product ---------------------------------
+
+
+def dense_mul(F, table, a, b):
+    """The product by the dense table: every pair of nonzero coordinates
+    scans the whole coefficient vector of its basis product."""
+    out = [F.zero()] * len(a)
+    for i, ai in enumerate(a):
+        if F.is_zero(ai):
+            continue
+        for j, bj in enumerate(b):
+            if F.is_zero(bj):
+                continue
+            c = F.mul(ai, bj)
+            for k, s in enumerate(table[i][j]):
+                if not F.is_zero(s):
+                    out[k] = F.add(out[k], F.mul(c, s))
+    return out
+
+
+def node_table(F, n):
+    """k[x,y]/(xy, m^(n+1)) on 1, x, .., x^n, y, .., y^n, written out
+    densely from the monomials."""
+    monos = [(0, 0)] + [(a, 0) for a in range(1, n + 1)] \
+        + [(0, b) for b in range(1, n + 1)]
+    table = []
+    for ai, bi in monos:
+        row = []
+        for aj, bj in monos:
+            prod = (ai + aj, bi + bj)
+            row.append([F.one() if prod == m and min(prod) == 0
+                        and sum(prod) <= n else F.zero() for m in monos])
+        table.append(row)
+    return table
+
+
+def dense_case(name):
+    """(algebra, dense table) with the table built apart from the
+    algebra's rows where the algebra has a hand-written form; the cone
+    pair's rows are checked against the builder's double loop in
+    test_ncdef, so its own dense view serves here."""
+    if name.startswith("truncation-"):
+        n = int(name.split("-")[1])
+        A = truncation("Q", n)
+        return A, node_table(QQ, n)
+    if name == "cone-pair":
+        A = cone_pair_algebra("Q")
+        return A, A.mult_table
+    if name == "shifted-cube-Q":
+        # k[t]/(t^3) on 1, 1 + t, t^2: (1 + t)^2 = -1 + 2(1 + t) + t^2 is a
+        # row of three entries
+        z, o, two = QQ.zero(), QQ.one(), QQ.from_int(2)
+        table = [[[o, z, z], [z, o, z], [z, z, o]],
+                 [[z, o, z], [-o, two, o], [z, z, o]],
+                 [[z, z, o], [z, z, o], [z, z, z]]]
+        return from_table(QQ, ["1", "1+t", "t^2"], table, [o, z, z]), table
+    if name == "M2-Q":
+        o, z = QQ.one(), QQ.zero()
+        idx = [(0, 0), (0, 1), (1, 0), (1, 1)]
+        table = [[[o if j == k and (i, l) == pos else z for pos in idx]
+                  for (k, l) in idx] for (i, j) in idx]
+        return matrix_algebra_2(QQ), table
+    field = {"t2+1-Q": QQ, "t2+1-F5": GF(5),
+             "t2+1-Qi": QuadraticExtension(QQ)}[name]
+    z, o, s = field.zero(), field.one(), field.from_int(-1)
+    return t2_plus_1(field), [[[o, z], [z, o]], [[z, o], [s, z]]]
+
+
+MUL_CASES = [f"truncation-{n}" for n in range(1, 7)] + [
+    "cone-pair", "shifted-cube-Q", "M2-Q", "t2+1-Q", "t2+1-F5", "t2+1-Qi"]
+
+
+def random_vector(rng, F, dim):
+    """Mostly zero, with small integer entries (and imaginary parts over
+    Q(i))."""
+    def entry():
+        if rng.random() < 0.5:
+            return F.zero()
+        c = F.from_int(rng.randint(-3, 3))
+        if isinstance(F, QuadraticExtension):
+            c = F.add(c, F.mul(F.i(), F.from_int(rng.randint(-2, 2))))
+        return c
+    return [entry() for _ in range(dim)]
+
+
+@pytest.mark.parametrize("case", MUL_CASES)
+def test_sparse_mul_matches_the_dense_product(case):
+    A, table = dense_case(case)
+    assert A.mult_table == table
+    F = A.field
+    rng = random.Random(f"mul-{case}")
+    vectors = A.basis + [A.unit] + [random_vector(rng, F, A.dim)
+                                    for _ in range(12)]
+    for a in vectors:
+        for b in vectors[-6:] + A.basis:
+            assert A.eq(A.mul(a, b), dense_mul(F, table, a, b))
+
+
+def truncated_cube(F):
+    """k[t]/(t^3) on 1, t, t^2."""
+    z, o = F.zero(), F.one()
+    table = [[[o, z, z], [z, o, z], [z, z, o]],
+             [[z, o, z], [z, z, o], [z, z, z]],
+             [[z, z, o], [z, z, z], [z, z, z]]]
+    return from_table(F, ["1", "t", "t^2"], table, [o, z, z])
+
+
+def test_verify_isomorphism_refuses_a_map_that_misses_the_unit():
+    o, z = QQ.one(), QQ.zero()
+    A = split_kk(QQ)
+    # the same table with the first idempotent declared as its unit: the
+    # identity is bijective and multiplicative, and only the unit check
+    # sees that it sends (1, 1) elsewhere
+    B = from_table(QQ, ["a", "b"], A.mult_table, [o, z])
+    assert not B.unit_acts_trivially()
+    assert A.verify_isomorphism(A, A.basis)
+    assert not A.verify_isomorphism(B, A.basis)
+    # doubling sends 1 to 2 on k[t]/(t^3)
+    C = truncated_cube(QQ)
+    two = QQ.from_int(2)
+    assert not C.verify_isomorphism(C, [C.scale(two, b) for b in C.basis])
+
+
+def test_verify_isomorphism_refuses_a_bijection_that_is_not_multiplicative():
+    # 1 -> 1, t -> t, t^2 -> 2 t^2 on k[t]/(t^3): bijective and unital, but
+    # t * t = t^2 goes to 2 t^2 while the images multiply to t^2
+    A = truncated_cube(QQ)
+    one, t, t2 = A.basis
+    assert A.verify_isomorphism(A, [one, t, t2])
+    images = [one, t, A.scale(QQ.from_int(2), t2)]
+    assert A.eq(images[0], A.unit)
+    assert not A.verify_isomorphism(A, images)
 
 
 def test_univariate_roots_q():

@@ -556,13 +556,14 @@ def test_graded_count_refuses_an_inhomogeneous_null_generator():
     V = [{(0, (1, 0)): 1}, {(0, (0, 1)): 1}, {(1, (1, 0)): 1},
          {(1, (0, 2)): 1, (1, (0, 1)): 1}]
     msq = homs.MatrixSubquotient(A, 2, 1, U, V, row_degrees=(0, 0),
-                                 col_degrees=(0,))
+                                 col_degrees=(0,), u_leads=[[one], [one]])
     with pytest.raises(HomError, match=r"inhomogeneous null generator V\[3\]"):
         msq.graded_dim(0)
     # the total count reads no degree
     assert msq.lead_dim() == msq.dim() == 3
     homogeneous = homs.MatrixSubquotient(A, 2, 1, U, V[:3], row_degrees=(0, 0),
-                                         col_degrees=(0,))
+                                         col_degrees=(0,),
+                                         u_leads=[[one], [one]])
     assert [homogeneous.graded_dim(d) for d in range(3)] == [2, 1, 1]
 
 
@@ -641,7 +642,7 @@ def _recompute_every_entry():
     the same input computed again with nothing remembered."""
     saved = dict(homs._COCYCLES)
     homs._COCYCLES.clear()
-    for key, (kept, leads) in saved.items():
+    for key, (kept, leads, cocycle_leads) in saved.items():
         ring, h, r, d_next, relations = key
 
         def columns(cols):
@@ -649,8 +650,9 @@ def _recompute_every_entry():
                     for col in cols]
 
         args = (ring, h, r, columns(d_next), columns(relations))
-        yield ((kept, leads),
-               (homs._cocycles(*args), homs._span_leads(*args)))
+        yield ((kept, leads, cocycle_leads),
+               (homs._cocycles(*args), homs._span_leads(*args),
+                homs._cocycle_entry(*args)[2]))
 
 
 def test_remembered_cocycles_equal_a_recomputation():
@@ -671,6 +673,21 @@ def test_remembered_cocycles_equal_a_recomputation():
     assert len(pairs) >= 10
     for kept, fresh in pairs:
         assert kept == fresh
+
+
+def test_kept_cocycle_leads_are_the_leads_of_the_cocycles():
+    # the tag block of each cocycle build holds the leads of its syzygies,
+    # which are a reduced basis of their span: a fresh basis of that span
+    # has the same leads
+    C = cone_ring()
+    L1, L2 = cone_L1(C), cone_L2(C)
+    for M in (L1, L2):
+        for N in (L1, L2):
+            hom_space(M, N, mode="module")
+            ext_dims(M, N, 3, p_min=1)
+    assert len(homs._COCYCLES) >= 4
+    for (ring, h, r, _d, _rels), (U, _span, u_leads) in homs._COCYCLES.items():
+        assert u_leads == SubmoduleGB(ring.ambient, r * h, U, tracked=0).leads()
 
 
 # -- sparse composition of Hom maps ---------------------------------------------

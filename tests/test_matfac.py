@@ -214,3 +214,20 @@ def test_reduce_trivial_blocks_returns_its_input_when_nothing_splits():
                             [[z, zero], [zero, z * z]])
     Z = reduce_trivial_blocks(Y)
     assert Z is not Y and Z.size == 1 and Z.A == [[z]] and Z.B == [[z]]
+
+
+def test_claims_build_each_factorization_once(monkeypatch):
+    from singcat import manifest
+    calls = []
+    real = manifest.mf_from_module
+
+    def counting(M):
+        calls.append(M)
+        return real(M)
+
+    monkeypatch.setattr(manifest, "mf_from_module", counting)
+    for cid in ("x1-stable-homs", "x3-knorrer"):
+        calls.clear()
+        claim = manifest.run_claims(cid=cid)["claims"][0]
+        assert claim["verdict"] == "pass"
+        assert len(calls) == len({id(M) for M in calls})

@@ -1,5 +1,5 @@
 """Complete rational fans, torus-invariant divisors, and exact sheaf
-cohomology of Weil divisor classes.
+cohomology of Weil divisor classes, computed on integers only.
 
 The graded piece H^p(O(D))_m only sees which rays satisfy <m, u> >= -a, so
 characters are grouped by that sign vector.  By Cox-Little-Schenck, *Toric
@@ -11,26 +11,30 @@ Each sign chamber is an integral polyhedron whose rows depend only on the
 fan and the pattern; only their right-hand sides come from the divisor.  So
 the same first query runs one Fourier-Motzkin elimination per listed
 pattern with symbolic right-hand sides: every projected row remembers the
-positive integer multipliers of the input rows it combines.  A query then
-only evaluates those multipliers at its right-hand sides: the fully
+positive integer multipliers of the input rows it combines, folded with
+the pattern's signs so that it reads straight off the divisor's
+coefficients a as w'.a + k.  A query only evaluates those pairs: the fully
 projected rows decide feasibility, and the projections onto the leading
-coordinates decide boundedness and give each coordinate's integer range for
-counting.  This treats arbitrary (also non-simplicial) cones and arbitrary
-Weil divisors uniformly.  Completeness is decided exactly: the cones must
-pairwise meet in a common face, be full-dimensional, and pair up across
-every facet.
+coordinates decide boundedness and give each coordinate's integer range
+for counting; the last coordinate is counted in closed form.  This treats
+arbitrary (also non-simplicial) cones and arbitrary Weil divisors
+uniformly.  Completeness is decided exactly: the cones must pairwise meet
+in a common face, be full-dimensional, and pair up across every facet.
+
+No rational number is formed.  One fraction-free (Bareiss) elimination,
+`_echelon`, gives the coboundary ranks of the profiles, the rank test of
+completeness and the facet normals; the Cartier test and the intersection
+numbers read integral solvability off a Smith form of each cone's ray
+matrix, computed once per fan.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from math import gcd
 from operator import mul
 
 from .errors import InvariantError
-from .fields import QQ
-from .linalg import Matrix, kernel_basis, rank as mat_rank, solve
 
 
 class ToricError(ValueError):
@@ -39,6 +43,41 @@ class ToricError(ValueError):
 
 def _dot(m, u):
     return sum(map(mul, m, u))
+
+
+def _echelon(rows):
+    """Fraction-free reduced echelon form of an integer matrix: (rows,
+    pivot columns).
+
+    Bareiss's elimination (Math. Comp. 22, 1968), clearing each pivot
+    column above the pivot as well as below: every row is combined with
+    the pivot row and divided by the previous pivot, a division that
+    leaves no remainder, since every entry is a minor of the input.  So
+    the entries stay integers, each pivot row holds the last pivot d in
+    its pivot column and zeros in the others, and a non-pivot column f
+    gives the kernel vector with d at f and minus row i's entry at f at
+    the i-th pivot column.
+    """
+    rows = [list(r) for r in rows]
+    pivots = []
+    prev = 1
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        top = rows[r]
+        d = top[c]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[c]
+                rows[i] = [(d * x - f * y) // prev for x, y in zip(row, top)]
+        prev = d
+        pivots.append(c)
+        if len(pivots) == len(rows):
+            break
+    return rows, pivots
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +174,7 @@ class Fan:
         self._profile_memo = {}
         self._nonzero_patterns = None
         self._complete = None
+        self._smith = None
 
     # -- cone geometry ---------------------------------------------------------
 
@@ -144,16 +184,15 @@ class Fan:
         facets = []
         seen = set()
         for sub in combinations(range(len(pts)), self.rank - 1):
-            rows = [[Fraction(x) for x in pts[i]] for i in sub]
-            ker = (kernel_basis(Matrix(QQ, rows)) if rows
-                   else Matrix.identity(QQ, self.rank))
-            if ker.ncols != 1:
+            rows, pivots = _echelon([pts[i] for i in sub])
+            if len(pivots) != self.rank - 1:
                 continue
-            n = [ker.rows[i][0] for i in range(self.rank)]
-            den = 1
-            for v in n:
-                den = den * v.denominator // gcd(den, v.denominator)
-            n = [int(v * den) for v in n]
+            # the kernel is a line, spanned by the vector of the free column
+            (f,) = set(range(self.rank)).difference(pivots)
+            n = [0] * self.rank
+            n[f] = rows[-1][pivots[-1]] if pivots else 1
+            for row, pc in zip(rows, pivots):
+                n[pc] = -row[f]
             g = gcd(*n)
             n = tuple(v // g for v in n)
             for cand in (n, tuple(-v for v in n)):
@@ -208,8 +247,8 @@ class Fan:
             self._check_fan_axiom()
             walls = self.walls()
             self._complete = bool(self.max_cones) and all(
-                mat_rank(Matrix.from_int_rows(QQ, [self.rays[i] for i in c]))
-                == self.rank and all(f in walls for f in self._facets[c])
+                len(_echelon([self.rays[i] for i in c])[1]) == self.rank
+                and all(f in walls for f in self._facets[c])
                 for c in self.max_cones)
         return self._complete
 
@@ -281,7 +320,7 @@ def _cech_profile(fan: Fan, plus_rays: frozenset):
             for j in range(k + 1):
                 row[col[g[:j] + g[j + 1:]]] = (-1) ** j
             rows.append(row)
-        ranks.append(mat_rank(Matrix.from_int_rows(QQ, rows)))
+        ranks.append(len(_echelon(rows)[1]))
     ranks.append(0)
     out = [len(levels[k]) - ranks[k] - (ranks[k - 1] if k else 0)
            for k in range(top + 1)]
@@ -297,12 +336,17 @@ def _nonzero_patterns(fan: Fan):
     """The sign patterns of `fan` with a nonzero profile, as (plus flags,
     profile, feasibility rows, levels).  A ray in the pattern keeps its
     sign, the others are negated, and the chamber's rows are eliminated
-    once with symbolic right-hand sides (`fm_eliminate`): the feasibility
-    rows are the multiplier tuples w of the fully projected rows, and
-    levels[k] holds the rows (c[:k], c[k], w) of the projection onto
-    x_0..x_k that bound x_k from below and from above.  All of it depends
-    only on the fan, so the first query lists the patterns, computing the
-    profiles of all 2^s of them, and later queries reuse the list."""
+    once with symbolic right-hand sides (`fm_eliminate`).  A symbolic
+    right-hand side w stands for w.r, with r_rho = -a_rho for a ray in the
+    pattern and a_rho + 1 otherwise, so it is folded with the pattern's
+    signs into a pair (w', k) that stands for w'.a + k: w'_rho = -w_rho
+    for a ray in the pattern and w_rho otherwise, and k sums w over the
+    rays outside it.  The feasibility rows are the folded right-hand sides
+    of the fully projected rows, and levels[k] holds the rows
+    (c[:k], c[k], w', k) of the projection onto x_0..x_k that bound x_k
+    from below and from above.  All of it depends only on the fan, so the
+    first query lists the patterns, computing the profiles of all 2^s of
+    them, and later queries reuse the list."""
     if fan._nonzero_patterns is None:
         s = len(fan.rays)
         unit = [tuple(int(i == j) for j in range(s)) for i in range(s)]
@@ -314,15 +358,37 @@ def _nonzero_patterns(fan: Fan):
             if any(profile):
                 rows = [(u if p else tuple(-x for x in u), w)
                         for u, p, w in zip(fan.rays, plus, unit)]
+
+                def fold(w):
+                    return (tuple(-x if p else x for x, p in zip(w, plus)),
+                            sum(x for x, p in zip(w, plus) if not p))
+
                 projections = []
-                feasibility = [w for _c, w in
+                feasibility = [fold(w) for _c, w in
                                fm_eliminate(rows, 0, projections)]
-                levels = [([(c[:k], c[k], w) for c, w in level if c[k] > 0],
-                           [(c[:k], c[k], w) for c, w in level if c[k] < 0])
+                levels = [([(c[:k], c[k], *fold(w)) for c, w in level
+                            if c[k] > 0],
+                           [(c[:k], c[k], *fold(w)) for c, w in level
+                            if c[k] < 0])
                           for k, level in enumerate(reversed(projections))]
                 found.append((plus, profile, feasibility, levels))
         fan._nonzero_patterns = found
     return fan._nonzero_patterns
+
+
+def _coordinate_range(lower, upper, head):
+    """The integers x_k with c.head + a x_k >= r for every row (c, a, r) of
+    lower (a > 0) and of upper (a < 0), as (lo, hi); empty if lo > hi."""
+    lo = hi = None
+    for c, a, r in lower:
+        x = -((_dot(c, head) - r) // a)
+        if lo is None or x > lo:
+            lo = x
+    for c, a, r in upper:
+        x = (r - _dot(c, head)) // a
+        if hi is None or x < hi:
+            hi = x
+    return lo, hi
 
 
 def _count_points(bounds, head=()):
@@ -331,15 +397,49 @@ def _count_points(bounds, head=()):
     bounds[k] holds the rows c.x >= r of its projection onto x_0..x_k
     that bound x_k from below and from above, as (c[:k], c[k], r); the
     others belong to the projection onto x_0..x_{k-1}, which head
-    satisfies.
+    satisfies.  Each coordinate but the last two is fixed in turn.  The
+    last two are counted in one flat loop: the range of the last but one
+    comes from `_coordinate_range`, each row of the last is reduced by the
+    head once, to b x + a y >= s, and for each x the last coordinate y is
+    counted in closed form: it runs from the largest ceiling over the
+    lower rows to the least floor over the upper rows.
     """
     k = len(head)
-    lower, upper = bounds[k]
-    lo = max(-((_dot(c, head) - r) // a) for c, a, r in lower)
-    hi = min((r - _dot(c, head)) // a for c, a, r in upper)
-    if k == len(bounds) - 1:
+    lo, hi = _coordinate_range(*bounds[k], head)
+    last = len(bounds) - 1
+    if k == last:
         return max(hi - lo + 1, 0)
-    return sum(_count_points(bounds, head + (x,)) for x in range(lo, hi + 1))
+    total = 0
+    if k < last - 1:
+        for x in range(lo, hi + 1):
+            total += _count_points(bounds, head + (x,))
+        return total
+    lower, upper = bounds[last]
+    lower = [(c[k], a, r - _dot(c, head)) for c, a, r in lower]
+    upper = [(c[k], a, r - _dot(c, head)) for c, a, r in upper]
+    for x in range(lo, hi + 1):
+        # explicit loops: min and max over generators cost more here
+        top = bottom = None
+        for b, a, s in upper:
+            y = (s - b * x) // a
+            if top is None or y < top:
+                top = y
+        for b, a, s in lower:
+            y = -((b * x - s) // a)
+            if bottom is None or y > bottom:
+                bottom = y
+        if top >= bottom:
+            total += top - bottom + 1
+    return total
+
+
+def _infeasible(feasibility, a):
+    """Whether a fully projected row 0 >= w'.a + k fails: the chamber of the
+    divisor with coefficients a is empty."""
+    for w, k in feasibility:
+        if sum(map(mul, w, a)) + k > 0:
+            return True
+    return False
 
 
 def cohomology(fan: Fan, D: TDivisor):
@@ -350,30 +450,33 @@ def cohomology(fan: Fan, D: TDivisor):
     chamber among them must be bounded.  A chamber's rows are
     +-u_rho . m >= r_rho, with r_rho = -a_rho for a ray in the pattern and
     a_rho + 1 otherwise, and its Fourier-Motzkin projections P_1, ..,
-    P_rank onto the leading coordinates are kept per fan with symbolic
-    right-hand sides (`_nonzero_patterns`); a query evaluates them at r.
-    The chamber is feasible iff every fully projected row 0 >= w.r holds,
-    bounded iff each P_(k+1) bounds x_k from both sides,
-    and its lattice points are counted coordinate by coordinate, the
-    integer range of x_k given x_0..x_(k-1) coming from P_(k+1) by floor
-    and ceiling division.
+    P_rank onto the leading coordinates are kept per fan with right-hand
+    sides folded into pairs (w', k) (`_nonzero_patterns`); a query
+    evaluates each as w'.a + k, straight from the coefficients a of D.
+    The chamber is feasible iff every fully projected row 0 >= w'.a + k
+    holds, bounded iff each P_(k+1) bounds x_k from both sides, and its
+    lattice points are counted by `_count_points`: the integer range of
+    x_k given x_0..x_(k-1) comes from P_(k+1) by floor and ceiling
+    division, and the last coordinate is counted in closed form.
     """
     if D.fan is not fan:
         raise ToricError("divisor lives on a different fan")
     if not fan.is_complete():
         raise ToricError("cohomology needs a complete fan")
+    a = D.coeffs
     total = [0] * (fan.rank + 1)
-    for plus, profile, feasibility, levels in _nonzero_patterns(fan):
-        r = [-a if p else a + 1 for p, a in zip(plus, D.coeffs)]
-        if any(_dot(w, r) > 0 for w in feasibility):
+    for _plus, profile, feasibility, levels in _nonzero_patterns(fan):
+        if _infeasible(feasibility, a):
             continue
         bounds = []
         for lower, upper in levels:
             if not (lower and upper):
                 raise ToricError("unbounded chamber with nonzero cohomology: "
                                  "fan cannot be complete")
-            bounds.append(([(c, a, _dot(w, r)) for c, a, w in lower],
-                           [(c, a, _dot(w, r)) for c, a, w in upper]))
+            bounds.append(([(c, b, sum(map(mul, w, a)) + k)
+                            for c, b, w, k in lower],
+                           [(c, b, sum(map(mul, w, a)) + k)
+                            for c, b, w, k in upper]))
         count = _count_points(bounds)
         for p in range(fan.rank + 1):
             total[p] += count * profile[p]
@@ -385,37 +488,37 @@ def cohomology(fan: Fan, D: TDivisor):
 
 
 def intersect_curve(D: TDivisor, wall, fan: Fan | None = None) -> int:
-    """(D . V(wall)) for a wall between two unimodular maximal cones."""
+    """(D . V(wall)) for a wall between two unimodular maximal cones.
+
+    With u_a, u_b the rays off the wall, u_a + u_b = sum alpha_rho u_rho
+    over the wall, and the number is a_a + a_b - sum alpha_rho a_rho.  A
+    cone is unimodular iff its Smith form is the identity, U A V = I for
+    its ray matrix A (one row per ray); then the coordinates of u_a + u_b
+    over the rays of the first cone are U^T V^T (u_a + u_b), integers,
+    with 0 at u_a.
+    """
     fan = fan or D.fan
     walls = fan.walls()
     wall = tuple(sorted(wall))
     if wall not in walls:
         raise ToricError(f"{wall} is not a wall of the fan")
-    ca, cb = walls[wall]
-    for cidx in (ca, cb):
-        cone = fan.max_cones[cidx]
+    ca, cb = (fan.max_cones[i] for i in walls[wall])
+    smith = _cone_smith(fan)
+    for cone in (ca, cb):
         if len(cone) != fan.rank:
             raise ToricError("wall adjacent to a non-simplicial cone")
-        # unimodular iff every Smith invariant of the ray matrix is 1
-        _U, snf, _V = smith_normal_form([fan.rays[i] for i in cone])
-        if any(snf[k][k] != 1 for k in range(fan.rank)):
+        if any(d != 1 for d in smith[cone][1]):
             raise ToricError("fan is not smooth along the wall")
-    extra_a = [i for i in fan.max_cones[ca] if i not in wall][0]
-    extra_b = [i for i in fan.max_cones[cb] if i not in wall][0]
-    # u_a + u_b = sum alpha_rho u_rho over the wall
-    rhs = [fan.rays[extra_a][k] + fan.rays[extra_b][k] for k in range(fan.rank)]
-    cols = [fan.rays[i] for i in wall]
-    mat = Matrix(QQ, [[Fraction(cols[j][k]) for j in range(len(cols))]
-                      for k in range(fan.rank)])
-    alpha = solve(mat, [Fraction(x) for x in rhs])
-    if alpha is None:
+    extra_a = [i for i in ca if i not in wall][0]
+    extra_b = [i for i in cb if i not in wall][0]
+    rhs = [x + y for x, y in zip(fan.rays[extra_a], fan.rays[extra_b])]
+    U, _diag, V = smith[ca]
+    z = [_dot(row, rhs) for row in zip(*V)]
+    alpha = dict(zip(ca, (_dot(col, z) for col in zip(*U))))
+    if alpha[extra_a] != 0:
         raise ToricError("wall relation is not solvable")
-    val = Fraction(D.coeffs[extra_a] + D.coeffs[extra_b])
-    for j, i in enumerate(wall):
-        val -= alpha[j] * D.coeffs[i]
-    if val.denominator != 1:
-        raise ToricError("non-integral intersection number on a smooth wall")
-    return int(val)
+    return D.coeffs[extra_a] + D.coeffs[extra_b] - sum(
+        alpha[i] * D.coeffs[i] for i in wall)
 
 
 def smith_normal_form(mat):
@@ -515,20 +618,31 @@ def class_group(fan: Fan) -> ClassGroup:
     return ClassGroup(fan)
 
 
+def _cone_smith(fan: Fan):
+    """Each maximal cone's (U, diagonal, V) with U A V diagonal, A the
+    cone's ray matrix (one row per ray) and the diagonal one entry per
+    ray; computed once per fan."""
+    if fan._smith is None:
+        fan._smith = {}
+        for cone in fan.max_cones:
+            U, S, V = smith_normal_form([fan.rays[i] for i in cone])
+            diag = [S[i][i] if i < fan.rank else 0 for i in range(len(cone))]
+            fan._smith[cone] = (U, diag, V)
+    return fan._smith
+
+
 def weil_is_cartier(fan: Fan, D: TDivisor) -> bool:
-    """True iff D is integrally linear on every maximal cone."""
-    for cone in fan.max_cones:
-        rows = [[Fraction(x) for x in fan.rays[i]] for i in cone]
-        rhs = [Fraction(-D.coeffs[i]) for i in cone]
-        m = Matrix(QQ, rows)
-        sol = solve(m, rhs)
-        if sol is None:
-            return False
-        # solution must be integral; on full-dimensional cones it is unique
-        if any(x.denominator != 1 for x in sol):
-            return False
-        if any(_dot([int(v) for v in sol], fan.rays[i]) != -D.coeffs[i] for i in cone):
-            return False
+    """True iff D is integrally linear on every maximal cone: A m = -a has
+    an integral solution m for each cone's ray matrix A.  With U A V = S
+    diagonal and V unimodular, that holds iff S y = U(-a) does, that is,
+    iff each diagonal entry divides its coordinate of U(-a) and the
+    coordinates past the nonzero entries vanish."""
+    for cone, (U, diag, _V) in _cone_smith(fan).items():
+        b = [-D.coeffs[i] for i in cone]
+        for row, d in zip(U, diag):
+            y = _dot(row, b)
+            if (y % d if d else y) != 0:
+                return False
     return True
 
 

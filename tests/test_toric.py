@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, floor
+from math import ceil, floor, gcd
 from operator import mul
 
 import pytest
@@ -11,7 +11,7 @@ import pytest
 from singcat import toric
 from singcat.errors import InvariantError
 from singcat.fields import QQ
-from singcat.linalg import Matrix, rank
+from singcat.linalg import Matrix, kernel_basis, rank, solve
 from singcat.toric import (Fan, TDivisor, ToricError, fan_library, cohomology,
                            intersect_curve, class_group, weil_is_cartier,
                            canonical_divisor, divisor_from_combo, _cech_profile,
@@ -116,7 +116,7 @@ def test_profile_above_the_rank_is_an_invariant_failure(monkeypatch):
     # give a class in degree 4 > rank 3; a fresh fan, since cohomology
     # queries on the shared library fan may already hold this profile
     fan, _div, _walls = toric._fan_library_build("coneP1xP1_projective")
-    monkeypatch.setattr(toric, "mat_rank", lambda m: 0)
+    monkeypatch.setattr(toric, "_echelon", lambda rows: (rows, []))
     with pytest.raises(InvariantError, match="cohomology above the rank"):
         _cech_profile(fan, frozenset())
 
@@ -236,18 +236,21 @@ def _box_scan_cohomology(fan, D, widest):
 def test_column_count_matches_box_scan(monkeypatch):
     # each coordinate's range is the integer part of its real interval, so
     # every value the count fixes satisfies the rows that bound it; a range
-    # rounded outwards would only add values with no points above them
-    count_points = toric._count_points
+    # rounded outwards would only add values with no points above them.
+    # Each range that _count_points takes from _coordinate_range is checked
+    # at both ends, which checks every value in it, since the rows are
+    # linear; the closed-form count of the last coordinate meets the box scan
+    coordinate_range = toric._coordinate_range
 
-    def tight(bounds, head=()):
-        if head:
-            lower, upper = bounds[len(head) - 1]
+    def tight(lower, upper, head):
+        lo, hi = coordinate_range(lower, upper, head)
+        for x in ((lo, hi) if lo <= hi else ()):
             for c, a, r in lower + upper:
-                assert sum(x * y for x, y in zip(c, head)) + a * head[-1] \
-                    >= r, (bounds, head)
-        return count_points(bounds, head)
+                assert sum(map(mul, c, head)) + a * x >= r, \
+                    (lower, upper, head, x)
+        return lo, hi
 
-    monkeypatch.setattr(toric, "_count_points", tight)
+    monkeypatch.setattr(toric, "_coordinate_range", tight)
     rng = random.Random(7)
     fans = [fan_library(name)[0] for name in LIBRARY]
     fans.append(Fan(1, [(1,), (-1,)], [(0,), (1,)], "P1"))
@@ -325,9 +328,10 @@ def _bounds(projections):
 
 def test_symbolic_projections_match_integer_elimination():
     # each pattern's projections, eliminated once with symbolic right-hand
-    # sides, evaluated at seeded right-hand sides r, against the rows with
-    # right-hand sides r eliminated by fm_eliminate and by the textbook
-    # reference, which shares no code with it
+    # sides folded with the pattern's signs, evaluated at seeded divisor
+    # coefficients a, against the rows with right-hand sides r (-a for a
+    # ray in the pattern, a + 1 otherwise) eliminated by fm_eliminate and
+    # by the textbook reference, which shares no code with it
     rng = random.Random(3)
     fans = [toric._fan_library_build(name)[0] for name in LIBRARY]
     fans.append(Fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -3, -2)],
@@ -338,23 +342,26 @@ def test_symbolic_projections_match_integer_elimination():
             rows = [list(u) if p else [-x for x in u]
                     for u, p in zip(fan.rays, plus)]
             for _ in range(16):
-                r = [rng.randint(-4, 4) for _ in rows]
+                a = [rng.randint(-4, 4) for _ in rows]
+                r = [-x if p else x + 1 for x, p in zip(a, plus)]
                 cons = list(zip(rows, r))
                 direct = []
                 feasible = fm_feasible(cons, fan.rank, direct)
                 textbook = _textbook_elimination(cons, fan.rank)
                 assert feasible == all(x <= 0 for _c, x in textbook[-1])
-                assert feasible == all(sum(map(mul, w, r)) <= 0
-                                       for w in feasibility), (fan.name, r)
+                assert feasible == all(sum(map(mul, w, a)) + k <= 0
+                                       for w, k in feasibility), (fan.name, a)
                 if not feasible:
                     counts.add(None)
                     continue
-                symbolic = [([(c, a, sum(map(mul, w, r))) for c, a, w in lo],
-                             [(c, a, sum(map(mul, w, r))) for c, a, w in up])
+                symbolic = [([(c, b, sum(map(mul, w, a)) + k)
+                              for c, b, w, k in lo],
+                             [(c, b, sum(map(mul, w, a)) + k)
+                              for c, b, w, k in up])
                             for lo, up in levels]
                 count = toric._count_points(symbolic)
                 assert count == toric._count_points(_bounds(direct)) == \
-                    toric._count_points(_bounds(textbook[:-1])), (fan.name, r)
+                    toric._count_points(_bounds(textbook[:-1])), (fan.name, a)
                 counts.add(min(count, 2))
     # the samples meet infeasible, single-point and larger chambers
     assert {None, 1, 2} <= counts, counts
@@ -557,3 +564,160 @@ def test_cone_fan_rank_one_vanishing():
     assert cohomology(fan, combo(0, 1)) == (2, 0, 0, 0)
     # the cone is nondegenerate in P^4: five hyperplane sections
     assert cohomology(fan, combo(1, 1)) == (5, 0, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# the integer kernels against the rational constructions they replace
+
+
+P1132 = Fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -3, -2)],
+            list(combinations(range(4), 3)), "P(1,1,3,2)")
+
+
+def test_integer_rank_matches_rational_rank():
+    rng = random.Random(11)
+    shapes = ([(1, n) for n in range(1, 7)] + [(n, 1) for n in range(1, 7)]
+              + [(rng.randint(1, 7), rng.randint(1, 7)) for _ in range(240)])
+    deficient = 0
+    for nr, nc in shapes:
+        rows = [[rng.randint(-5, 5) for _ in range(nc)] for _ in range(nr)]
+        kind = rng.randrange(4)
+        if kind == 1:
+            rows[rng.randrange(nr)] = [0] * nc
+        elif kind == 2:
+            j = rng.randrange(nc)
+            for row in rows:
+                row[j] = 0
+        elif kind == 3 and nr >= 3:
+            # a row that is an integer combination of two others
+            i, j, k = rng.sample(range(nr), 3)
+            s, t = rng.randint(-2, 2), rng.randint(-2, 2)
+            rows[i] = [s * x + t * y for x, y in zip(rows[j], rows[k])]
+        echelon, pivots = toric._echelon(rows)
+        want = rank(Matrix.from_int_rows(QQ, rows))
+        assert len(pivots) == want, rows
+        deficient += want < min(nr, nc)
+        # each free column gives a kernel vector read off the echelon form
+        d = echelon[len(pivots) - 1][pivots[-1]] if pivots else 1
+        for f in set(range(nc)).difference(pivots):
+            x = [0] * nc
+            x[f] = d
+            for row, pc in zip(echelon, pivots):
+                x[pc] = -row[f]
+            assert all(sum(map(mul, row, x)) == 0 for row in rows), (rows, x)
+    assert deficient >= 50, deficient
+
+
+def _fraction_facets(fan, cone):
+    """Reference: the rational kernel of each set of rank - 1 rays, scaled
+    to a primitive normal, as the facets were built over Q."""
+    pts = [fan.rays[i] for i in cone]
+    facets, seen = [], set()
+    for sub in combinations(range(len(pts)), fan.rank - 1):
+        rows = [[Fraction(x) for x in pts[i]] for i in sub]
+        ker = (kernel_basis(Matrix(QQ, rows)) if rows
+               else Matrix.identity(QQ, fan.rank))
+        if ker.ncols != 1:
+            continue
+        n = [ker.rows[i][0] for i in range(fan.rank)]
+        den = 1
+        for v in n:
+            den = den * v.denominator // gcd(den, v.denominator)
+        n = [int(v * den) for v in n]
+        g = gcd(*n)
+        n = tuple(v // g for v in n)
+        for cand in (n, tuple(-v for v in n)):
+            vals = [sum(map(mul, cand, p)) for p in pts]
+            if cand not in seen and all(v >= 0 for v in vals):
+                seen.add(cand)
+                facets.append(tuple(i for i, v in zip(cone, vals) if v == 0))
+    return facets
+
+
+def test_facets_match_the_rational_construction():
+    fans = [toric._fan_library_build(name)[0] for name in LIBRARY] + [P1132]
+    for fan in fans:
+        for cone in fan.max_cones:
+            assert fan._facets[cone] == _fraction_facets(fan, cone), \
+                (fan.name, cone)
+
+
+def _fraction_weil_is_cartier(fan, D):
+    """Reference: one rational solve per cone, then an integrality test."""
+    for cone in fan.max_cones:
+        rows = [[Fraction(x) for x in fan.rays[i]] for i in cone]
+        sol = solve(Matrix(QQ, rows), [Fraction(-D.coeffs[i]) for i in cone])
+        if sol is None or any(x.denominator != 1 for x in sol):
+            return False
+    return True
+
+
+def test_cartier_test_matches_the_rational_solve():
+    # the projective cone's square cone is not simplicial, and P(1,1,3,2)
+    # has cones of index 2 and 3, so both answers occur
+    rng = random.Random(13)
+    fans = [toric._fan_library_build(name)[0] for name in LIBRARY] + [P1132]
+    seen = set()
+    for fan in fans:
+        for _ in range(24):
+            D = TDivisor(fan, [rng.randint(-4, 4) for _ in fan.rays])
+            got = weil_is_cartier(fan, D)
+            assert got == _fraction_weil_is_cartier(fan, D), (fan.name, D)
+            seen.add((fan.name in ("coneP1xP1_projective", "P(1,1,3,2)"), got))
+    assert seen == {(False, True), (True, True), (True, False)}, seen
+
+
+def _fraction_intersection(fan, D, wall):
+    """Reference: u_a + u_b = sum alpha u over the wall, solved over Q."""
+    ca, cb = (fan.max_cones[i] for i in fan.walls()[wall])
+    extra_a = [i for i in ca if i not in wall][0]
+    extra_b = [i for i in cb if i not in wall][0]
+    rhs = [Fraction(x + y) for x, y in zip(fan.rays[extra_a],
+                                           fan.rays[extra_b])]
+    mat = Matrix(QQ, [[Fraction(fan.rays[i][k]) for i in wall]
+                      for k in range(fan.rank)])
+    alpha = solve(mat, rhs)
+    val = D.coeffs[extra_a] + D.coeffs[extra_b] - sum(
+        x * D.coeffs[i] for x, i in zip(alpha, wall))
+    assert val.denominator == 1
+    return int(val)
+
+
+def test_intersections_match_the_rational_solve():
+    # every named wall, with each prime divisor and seeded divisors
+    rng = random.Random(17)
+    named = 0
+    for name in LIBRARY:
+        fan, _div, walls = toric._fan_library_build(name)
+        for wall in walls.values():
+            named += 1
+            unit = [TDivisor(fan, [int(i == j) for j in range(len(fan.rays))])
+                    for i in range(len(fan.rays))]
+            seeded = [TDivisor(fan, [rng.randint(-4, 4) for _ in fan.rays])
+                      for _ in range(8)]
+            for D in unit + seeded:
+                assert intersect_curve(D, wall, fan) == \
+                    _fraction_intersection(fan, D, wall), (name, wall, D)
+    assert named == 3
+
+
+def test_toric_kernels_make_no_rational_operation(monkeypatch):
+    # the first query on a fresh fan computes all 64 profiles and
+    # eliminates every chamber; with one Cartier test and one intersection
+    # number, none of it may touch the rational field
+    ops = []
+    field = type(QQ)
+    for name in ("from_int", "is_zero", "add", "sub", "mul", "div", "inv",
+                 "neg"):
+        method = getattr(field, name)
+        monkeypatch.setattr(field, name, lambda self, *args, _m=method,
+                            _n=name: ops.append(_n) or _m(self, *args))
+    fan, div, walls = toric._fan_library_build("blowupP3_2pts")
+    assert cohomology(fan, div["H"]) == (4, 0, 0, 0)
+    assert len(fan._profile_memo) == 64
+    assert weil_is_cartier(fan, div["H"] - div["E1"])
+    assert intersect_curve(div["H"], walls["l"], fan) == 1
+    assert ops == []
+    # the counter does see a rational operation
+    QQ.add(QQ.one(), QQ.one())
+    assert ops == ["add"]

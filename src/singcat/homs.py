@@ -39,14 +39,28 @@ of U or V.
 The cocycles are the one Groebner build every subquotient, stable-Hom free
 cover and Ext^p starts from, and the same input keeps coming back (the
 resolutions over a hypersurface are 2-periodic, and callers ask for the
-same Hom space more than once).  _COCYCLES keeps one record per build
+same Hom space more than once).  _COCYCLES keeps one record per content
 for the life of the process, as fan_library keeps its fans: the result of
-_cocycles, as a tuple, and the lead monomials of the build's main block,
-the null space of the next Ext (_span_leads), and of its tag block, U's
-own.  The key is the content of
-the input, the QuotientRing, h, r and every entry of d_next and of the
-relations as its sorted terms, so a hit is exact and the same
+_cocycles, as a tuple, the lead monomials of the build's main block, the
+null space of the next Ext (_span_leads), and of its tag block, U's own,
+and the build's position degrees and degree bound.  The key is the
+content of the input, the QuotientRing, h, r and every entry of d_next
+and of the relations as its sorted terms, so a hit is exact and the same
 presentation over two fields never shares an entry.
+
+A question that names a degree D (mode 'graded0', graded_dim(D),
+basis_items(graded_degree=D), the certificate of a map of degree D) reads
+truncated bases.  Its builds of homogeneous input, the cocycles, big_gb
+and the null-space basis of a count, keep only degree <= D (SubmoduleGB's
+bound) and are exact in every degree <= D.  A full record serves every
+question; one truncated at D serves the questions up to D, also when the
+same content comes back with every position degree shifted by one c (the
+steps of a periodic resolution), up to D + c; a question above is built
+again and its record replaces the old one.  The first question that reads
+a basis fixes a subquotient's U at its degree: the degree-<=D subsequence
+of the full U, in the same order, so the basis items are the full basis's
+items of degree <= D.  A later basis question above D raises
+InvariantError, as would a truncated SubmoduleGB asked above its bound.
 
 structure_constants is the one multiplication-table builder: from Hom
 blocks Hom(F_j, F_i) it composes every composable pair of basis maps on
@@ -65,8 +79,9 @@ extensions of ncdef (stacked classes into a direct sum).
 
 from __future__ import annotations
 
+from .errors import InvariantError
 from .findim import FiniteDimAlgebra
-from .modules import FPModule, FreeResolution
+from .modules import FPModule, FreeResolution, _column_degrees
 from .modgb import (SubmoduleGB, compose, lead_quotient_dim, vec_from_polys,
                     vec_to_polys)
 from .poly import Memo, mon_mul
@@ -101,12 +116,20 @@ class MatrixSubquotient:
     U is a Groebner basis, in the position-over-term order, of the module
     Z it spans over the ambient ring, and the null space W, the span of V
     and the ideal pads, lies in Z; lead_dim counts on the leading terms of
-    the two.  null_leads, if given, returns the lead monomials of a
-    Groebner basis of W that a caller already has, one tuple per position;
-    otherwise lead_dim builds an untagged basis of W.  A map is read as
-    its flattened vector (item_vec); item_matrix splits it into columns
-    with unreduced entries.  u_leads, one tuple per position, are the lead
-    monomials of U that the build that made U holds.
+    the two.  null_leads, if given, maps a degree (None: every degree) to
+    the lead monomials, one tuple per position, of a Groebner basis of W
+    that a caller already has, exact up to that degree; otherwise lead_dim
+    builds an untagged basis of W.  A map is read as its flattened vector
+    (item_vec); item_matrix splits it into columns with unreduced entries.
+
+    U is a list, with u_leads its lead monomials one tuple per position,
+    or a callable mapping a degree D (None: every degree) to generators
+    that hold every one of degree <= D, and their leads.  A question that
+    names a degree reads U up to it: a count reads it afresh each time,
+    and the first question that reads a basis (basis_items, dim, big_gb,
+    a certificate) fixes U as the degree-<=D subsequence of the full U, in
+    the same order, since basis items index it; a later basis question
+    above D raises InvariantError.
     """
 
     def __init__(self, ring: QuotientRing, nrows: int, ncols: int, U, V,
@@ -115,28 +138,66 @@ class MatrixSubquotient:
         self.ring = ring
         self.nrows = nrows
         self.ncols = ncols
-        self.U = list(U)
         self.V = list(V)
         self.row_degrees = row_degrees
         self.col_degrees = col_degrees
         self._big = None
         self._null_leads = null_leads
+        self._source = U if callable(U) else None
+        self._U = None if callable(U) else list(U)
         self._u_leads = u_leads
+        self._bound = None  # the degree U was fixed at; None: every degree
+
+    @property
+    def U(self):
+        """The generators the basis reads: all of them unless a basis
+        question in degree D came first."""
+        return self._fix(None) if self._U is None else self._U
+
+    def _read(self, bound):
+        """(U, u_leads, bound) from the source for a question in degree
+        `bound`: U cut to its degree-<=bound subsequence, or whole, with
+        bound None, when some generator is inhomogeneous."""
+        U, u_leads = self._source(bound)
+        if bound is not None:
+            degs = self._map_degrees(U)
+            if all(len(d) == 1 for d in degs):
+                return [u for u, (d,) in zip(U, degs) if d <= bound], \
+                    u_leads, bound
+        return list(U), u_leads, None
+
+    def _generators(self, bound):
+        """(U, u_leads) for a count in degree `bound`: the fixed ones if
+        they cover it, else read afresh and not kept."""
+        if self._U is not None and _covers(self._bound, bound):
+            return self._U, self._u_leads
+        return self._read(bound)[:2]
+
+    def _fix(self, bound):
+        """U for a basis question in degree `bound` (None: every degree),
+        fixed by the first one."""
+        if self._U is None:
+            self._U, self._u_leads, self._bound = self._read(bound)
+        elif not _covers(self._bound, bound):
+            asked = "every degree" if bound is None else f"degree {bound}"
+            raise InvariantError(
+                f"a basis question in {asked} asked of a subquotient whose "
+                f"generators were read up to degree D = {self._bound}")
+        return self._U
 
     def _position_degrees(self):
-        if self.row_degrees is None or self.col_degrees is None:
-            return None
-        out = []
-        for j in range(self.ncols):
-            for i in range(self.nrows):
-                out.append(self.row_degrees[i] - self.col_degrees[j])
-        return out
+        return _map_degree_list(self.row_degrees, self.col_degrees)
 
     def big_gb(self) -> SubmoduleGB:
+        """The tagged basis of U, V and the pads, truncated at U's degree."""
         if self._big is None:
+            U, degrees = self.U, None
+            if self._bound is not None:
+                degrees = self._position_degrees() + self.gen_degrees()
             self._big = SubmoduleGB(self.ring.ambient, self.nrows * self.ncols,
-                                    self.U + self.V, pad_polys=self.ring.gb,
-                                    tracked=len(self.U))
+                                    U + self.V, pad_polys=self.ring.gb,
+                                    tracked=len(U), degrees=degrees,
+                                    bound=self._bound)
         return self._big
 
     def _map_degrees(self, vecs):
@@ -150,8 +211,11 @@ class MatrixSubquotient:
 
     def gen_degrees(self):
         """Map degree of each U generator (graded context only)."""
+        return self._gen_degrees(self.U)
+
+    def _gen_degrees(self, U):
         out = []
-        for degs in self._map_degrees(self.U):
+        for degs in self._map_degrees(U):
             if len(degs) != 1:
                 raise HomError("inhomogeneous hom generator in graded context")
             out.append(degs.pop())
@@ -159,7 +223,7 @@ class MatrixSubquotient:
 
     def dim(self):
         """Total k-dimension, or None if infinite."""
-        if not self.U:
+        if not self._fix(None):
             return 0
         std = self.big_gb().tracked_staircase()
         return None if std is None else len(std)
@@ -167,13 +231,15 @@ class MatrixSubquotient:
     def lead_dim(self, degree=None):
         """Total k-dimension (None if infinite), or that of the given graded
         degree, counted from the leading terms of U and of a Groebner basis
-        of the null space: no basis of the quotient is built."""
-        if not self.U:
+        of the null space, each exact up to that degree: no basis of the
+        quotient is built."""
+        U, u_leads = self._generators(degree)
+        if not U:
             return 0
         pos_degs = None
         if degree is not None:
             # a count by degree is exact only for homogeneous generators
-            self.gen_degrees()
+            self._gen_degrees(U)
             for k, degs in enumerate(self._map_degrees(self.V)):
                 if len(degs) > 1:
                     raise HomError(f"inhomogeneous null generator V[{k}] in "
@@ -181,10 +247,11 @@ class MatrixSubquotient:
                                    f"{sorted(degs)}")
             pos_degs = self._position_degrees()
         npos = self.nrows * self.ncols
-        w_leads = (self._null_leads() if self._null_leads is not None else
+        w_leads = (self._null_leads(degree) if self._null_leads is not None else
                    SubmoduleGB(self.ring.ambient, npos, self.V,
-                               pad_polys=self.ring.gb, tracked=0).leads())
-        return lead_quotient_dim(self.ring.ambient, self._u_leads, w_leads,
+                               pad_polys=self.ring.gb, tracked=0,
+                               degrees=pos_degs, bound=degree).leads())
+        return lead_quotient_dim(self.ring.ambient, u_leads, w_leads,
                                  degree, pos_degs)
 
     def graded_dim(self, degree: int = 0):
@@ -192,7 +259,7 @@ class MatrixSubquotient:
 
     def basis_items(self, graded_degree=None):
         """Staircase basis as (generator index, monomial) pairs."""
-        if not self.U:
+        if not self._fix(graded_degree):
             return []
         if graded_degree is None:
             std = self.big_gb().tracked_staircase()
@@ -218,8 +285,17 @@ class MatrixSubquotient:
 
     def _certificate(self, vec):
         """The tag part of vec's certificate over big_gb: its class over the
-        staircase items, empty exactly when the class is zero."""
-        nf, cert = ((vec, {}) if not self.U
+        staircase items, empty exactly when the class is zero.  In a graded
+        context the basis reads U up to vec's largest map degree."""
+        if not vec:
+            return {}
+        U = self._U
+        if U is None or self._bound is not None:
+            bound = None
+            if self.row_degrees is not None and self.col_degrees is not None:
+                bound = max(self._map_degrees([vec])[0])
+            U = self._fix(bound)
+        nf, cert = ((vec, {}) if not U
                     else self.big_gb().normal_form(vec, with_cert=True))
         if nf:
             raise HomError("matrix does not lie in the hom space")
@@ -271,8 +347,32 @@ def _relation_blocks(h, ncols, relations):
     return out
 
 
+def _map_degree_list(rows, cols):
+    """The map degree rows[i] - cols[j] of each position j*h + i of a
+    flattened h-row matrix, column-major; None without both degrees."""
+    if rows is None or cols is None:
+        return None
+    return [a - b for b in cols for a in rows]
+
+
+def _cocycle_degrees(N: FPModule, col_degrees, next_degrees):
+    """The position degrees of the cocycle build of maps R^r -> N whose
+    columns have degrees col_degrees, with d_next's columns of degrees
+    next_degrees: the main block, then the tag block; None if ungraded."""
+    main = _map_degree_list(N.gen_degrees, next_degrees)
+    tags = _map_degree_list(N.gen_degrees, col_degrees)
+    return None if main is None or tags is None else main + tags
+
+
+def _covers(have, want):
+    """Whether generators read up to degree `have` answer a question in
+    degree `want` (None: every degree)."""
+    return have is None or (want is not None and want <= have)
+
+
 # one record per content key for the life of the process: _cocycles'
-# result and the lead monomials of both blocks of the same build
+# result, the lead monomials of both blocks of the same build, and the
+# position degrees and bound of that build (None, None when it is full)
 _COCYCLES: dict = {}
 
 
@@ -281,55 +381,93 @@ def _columns_key(cols):
                  for col in cols)
 
 
-def _cocycle_entry(ring: QuotientRing, h, r, d_next, relations):
-    """The (cocycles, span leads, cocycle leads) record of the cocycle
-    build of (ring, h, r, d_next, relations); the build runs on the first
-    call for that content.  Without d_next every matrix unit is a cocycle,
-    and nothing is built or kept."""
+def _serves(record, degrees, bound):
+    """Whether a record answers a question in degree `bound` (None: every
+    degree) under the position degrees `degrees`: a full record answers
+    all, and one truncated at D under degrees d answers when `degrees` is
+    d + c at every position and bound <= D + c."""
+    _U, _span, _leads, rec_degrees, rec_bound = record
+    if rec_bound is None:
+        return True
+    if bound is None or degrees is None:
+        return False
+    c = degrees[0] - rec_degrees[0]
+    return bound <= rec_bound + c and all(
+        a - b == c for a, b in zip(degrees, rec_degrees))
+
+
+def _cocycle_entry(ring: QuotientRing, h, r, d_next, relations, degrees=None,
+                   bound=None):
+    """The (cocycles, span leads, cocycle leads, degrees, bound) record of
+    the cocycle build of (ring, h, r, d_next, relations).  `degrees` gives
+    the build's positions their degrees, the main block l*h + i (column l
+    of d_next) then the tag block j*h + i (the unit E_ij), and `bound` the
+    largest degree asked: the build runs, truncated at the bound when its
+    input is homogeneous, when the content has no record or its record
+    does not serve the question (_serves), and its record replaces the old
+    one.  Without d_next every matrix unit is a cocycle, and nothing is
+    built or kept."""
     if not d_next:
         return (tuple(_flat(h, [(j, i, ring.one())])
                       for j in range(r) for i in range(h)), None,
-                (((0,) * ring.ambient.nvars,),) * (r * h))
+                (((0,) * ring.ambient.nvars,),) * (r * h), None, None)
     key = (ring, h, r, _columns_key(d_next), _columns_key(relations))
     out = _COCYCLES.get(key)
-    if out is None:
+    if out is None or not _serves(out, degrees, bound):
         gens = (_unit_images(h, r, d_next)
                 + _relation_blocks(h, len(d_next), relations))
-        gb = SubmoduleGB(ring.ambient, h * len(d_next), gens,
-                         pad_polys=ring.gb, tracked=r * h)
-        out = _COCYCLES[key] = (tuple(gb.syzygies()), gb.leads(),
-                                gb.leads(h * len(d_next), r * h))
+        npos = h * len(d_next)
+        gb = SubmoduleGB(ring.ambient, npos, gens, pad_polys=ring.gb,
+                         tracked=r * h, degrees=degrees, bound=bound)
+        out = _COCYCLES[key] = (
+            tuple(gb.syzygies()), gb.leads(), gb.leads(npos, r * h),
+            None if gb.bound is None else degrees, gb.bound)
     return out
 
 
 def _cocycles(ring: QuotientRing, h, r, d_next, relations):
     """Generators of the h x r matrices phi with phi o d_next in the span of
-    the relation columns (in R^h) plus the ideal, as a tuple.  A Groebner
-    build runs once per content of (ring, h, r, d_next, relations); a repeat
-    returns the same reduced syzygy basis, in the same order."""
+    the relation columns (in R^h) plus the ideal, as a tuple.  A full
+    Groebner build runs at most once per content of (ring, h, r, d_next,
+    relations); a repeat returns the same reduced syzygy basis, in the
+    same order."""
     return _cocycle_entry(ring, h, r, d_next, relations)[0]
 
 
-def _span_leads(ring: QuotientRing, h, r, d_next, relations):
+def _span_leads(ring: QuotientRing, h, r, d_next, relations, degrees=None,
+                bound=None):
     """Lead monomials, one tuple per position, of the reduced basis of the
     span of the maps E o d_next (E: R^r -> R^h), the relation columns in
-    each of the len(d_next) columns and the ideal pads: the main block of
-    _cocycles' build of the same input."""
-    return _cocycle_entry(ring, h, r, d_next, relations)[1]
+    each of the len(d_next) columns and the ideal pads, up to degree
+    `bound`: the main block of _cocycles' build of the same input."""
+    return _cocycle_entry(ring, h, r, d_next, relations, degrees, bound)[1]
 
 
 def _subquotient(N: FPModule, r, d_next, null_extra, col_degrees,
                  null_leads=None):
     """Cocycles phi: R^r -> N (phi o d_next in rel(N)) modulo rel(N) in each
-    column and the extra null generators."""
+    column and the extra null generators.  The columns of R^r have degrees
+    col_degrees; a question by degree reads the cocycles up to it."""
     ring, h = N.ring, N.ngens
     if r == 0:
         return MatrixSubquotient(ring, h, 0, [], [])
-    U, _span, u_leads = _cocycle_entry(ring, h, r, d_next, N.relations)
+
+    def cocycles(bound):
+        degrees = None
+        if bound is not None:
+            try:
+                next_degrees = _column_degrees(ring, d_next, col_degrees)
+            except ValueError:  # an inhomogeneous entry: nothing is cut
+                next_degrees = None
+            degrees = _cocycle_degrees(N, col_degrees, next_degrees)
+        U, _span, u_leads, _degrees, _bound = _cocycle_entry(
+            ring, h, r, d_next, N.relations, degrees, bound)
+        return U, u_leads
+
     V = _relation_blocks(h, r, N.relations) + list(null_extra)
-    return MatrixSubquotient(ring, h, r, U, V,
+    return MatrixSubquotient(ring, h, r, cocycles, V,
                              row_degrees=N.gen_degrees, col_degrees=col_degrees,
-                             null_leads=null_leads, u_leads=u_leads)
+                             null_leads=null_leads)
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +533,12 @@ class MorphismSpace:
                                 [f"f{k}" for k in range(self.dim)], table, unit)
 
     def presentation(self) -> FPModule:
-        """Hom as an FPModule on the U-generators (module mode)."""
+        """Hom as an FPModule on the U-generators (module mode); every
+        degree, so a basis read in one degree refuses it."""
+        U = self.msq._fix(None)
         W = self.msq.big_gb().syzygies()
-        cols = [vec_to_polys(self.M.ring.ambient, w, len(self.msq.U)) for w in W]
-        return FPModule(self.M.ring, len(self.msq.U), cols)
+        cols = [vec_to_polys(self.M.ring.ambient, w, len(U)) for w in W]
+        return FPModule(self.M.ring, len(U), cols)
 
 
 def structure_constants(blocks, r):
@@ -493,14 +633,18 @@ def stable_hom(M: FPModule, N: FPModule) -> MorphismSpace:
 def _ext_subquotient(M: FPModule, N: FPModule, p: int, res: FreeResolution):
     """Ext^p(M, N) as a matrix subquotient of Hom(F_p, N): cocycles modulo
     rel(N) and the coboundaries psi o d_p."""
-    coboundaries, null_leads = [], None
+    coboundaries, null_leads, steps = [], None, res.step_degrees
     if p >= 1:
         h, r, d_p = N.ngens, res.rank(p - 1), res.differential(p)
         coboundaries = [v for v in _unit_images(h, r, d_p) if v]
-        # the null space is the span of Ext^(p-1)'s cocycle build
-        null_leads = lambda: _span_leads(N.ring, h, r, d_p, N.relations)
+        # the null space is the span of Ext^(p-1)'s cocycle build, whose
+        # main block has the positions of Ext^p
+        null_leads = lambda bound: _span_leads(
+            N.ring, h, r, d_p, N.relations,
+            None if bound is None else
+            _cocycle_degrees(N, steps[p - 1], steps[p]), bound)
     return _subquotient(N, res.rank(p), res.differential(p + 1), coboundaries,
-                        res.step_degrees[p], null_leads)
+                        steps[p], null_leads)
 
 
 def ext_dims(M: FPModule, N: FPModule, p_max: int, p_min: int = 0):

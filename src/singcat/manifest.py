@@ -188,9 +188,14 @@ def _claim_cone_extensions(**kw):
 
     L1, L2 = coll.modules
     G1, G2 = state.components
+
+    def hom(G, L):
+        # the sheaf-level Hom: degree zero, as every such Hom is infinite
+        return hom_space(G, L, mode="graded0").dim
+
     computed = {
-        "hom_G1": [hom_space(G1, L1).dim, hom_space(G1, L2).dim],
-        "hom_G2": [hom_space(G2, L1).dim, hom_space(G2, L2).dim],
+        "hom_G1": [hom(G1, L1), hom(G1, L2)],
+        "hom_G2": [hom(G2, L1), hom(G2, L2)],
         "ext_G1_vanish": vanish(0, G1),
         "ext_G2_vanish": vanish(1, G2),
     }

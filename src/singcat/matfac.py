@@ -283,7 +283,7 @@ def mf_stable_hom(X: MatrixFactorization, Y: MatrixFactorization):
     dims = []
     for gb_out, d_in, gb_in in ((gb0, d1, gb1), (gb1, d0, gb0)):
         msq = MatrixSubquotient(free, Y.size, 2 * X.size, gb_out.syzygies(),
-                                d_in, null_leads=gb_in.leads,
+                                d_in, null_leads=lambda _d, gb=gb_in: gb.leads(),
                                 u_leads=gb_out.leads(npos, gb_out.tracked))
         dims.append(msq.lead_dim())
     if None in dims:

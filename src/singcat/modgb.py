@@ -48,6 +48,17 @@ of the tracked generators modulo the untracked ones and the pads.
 `lead_quotient_dim` counts dim Z/W for W in Z from the leads of a basis
 of each, with no basis of the quotient.
 
+A build given the degree of each position and a bound D is truncated when
+its input is homogeneous (Becker and Weispfenning, Groebner Bases, 1993,
+and Kreuzer and Robbiano, Computational Commutative Algebra 2, 2005, on
+homogeneous and truncated bases): inputs above D never enter, pairs are
+taken by the weighted degree of their lcm plus their position's degree
+and those above D are dropped, and the reduced basis is the degree-<=D
+part of the full one, so every answer in degree <= D is exact.  Asked
+above D, for a normal form or a staircase, it raises InvariantError;
+`basis`, `leads` and `syzygies` hold degree <= D.  Any other build runs
+in full, with the pairs taken by unweighted lcm degree.
+
 A matrix over S is a vector too: an h-row matrix is flattened column-major,
 its entry (row a, column j) at position j*h + a (`vec_from_polys` of its
 columns, one after another).  `compose` multiplies two such matrices; it is
@@ -265,26 +276,41 @@ class SubmoduleGB:
     generators carry a tag coordinate npos + j; by default every generator
     does, and pads never do.  Certificates and syzygies are read from the
     tags, so they cover the tracked generators only, modulo the untracked
-    generators plus the pads."""
+    generators plus the pads.
+
+    `degrees` gives each position a degree (npos + tracked entries, the
+    main block then the tag block).  With a `bound` D too, a build whose
+    generators, tags and pads are homogeneous under the positive ring
+    weights is truncated at D (see the module docstring) and `bound` is D;
+    any other build runs in full, with `bound` None."""
 
     def __init__(self, ring: PolyRing, npos: int, gens, pad_polys=(),
-                 tracked=None):
+                 tracked=None, degrees=None, bound=None):
         self.ring = ring
         self.field = ring.field
         self.npos = npos
         self.pads = list(pad_polys)
         self._pk = pk = packing(ring.nvars, ring.order)
-        graph = [pk.pack(g) for g in gens]
-        self.ngens = len(graph)
+        gens = list(gens)
+        self.ngens = len(gens)
         self.tracked = self.ngens if tracked is None else tracked
         if not 0 <= self.tracked <= self.ngens:
             raise ValueError(f"tracked={tracked} outside 0..{self.ngens}")
+        graph = [pk.pack(g) for g in gens]
         one, unit = self.field.one(), (0,) * ring.nvars
         for j in range(self.tracked):
             graph[j][pk.term(npos + j, unit)] = one
         for f in self.pads:
             for p in range(npos):
                 graph.append(pk.pack({(p, m): c for m, c in f.terms.items()}))
+        self.degrees = degrees
+        self.bound = None
+        if bound is not None and degrees is not None:
+            in_degs = _input_degrees(ring, npos, self.tracked, gens, self.pads,
+                                     degrees)
+            if in_degs is not None:
+                self.bound = bound
+                graph = [g for g, d in zip(graph, in_degs) if d <= bound]
         # the reduced basis: `reducer` entries in ascending order of lead
         self._basis = self._buchberger(graph)
         self._index = {}
@@ -331,11 +357,24 @@ class SubmoduleGB:
             if g:
                 push(g)
 
-        def pair_entry(i, j):
-            return (sum(mon_lcm(leads[i], leads[j])), i, j)
+        if self.bound is None:
+            def pair_entry(i, j):
+                return (sum(mon_lcm(leads[i], leads[j])), i, j)
+        else:
+            # a truncated build: the degree of the pair, lcm plus position
+            degree = sum if set(self.ring.weights) == {1} else \
+                self.ring.weighted_deg
+            bound, pos_deg = self.bound, self.degrees
+
+            def pair_entry(i, j):
+                d = (degree(mon_lcm(leads[i], leads[j]))
+                     + pos_deg[basis[i][1] >> shift])
+                return (d, i, j) if d <= bound else None
 
         pairs = [pair_entry(i, j) for group in index_at.values()
                  for a, i in enumerate(group) for j in group[:a]]
+        if self.bound is not None:
+            pairs = [e for e in pairs if e is not None]
         heapify(pairs)
         while pairs:
             _deg, i, j = heappop(pairs)
@@ -350,7 +389,9 @@ class SubmoduleGB:
                 group = index_at[push(s)]
                 k = group[-1]
                 for t in group[:-1]:
-                    heappush(pairs, pair_entry(k, t))
+                    entry = pair_entry(k, t)
+                    if entry is not None:
+                        heappush(pairs, entry)
         # A minimal basis (no lead divides another at its position), then one
         # pass of tail reduction modulo it, gives the unique reduced basis.
         # Leads are distinct: each element was reduced by all earlier ones.
@@ -379,6 +420,15 @@ class SubmoduleGB:
                 f"(SubmoduleGB over {self.npos} positions, {self.ngens} "
                 f"generators, {len(self.pads)} pad polynomials, tracked=0)")
 
+    def _refuse_above_bound(self, what, degree):
+        """InvariantError unless this build answers in `degree` (None: in
+        every degree): a truncated basis never answers above its bound."""
+        if self.bound is not None and (degree is None or degree > self.bound):
+            asked = "every degree" if degree is None else f"degree {degree}"
+            raise InvariantError(
+                f"{what} in {asked} asked of a Groebner basis truncated at "
+                f"degree D = {self.bound}")
+
     def normal_form(self, v: Vec, with_cert: bool = False):
         """Canonical representative of v modulo the span (main block only).
 
@@ -386,6 +436,10 @@ class SubmoduleGB:
         positions 0..tracked-1 such that v = nf + sum cert_j * gens_j modulo
         the untracked generators and the padded ideal part.
         """
+        if self.bound is not None and v:
+            deg, pos_deg = self.ring.weighted_deg, self.degrees
+            self._refuse_above_bound("a normal form", max(
+                deg(m) + pos_deg[p] for p, m in v))
         pk = self._pk
         red = pk.reduce(self.field, pk.pack(v), self._index)
         limit = self.npos << pk.shift
@@ -429,6 +483,7 @@ class SubmoduleGB:
         first + i, i < count: all of them, or those of internal degree
         `degree` when first + i has degree pos_degrees[i]; None if there
         are infinitely many."""
+        self._refuse_above_bound("a staircase", degree)
         out = []
         for i, leads in enumerate(self.leads(first, count)):
             want = None if degree is None else degree - pos_degrees[i]
@@ -462,6 +517,32 @@ class SubmoduleGB:
         if self._tracked_std is False:
             self._tracked_std = self._staircase(self.npos, self.tracked)
         return None if self._tracked_std is None else list(self._tracked_std)
+
+
+def _input_degrees(ring: PolyRing, npos, tracked, gens, pads, degrees):
+    """The degree of each graph-module input (the generators, the j-th with
+    its tag npos + j if j < tracked, then each pad f*e_p, f by f), or None
+    if the weights are not all positive or some input is inhomogeneous
+    under the position degrees.  A zero untracked generator, which never
+    enters, counts as degree 0."""
+    if min(ring.weights, default=1) <= 0:
+        return None
+    deg = Memo(ring.weighted_deg)
+    out = []
+    for j, g in enumerate(gens):
+        found = {deg[m] + degrees[p] for p, m in g}
+        if j < tracked:
+            found.add(degrees[npos + j])
+        if len(found) > 1:
+            return None
+        out.append(found.pop() if found else 0)
+    for f in pads:
+        found = {deg[m] for m in f.terms}
+        if len(found) != 1:
+            return None
+        d = found.pop()
+        out.extend(d + degrees[p] for p in range(npos))
+    return out
 
 
 def _standard_monomials(ring: PolyRing, leads, degree=None):

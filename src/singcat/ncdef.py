@@ -125,6 +125,7 @@ class DeformationState:
         # filtrations[i] = list of (step_added, collection index) per factor
         self.filtrations = filtrations
         self._ext1 = None
+        self._ext1_counts = None
         self._algebra = None
         self._idents = None
         self._hom_blocks = None
@@ -140,10 +141,21 @@ class DeformationState:
         return self._ext1
 
     def ext1_dims(self):
+        """dim Ext^1(F^(i), L_j) in the collection's mode.  Until a step
+        reads the basis items, mode 'graded0' counts them from leading
+        terms (graded_dim), whose null space is the cocycle build of
+        Hom(F^(i), L_j) in degree zero."""
+        if self._ext1 is None and self.collection.mode == "graded0":
+            if self._ext1_counts is None:
+                self._ext1_counts = {key: s.graded_dim(0) for key, s in
+                                     _ext1_spaces(self.components,
+                                                  self.collection.modules
+                                                  ).items()}
+            return dict(self._ext1_counts)
         return {(i, j): len(items) for (i, j), (_s, items) in self.ext1_spaces().items()}
 
     def is_terminated(self) -> bool:
-        return all(len(items) == 0 for _s, items in self.ext1_spaces().values())
+        return not any(self.ext1_dims().values())
 
     # -- parameter algebra -------------------------------------------------------
 

@@ -330,8 +330,14 @@ def cone_pair_ext_table():
     """table[(a, b)] = dim Ext^p(F_a, F_b)_0 for p = 1, 2, 3 on the final
     components of the cone-pair run."""
     comps = cone_pair()[1].final_state.components
-    return {(a, b): tuple(ext_space(Fa, Fb, p).graded_dim(0) for p in (1, 2, 3))
-            for a, Fa in enumerate(comps) for b, Fb in enumerate(comps)}
+    table = {}
+    for a, Fa in enumerate(comps):
+        for b, Fb in enumerate(comps):
+            # Ext^3 first: on the 2-periodic resolution its cocycles are
+            # Ext^1's up to a higher degree, read once for both
+            dims = {p: ext_space(Fa, Fb, p).graded_dim(0) for p in (3, 2, 1)}
+            table[(a, b)] = (dims[1], dims[2], dims[3])
+    return table
 
 
 def _local_cone_conditions():

@@ -258,28 +258,28 @@ class Fan:
 
 
 class TDivisor:
-    """Torus-invariant Weil divisor: one integer coefficient per ray."""
+    """Torus-invariant Weil divisor: one integer coefficient per ray, checked once."""
 
-    def __init__(self, fan: Fan, coeffs):
+    def __init__(self, fan: Fan, coeffs, _checked=False):
         self.fan = fan
-        self.coeffs = _integers(coeffs, "divisor")
+        self.coeffs = coeffs if _checked else _integers(coeffs, "divisor")
         if len(self.coeffs) != len(fan.rays):
             raise ToricError("coefficient vector length must match ray count")
 
     def __add__(self, other):
-        self._check(other)
-        return TDivisor(self.fan, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return TDivisor(self.fan, [a + b for a, b in zip(self.coeffs, self._check(other))], True)
 
     def __sub__(self, other):
-        self._check(other)
-        return TDivisor(self.fan, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return TDivisor(self.fan, [a - b for a, b in zip(self.coeffs, self._check(other))], True)
 
     def scale(self, n: int):
-        return TDivisor(self.fan, [n * a for a in self.coeffs])
+        (n,) = _integers([n], "scale factor")
+        return TDivisor(self.fan, [n * a for a in self.coeffs], True)
 
     def _check(self, other):
         if other.fan is not self.fan:
             raise ToricError("divisors on different fans")
+        return other.coeffs
 
     def __repr__(self):
         return f"TDivisor({self.coeffs})"

@@ -476,7 +476,8 @@ def test_subquotient_staircase_matches_second_build(monkeypatch):
 
 def test_subquotient_builds_one_groebner_basis(monkeypatch):
     C = cone_ring()
-    msq = ext_space(cone_L1(C), cone_L2(C), 1)
+    L1, L2 = cone_L1(C), cone_L2(C)
+    L1.resolve(2)
     builds = []
     real_init = SubmoduleGB.__init__
 
@@ -485,10 +486,12 @@ def test_subquotient_builds_one_groebner_basis(monkeypatch):
         real_init(self, *args, **kwargs)
 
     monkeypatch.setattr(SubmoduleGB, "__init__", counting_init)
+    msq = ext_space(L1, L2, 1)
     assert msq.dim() == 1
     items = msq.basis_items()
     assert msq.coords(msq.item_vec(items[0]), items) == [C.field.one()]
-    assert builds == [msq.nrows * msq.ncols]
+    # the cocycle build, read at the first question, then the one basis
+    assert builds == [L2.ngens * L1.resolve(2).rank(2), msq.nrows * msq.ncols]
 
 
 @pytest.mark.parametrize("field", ["Q", "F32003"])
@@ -638,11 +641,12 @@ def test_cocycles_over_two_fields_share_no_entry(monkeypatch):
 
 
 def _recompute_every_entry():
-    """Each remembered cocycle module with the leads kept beside it, and
-    the same input computed again with nothing remembered."""
+    """Each remembered cocycle module with the leads, degrees and bound
+    kept beside it, and the same input computed again, with the same
+    degrees and bound, with nothing remembered."""
     saved = dict(homs._COCYCLES)
     homs._COCYCLES.clear()
-    for key, (kept, leads, cocycle_leads) in saved.items():
+    for key, (kept, leads, cocycle_leads, degrees, bound) in saved.items():
         ring, h, r, d_next, relations = key
 
         def columns(cols):
@@ -650,9 +654,12 @@ def _recompute_every_entry():
                     for col in cols]
 
         args = (ring, h, r, columns(d_next), columns(relations))
-        yield ((kept, leads, cocycle_leads),
-               (homs._cocycles(*args), homs._span_leads(*args),
-                homs._cocycle_entry(*args)[2]))
+        fresh = homs._cocycle_entry(*args, degrees, bound)
+        if bound is None:
+            assert homs._cocycles(*args) == fresh[0]
+        yield ((kept, leads, cocycle_leads, degrees, bound),
+               (fresh[0], homs._span_leads(*args, degrees, bound),
+                *fresh[2:]))
 
 
 def test_remembered_cocycles_equal_a_recomputation():
@@ -668,9 +675,17 @@ def test_remembered_cocycles_equal_a_recomputation():
     k = FPModule.cyclic(A, [A.parse("z")])
     assert hom_space(k, k).algebra().dim == 1
     assert ext_dims(k, k, 3) == {0: 1, 1: 1, 2: 1, 3: 1}
-    assert len(homs._COCYCLES) >= 10
+    # degree-zero questions on the projective cone keep truncated records
+    P = projective_cone_ring()
+    for M in (cone_L1(P), cone_L2(P)):
+        for N in (cone_L1(P), cone_L2(P)):
+            hom_space(M, N, mode="graded0")
+            for p in (1, 2):
+                ext_space(M, N, p).graded_dim(0)
+    assert sum(rec[4] is not None for rec in homs._COCYCLES.values()) >= 4
+    assert len(homs._COCYCLES) >= 14
     pairs = list(_recompute_every_entry())
-    assert len(pairs) >= 10
+    assert len(pairs) >= 14
     for kept, fresh in pairs:
         assert kept == fresh
 
@@ -685,9 +700,18 @@ def test_kept_cocycle_leads_are_the_leads_of_the_cocycles():
         for N in (L1, L2):
             hom_space(M, N, mode="module")
             ext_dims(M, N, 3, p_min=1)
-    assert len(homs._COCYCLES) >= 4
-    for (ring, h, r, _d, _rels), (U, _span, u_leads) in homs._COCYCLES.items():
-        assert u_leads == SubmoduleGB(ring.ambient, r * h, U, tracked=0).leads()
+    P = projective_cone_ring()
+    for M in (cone_L1(P), cone_L2(P)):
+        for N in (cone_L1(P), cone_L2(P)):
+            ext_space(M, N, 1).graded_dim(0)
+    assert len(homs._COCYCLES) >= 8
+    for (ring, h, r, d_next, _rels), (U, _span, u_leads, degrees, bound) \
+            in homs._COCYCLES.items():
+        # a truncated record: a basis of the span of U truncated at the
+        # same degree, over the tag positions' degrees
+        tags = None if degrees is None else degrees[h * len(d_next):]
+        assert u_leads == SubmoduleGB(ring.ambient, r * h, U, tracked=0,
+                                      degrees=tags, bound=bound).leads()
 
 
 # -- sparse composition of Hom maps ---------------------------------------------

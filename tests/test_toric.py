@@ -721,3 +721,36 @@ def test_toric_kernels_make_no_rational_operation(monkeypatch):
     # the counter does see a rational operation
     QQ.add(QQ.one(), QQ.one())
     assert ops == ["add"]
+
+
+def test_divisor_arithmetic_equals_checked_construction():
+    # sums, differences and multiples are built without a second check of
+    # their integer coefficients; each equals the checked construction
+    rng = random.Random(43)
+    for name in LIBRARY:
+        fan = fan_library(name)[0]
+        for _ in range(10):
+            a = [rng.randint(-5, 5) for _ in fan.rays]
+            b = [rng.randint(-5, 5) for _ in fan.rays]
+            n = rng.randint(-4, 4)
+            D, E = TDivisor(fan, a), TDivisor(fan, b)
+            for got, want in ((D + E, [x + y for x, y in zip(a, b)]),
+                              (D - E, [x - y for x, y in zip(a, b)]),
+                              (D.scale(n), [n * x for x in a])):
+                ref = TDivisor(fan, want)
+                assert type(got) is TDivisor and got.fan is fan
+                assert got.coeffs == ref.coeffs
+                assert all(type(c) is int for c in got.coeffs)
+                assert cohomology(fan, got) == cohomology(fan, ref)
+    # the constructor and scale still refuse anything but integers
+    fan = fan_library("P2")[0]
+    for bad in ([1, 2, 0.5], [1, Fraction(1, 2), 0], [True, 0, 0], (1, "2", 0),
+                "123"):
+        with pytest.raises(ToricError, match="not a list of integers"):
+            TDivisor(fan, bad)
+    D = TDivisor(fan, [1, 0, 0])
+    for bad in (0.5, Fraction(2), True, "2"):
+        with pytest.raises(ToricError, match="scale factor"):
+            D.scale(bad)
+    with pytest.raises(ToricError, match="different fans"):
+        D + TDivisor(fan_library("P1xP1")[0], [0, 0, 0, 0])

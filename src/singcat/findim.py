@@ -187,10 +187,6 @@ class FiniteDimAlgebra:
             self._add_multiple(vec, F.neg(vec[p]), rows[p].items())
             vec = {k: c for k, c in vec.items() if not F.is_zero(c)}
 
-    def multiply_subspaces(self, A, B):
-        """Span generators of A*B for lists of coefficient vectors."""
-        return [self.mul(a, b) for a in A for b in B]
-
     def subspace_dim(self, vectors) -> int:
         rows = {}
         for v in vectors:

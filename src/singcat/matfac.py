@@ -209,7 +209,7 @@ def mf_from_module(M: FPModule) -> MatrixFactorization:
     f_cols = [[f if t == i else S.zero() for t in range(g)] for i in range(g)]
     free_R = QuotientRing(S, [])
     pruned = _sort_columns(free_R,
-                           _prune_columns(free_R, M.relations + f_cols, g))
+                           _prune_columns(free_R, M.relations + f_cols))
     if len(pruned) == 0:
         return MatrixFactorization.zero(S, f)
     if len(pruned) != g:

@@ -665,8 +665,3 @@ class PolyReducer:
         nf = pk.reduce(self.ring.field, {code[m]: c for m, c in p.terms.items()},
                        self._index)
         return Polynomial(p.ring, {mon[t]: c for t, c in nf.items()})
-
-
-def poly_normal_form(p: Polynomial, gb_polys) -> Polynomial:
-    """Normal form of p against a list of polynomials (assumed a GB)."""
-    return PolyReducer(p.ring, gb_polys).normal_form(p)

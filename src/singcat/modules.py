@@ -1,14 +1,15 @@
 """Finitely presented modules over affine quotient rings, and free resolutions.
 
-An FPModule is coker(R^r -> R^g) given by relation columns, and
-minimal_presentation drops each generator that a constant relation entry
-makes redundant (no Groebner build).  Syzygy steps are pruned of redundant
-generators in one forward pass and sorted canonically, so resolution tails
-over hypersurface rings tend to repeat literally; when d_{i+2} = d_i is
-detected the resolution is extended by copying.  A module
-caches its resolution, and a request for a longer one extends the cached
-one instead of starting again.  The checks on a resolution multiply its
-differentials, flattened column-major, with modgb.compose.
+An FPModule is coker(R^r -> R^g) given by relation columns.  One routine,
+_unit_pivots, drops the generators that constant relation entries make
+redundant: of a presentation in minimal_presentation (no Groebner build),
+and of a syzygy step, as the unit pivots of one syzygy build, minimal on
+homogeneous input.  Syzygy steps are sorted canonically, so resolution
+tails over hypersurface rings tend to repeat literally; when d_{i+2} = d_i
+is detected the resolution is extended by copying.  A module caches its
+resolution, and a request for a longer one extends the cached one.  The
+checks on a resolution multiply its differentials, flattened column-major,
+with modgb.compose.
 """
 
 from __future__ import annotations
@@ -41,6 +42,37 @@ def find_unit(rows):
             if not p.is_zero() and p.total_deg() == 0:
                 return i, j
     return None
+
+
+def _unit_pivots(ring: QuotientRing, ngens: int, cols):
+    """(kept generators, relations left on them) of the presentation with
+    `ngens` generators and relation columns `cols`: while some column c
+    has a nonzero constant u at generator i, every other column c' becomes
+    c' - (c'_i/u)*c, and c, generator i and the columns that are then zero
+    go.  The pivot is taken at the last such generator, so earlier
+    generators stay.
+
+    The substitution is exact over any ring.  For homogeneous columns over
+    positive weights, once no constant entry is left the kept generators
+    are minimal (graded Nakayama)."""
+    keep = list(range(ngens))
+    while True:
+        hit = find_unit([c[i] for c in cols] for i in reversed(range(len(keep))))
+        if hit is None:
+            return keep, cols
+        i, j = len(keep) - 1 - hit[0], hit[1]
+        pivot = cols[j]
+        inv = ring.ambient.const(ring.field.inv(pivot[i].constant_coeff()))
+        rest = []
+        for col in cols[:j] + cols[j + 1:]:
+            q = col[i] * inv
+            if not q.is_zero():
+                col = [a - q * b for a, b in zip(col, pivot)]
+            col = col[:i] + col[i + 1:]
+            if any(not p.is_zero() for p in col):
+                rest.append(col)
+        cols = rest
+        del keep[i]
 
 
 class FPModule:
@@ -78,7 +110,8 @@ class FPModule:
             degrees = _column_degrees(ring, normed, ambient_degrees)
             if degrees is None:
                 raise ValueError("zero generator in submodule presentation")
-        return cls(ring, len(elements), _syzygy_columns(ring, normed), degrees)
+        return cls(ring, len(elements), _syzygy_columns(ring, normed, degrees),
+                   degrees)
 
     def direct_sum(self, other: "FPModule") -> "FPModule":
         if other.ring != self.ring:
@@ -93,42 +126,17 @@ class FPModule:
         return FPModule(self.ring, g, cols, degs)
 
     def minimal_presentation(self) -> "FPModule":
-        """The same module on fewer generators: while some relation column c
-        has a nonzero constant u at generator i, every other column c'
-        becomes c' - (c'_i/u)*c, and c, generator i and the columns that
-        are then zero go.  The pivot is taken at the last such generator,
-        so earlier generators stay, and the kept ones keep their degrees.
-        No Groebner basis is built; FPModule takes the normal forms once.
-
-        The substitution is exact over any ring.  For a graded module over
-        positive weights the entries are homogeneous, so once no constant
-        entry is left the presentation is minimal (graded Nakayama).  In
-        every other case the result presents the same module, though maybe
-        not minimally.  Returns self when nothing drops."""
-        ring, cols, keep = self.ring, self.relations, list(range(self.ngens))
-        while True:
-            hit = find_unit([c[i] for c in cols] for i in reversed(range(len(keep))))
-            if hit is None:
-                break
-            i, j = len(keep) - 1 - hit[0], hit[1]
-            pivot = cols[j]
-            inv = ring.ambient.const(ring.field.inv(pivot[i].constant_coeff()))
-            rest = []
-            for col in cols[:j] + cols[j + 1:]:
-                q = col[i] * inv
-                if not q.is_zero():
-                    col = [a - q * b for a, b in zip(col, pivot)]
-                col = col[:i] + col[i + 1:]
-                if any(not p.is_zero() for p in col):
-                    rest.append(col)
-            cols = rest
-            del keep[i]
+        """The same module on the generators _unit_pivots keeps, with their
+        degrees and the relations left on them; FPModule takes the normal
+        forms once.  Minimal for a graded module over positive weights; in
+        every other case maybe not.  Returns self when nothing drops."""
+        keep, cols = _unit_pivots(self.ring, self.ngens, self.relations)
         if len(keep) == self.ngens:
             return self
         degrees = None
         if self.gen_degrees is not None:
             degrees = [self.gen_degrees[i] for i in keep]
-        M = FPModule(ring, len(keep), cols, degrees)
+        M = FPModule(self.ring, len(keep), cols, degrees)
         # a column can vanish only modulo the ideal (x*y over k[x,y]/(xy))
         M.relations = [c for c in M.relations if any(not p.is_zero() for p in c)]
         return M
@@ -141,10 +149,6 @@ class FPModule:
             self._rel_gb = SubmoduleGB(self.ring.ambient, self.ngens, vecs,
                                        pad_polys=self.ring.gb, tracked=0)
         return self._rel_gb
-
-    def k_dim(self):
-        """dim_k of the module, or None if infinite."""
-        return self.rel_gb().quotient_dim()
 
     def graded_dim(self, degree: int):
         if self.gen_degrees is None:
@@ -194,19 +198,25 @@ def _canon_col_key(ring: QuotientRing, col):
     return sorted(items)
 
 
-def _prune_columns(ring: QuotientRing, cols, npos):
-    """Drop columns lying in the span of the others (plus the ideal), in one
-    forward pass: column i goes if the columns still kept, other than i,
-    span it.  Dropping a column only shrinks the span of the rest, so a
-    column kept once stays kept."""
+def _prune_columns(ring: QuotientRing, cols, row_degrees=None):
+    """The nonzero columns that _unit_pivots keeps on the syzygies of all
+    of them, read from one SubmoduleGB build: a column goes when a
+    syzygy has a constant entry there.  With row degrees on homogeneous
+    input the build is truncated at the largest column degree, since a
+    syzygy with a constant at column i has column i's degree; then the
+    kept columns are minimal (graded Nakayama).  Other input builds in
+    full, and the kept columns span the same module, maybe redundantly."""
     cols = [c for c in cols if any(not p.is_zero() for p in c)]
-    keep = [True] * len(cols)
-    for i, col in enumerate(cols):
-        others = [vec_from_polys(c) for j, c in enumerate(cols) if keep[j] and j != i]
-        gb = SubmoduleGB(ring.ambient, npos, others, pad_polys=ring.gb,
-                         tracked=0)
-        keep[i] = not gb.contains(vec_from_polys(col))
-    return [c for c, k in zip(cols, keep) if k]
+    if not cols:
+        return []
+    degrees = bound = None
+    col_degrees = _column_degrees(ring, cols, row_degrees)
+    if col_degrees is not None:
+        degrees, bound = row_degrees + col_degrees, max(col_degrees)
+    gb = SubmoduleGB(ring.ambient, len(cols[0]), [vec_from_polys(c) for c in cols],
+                     pad_polys=ring.gb, degrees=degrees, bound=bound)
+    syz = [vec_to_polys(ring.ambient, s, len(cols)) for s in gb.syzygies()]
+    return [cols[i] for i in _unit_pivots(ring, len(cols), syz)[0]]
 
 
 class FreeResolution:
@@ -259,8 +269,8 @@ class FreeResolution:
                        self._flat(i + 2), n) == f_identity
 
 
-def _syzygy_columns(ring: QuotientRing, cols):
-    out = _prune_columns(ring, syzygies(ring, cols), len(cols))
+def _syzygy_columns(ring: QuotientRing, cols, degrees):
+    out = _prune_columns(ring, syzygies(ring, cols), degrees)
     return _sort_columns(ring, out)
 
 
@@ -282,7 +292,7 @@ def _resolve(module: FPModule, length: int) -> FreeResolution:
         if periodic_from is not None and len(diffs) >= periodic_from + 2:
             nxt = diffs[-2]
         else:
-            nxt = _syzygy_columns(ring, diffs[-1])
+            nxt = _syzygy_columns(ring, diffs[-1], degrees[-1])
         diffs.append(nxt)
         ranks.append(len(nxt))
         degrees.append(_column_degrees(ring, nxt, degrees[-1]))

@@ -192,9 +192,6 @@ class DeformationState:
     def dim_R(self) -> int:
         return self.algebra().dim
 
-    def filtration_length(self) -> int:
-        return sum(len(f) for f in self.filtrations)
-
 
 def initial_state(collection: SimpleCollection) -> DeformationState:
     """State 0: the members, with the collection's Hom and Ext^1 spaces."""

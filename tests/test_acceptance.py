@@ -141,7 +141,7 @@ def test_criterion_4_deformation_conclusions():
                 assert alg.subspace_dim(corner) == 1
         rad = alg.radical()
         assert len(rad) == 2
-        assert alg.subspace_dim(alg.multiply_subspaces(rad, rad)) == 0
+        assert alg.subspace_dim([alg.mul(a, b) for a in rad for b in rad]) == 0
         ok, detail = flatness_filtration_check(state)
         assert ok, detail
         assert detail["multiplicities"] == [2, 2]

@@ -114,7 +114,7 @@ def test_module_mode_presentation():
     Mz = FPModule.cyclic(B, [B.parse("w")])
     H = hom_space(Mz, Mz, mode="module")
     pres = H.presentation()
-    assert pres.k_dim() is None
+    assert pres.rel_gb().quotient_dim() is None
     with pytest.raises(Exception):
         H.dim  # module mode carries no k-basis
 

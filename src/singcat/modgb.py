@@ -39,7 +39,13 @@ the basis is kept packed.
 One reducer, `Packing.reduce`, serves Buchberger's algorithm, normal forms
 of module elements and `PolyReducer`.  It pops the next leading term from a
 heap of ints and shares its add loop, `Packing.add_multiple`, with the
-S-pairs.  The reduced basis comes from a minimal basis by reducing each
+S-pairs.  Over Q (the class RationalField itself) these loops add,
+multiply, negate and test for zero with Python's own operators, and a
+Fraction that comes out integral is stored as an int where it is made; a
+division by a lead other than one, and every operation over another
+field, goes through the Field's methods.  A new basis element is made
+monic by no operation when its lead is one and by negation when it is
+minus one.  The reduced basis comes from a minimal basis by reducing each
 tail once.  One staircase enumerator, `_standard_monomials`, gives the
 standard monomials of each position, all of them or those of one degree;
 the quotient dimensions are the lengths of those lists, with None for an
@@ -74,6 +80,7 @@ from heapq import heapify, heappop, heappush
 from operator import itemgetter
 
 from .errors import InvariantError
+from .fields import RationalField
 from .poly import Memo, PolyRing, Polynomial, mon_divides, mon_lcm, mon_mul
 
 Vec = dict  # (pos, monomial) -> coefficient
@@ -171,8 +178,30 @@ class Packing:
         """out += c * x^n * g, where q = code[n] - unit; each term new to
         out is pushed onto heap.  A product with an exponent at the bound
         flips that field's guard bit, so it matches no term of out and is
-        refused where it would be added."""
+        refused where it would be added.  Over Q (class RationalField) the
+        coefficients go through Python's own operators, and a Fraction
+        that comes out integral is stored as an int."""
         flip, guard = self.flip, self.guard
+        if F.__class__ is RationalField:
+            for k, a in g.items():
+                k += q
+                b = c * a
+                if k in out:
+                    s = out[k] + b
+                    if s == 0:
+                        del out[k]
+                    elif s.__class__ is int or s.denominator != 1:
+                        out[k] = s
+                    else:
+                        out[k] = s.numerator
+                elif (k ^ flip) & guard:
+                    raise self._bound_error(k)
+                else:
+                    if b.__class__ is not int and b.denominator == 1:
+                        b = b.numerator
+                    out[k] = b
+                    heappush(heap, k)
+            return
         mul, add, is_zero = F.mul, F.add, F.is_zero
         for k, a in g.items():
             k += q
@@ -184,13 +213,18 @@ class Packing:
                 else:
                     out[k] = s
             elif (k ^ flip) & guard:
-                raise ExponentBoundError(
-                    f"a product in a Groebner build reaches exponent "
-                    f"{max(self._fields(k))}, at or above "
-                    f"the packing bound {self.bound}")
+                raise self._bound_error(k)
             else:
                 out[k] = b
                 heappush(heap, k)
+
+    def _bound_error(self, k: int) -> ExponentBoundError:
+        """The refusal of the packed product k, an exponent of which has
+        reached the bound."""
+        return ExponentBoundError(
+            f"a product in a Groebner build reaches exponent "
+            f"{max(self._fields(k))}, at or above "
+            f"the packing bound {self.bound}")
 
     def reduce(self, F, work: dict, index, heap=None) -> dict:
         """Remainder of the packed vector `work` (consumed) modulo the
@@ -205,6 +239,7 @@ class Packing:
             heap = list(work)
             heapify(heap)
         one, neg, div = F.one(), F.neg, F.div
+        native = F.__class__ is RationalField
         shift, flip, guard = self.shift, self.flip, self.guard
         add_multiple = self.add_multiple
         result = {}
@@ -216,7 +251,8 @@ class Packing:
             for key, lead, g in index.get(t >> shift, ()):
                 if not (key - tt) & guard:
                     b = g[lead]
-                    c = neg(work[t] if b == one else div(work[t], b))
+                    c = work[t] if b == one else div(work[t], b)
+                    c = -c if native else neg(c)
                     add_multiple(F, work, g, c, t - lead, heap)
                     break
             else:
@@ -335,6 +371,7 @@ class SubmoduleGB:
         # every basis element is pushed monic, so an S-pair is u*x^a - v*x^b
         one = F.one()
         minus_one = F.neg(one)
+        native = F.__class__ is RationalField
         basis = []   # reducer entries, in the order they were found
         leads = []   # the lead monomial of each
         by_pos: dict = {}
@@ -344,8 +381,14 @@ class SubmoduleGB:
 
         def push(v):
             lead = min(v)
-            c = F.inv(v[lead])
-            entry = pk.reducer(lead, {t: F.mul(c, a) for t, a in v.items()})
+            c = v[lead]
+            if c == minus_one:
+                v = {t: -a for t, a in v.items()} if native else \
+                    {t: F.neg(a) for t, a in v.items()}
+            elif c != one:
+                c = F.inv(c)
+                v = {t: F.mul(c, a) for t, a in v.items()}
+            entry = pk.reducer(lead, v)
             basis.append(entry)
             leads.append(pk.mon[lead & code_mask])
             by_pos.setdefault(lead >> shift, []).append(entry)

@@ -1,12 +1,13 @@
 """Groebner engine: ideal bases, normal forms, membership, syzygies."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from singcat.errors import InvariantError
-from singcat.fields import QQ, GF
-from singcat.poly import PolyRing, mon_div, mon_divides
+from singcat.fields import QQ, GF, RationalField
+from singcat.poly import PolyRing, Polynomial, mon_div, mon_divides
 from singcat.modgb import (ExponentBoundError, PolyReducer, SubmoduleGB,
                            groebner_basis, packing, vec_from_polys,
                            vec_to_polys)
@@ -243,11 +244,14 @@ def _reference_reduce(F, order, v, by_pos):
     return result
 
 
-def _random_vec(rng, F, nvars, npos, nterms, max_deg):
+def _random_vec(rng, F, nvars, npos, nterms, max_deg, dens=None):
+    """Random terms with coefficients in -9..9, or in -9..9 over one of
+    `dens` when given."""
     v = {}
     for _ in range(nterms):
         m = tuple(rng.randint(0, max_deg) for _ in range(nvars))
-        c = F.from_int(rng.randint(-9, 9))
+        c = F.from_int(rng.randint(-9, 9)) if dens is None else \
+            F.from_fraction(rng.randint(-9, 9), rng.choice(dens))
         if not F.is_zero(c):
             v[(rng.randrange(npos), m)] = c
     return v
@@ -259,10 +263,12 @@ def test_heap_reducer_matches_max_scan_reference(field, order):
     rng = random.Random(11)
     R = PolyRing(field, ["x", "y", "z"], order=order)
     dkey = _DESCENDING_KEYS[order]
-    checked = 0
+    # over Q, fractions too: non-monic reducers divide by their leads
+    dens = (1, 1, 2, 3, 4) if field == QQ else None
+    checked = fractions = 0
     for trial in range(12):
         npos = rng.randint(1, 3)
-        gens = [_random_vec(rng, field, 3, npos, rng.randint(1, 4), 2)
+        gens = [_random_vec(rng, field, 3, npos, rng.randint(1, 4), 2, dens)
                 for _ in range(rng.randint(1, 3))]
         gens = [g for g in gens if g]
         if trial % 2:
@@ -280,12 +286,22 @@ def test_heap_reducer_matches_max_scan_reference(field, order):
         index = {p: [pk.reducer(pk.term(*lead), pk.pack(g))
                      for lead, g in group] for p, group in by_pos.items()}
         for _ in range(5):
-            v = _random_vec(rng, field, 3, npos, rng.randint(0, 8), 4)
+            v = _random_vec(rng, field, 3, npos, rng.randint(0, 8), 4, dens)
             got = pk.unpack(pk.reduce(field, pk.pack(v), index))
             want = _reference_reduce(field, order, v, by_pos)
             assert list(got.items()) == list(want.items())
             checked += bool(want)
+            if field == QQ:
+                assert all(_canonical_q(c) for c in got.values())
+                fractions += any(type(c) is Fraction for c in got.values())
     assert checked > 20
+    assert field != QQ or fractions > 10
+
+
+def _canonical_q(c):
+    """Whether c is an element of Q as the engine stores one: an int when
+    it is integral, a Fraction otherwise, never a float."""
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
 
 
 def test_untracked_build_refuses_syzygies_and_certificates():
@@ -385,6 +401,102 @@ def test_tracked_build_matches_full_graph_module(field, padded):
     assert checked > 300 and members > 250 and syzygies > 80
 
 
+# -- the two coefficient kernels ----------------------------------------------------
+
+
+class _MethodQ(RationalField):
+    """Q under a class of its own: the engine takes its native Q kernel only
+    for the class RationalField itself, so this field's builds go through
+    the Field method calls, as over F_p and K[i]."""
+
+
+def _typed(v):
+    """v with each coefficient paired with its type."""
+    return {t: (c, type(c)) for t, c in v.items()}
+
+
+def _homogeneous_vec(rng, pos_degs, d, nterms):
+    """Up to nterms terms of degree d over x, y, z when position p has
+    degree pos_degs[p], with coefficients in Q."""
+    v = {}
+    for _ in range(nterms):
+        p = rng.randrange(len(pos_degs))
+        if d < pos_degs[p]:
+            continue
+        a = rng.randint(0, d - pos_degs[p])
+        b = rng.randint(0, d - pos_degs[p] - a)
+        c = QQ.from_fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3)))
+        if c:
+            v[(p, (a, b, d - pos_degs[p] - a - b))] = c
+    return v
+
+
+def _kernel_outputs(R, npos, gens, pads, probes, tracked, degrees, bound):
+    """The basis leads of one build over R, then its basis vectors,
+    syzygies and normal forms (with certificates when tracked), every
+    coefficient paired with its type."""
+    gb = SubmoduleGB(R, npos, gens, pad_polys=[Polynomial(R, f) for f in pads],
+                     tracked=tracked, degrees=degrees, bound=bound)
+    assert gb.bound == bound
+    vecs = [v for _lead, v in gb.basis]
+    if tracked:
+        vecs += gb.syzygies()
+        for v in probes:
+            vecs += gb.normal_form(v, with_cert=True)
+    else:
+        vecs += [gb.normal_form(v) for v in probes]
+    return [lead for lead, _v in gb.basis], [_typed(v) for v in vecs]
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_native_q_kernel_matches_the_method_kernel(order, monkeypatch):
+    # The same seeded inputs built over QQ and over _MethodQ: tagged,
+    # partly tagged and untagged, padded, truncated and full builds agree
+    # in every output, coefficient types included.
+    rng = random.Random(53)
+    cases = []
+    for _trial in range(16):
+        npos = rng.randint(1, 2)
+        pos_degs = [rng.randint(0, 1) for _ in range(npos)]
+        gen_degs = [rng.randint(1, 2) for _ in range(rng.randint(2, 4))]
+        gens = [_homogeneous_vec(rng, pos_degs, d, 3) for d in gen_degs]
+        keep = [j for j, g in enumerate(gens) if g]
+        gens, gen_degs = [gens[j] for j in keep], [gen_degs[j] for j in keep]
+        pad = {(1, 1, 0): QQ.from_fraction(rng.randint(1, 3), 2),
+               (0, 0, 2): -1}
+        probes = [_homogeneous_vec(rng, pos_degs, d, 4)
+                  for d in (1, 2, 3, 3)]
+        for g, d in zip(gens, gen_degs):
+            probes.append({(p, (m[0] + 3 - d, m[1], m[2])): c
+                           for (p, m), c in g.items()})
+        for tracked, pads, bound in ((len(gens), [], None),
+                                     (rng.randint(0, len(gens)), [pad], None),
+                                     (len(gens), [pad], 3),
+                                     (0, [], 3)):
+            degrees = pos_degs + gen_degs[:tracked]
+            cases.append((npos, gens, pads, probes, tracked, degrees, bound))
+    # the engine's own calls of RationalField.add, by the class of the field
+    adds = {RationalField: 0, _MethodQ: 0}
+    add = RationalField.add
+
+    def counted_add(self, a, b):
+        adds[type(self)] += 1
+        return add(self, a, b)
+
+    monkeypatch.setattr(RationalField, "add", counted_add)
+    outputs = {}
+    for F in (QQ, _MethodQ()):
+        R = PolyRing(F, ["x", "y", "z"], order=order)
+        outputs[type(F)] = [_kernel_outputs(R, *case) for case in cases]
+    native, method = outputs[RationalField], outputs[_MethodQ]
+    assert adds[RationalField] == 0 and adds[_MethodQ] > 1000
+    assert native == method
+    coeffs = [c for _leads, vecs in native for v in vecs
+              for c, _type in v.values()]
+    assert all(_canonical_q(c) for c in coeffs)
+    assert sum(type(c) is Fraction for c in coeffs) > 1000
+
+
 # -- packed terms ----------------------------------------------------------------
 
 
@@ -425,8 +537,9 @@ def test_packed_terms_agree_with_the_order_keys(order, weighted):
     assert checked > 500 and divisible > 150
 
 
-def test_exponents_at_the_packing_bound_are_refused():
-    R = PolyRing(QQ, ["x", "y"])
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "F32003"])
+def test_exponents_at_the_packing_bound_are_refused(field):
+    R = PolyRing(field, ["x", "y"])
     bound = packing(R.nvars, R.order).bound
     x, y = R.gens()
     top = bound - 1

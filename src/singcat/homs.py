@@ -33,8 +33,8 @@ made U, and those of W come from a basis built anyway: for Ext^p, p >= 1,
 the main block of Ext^(p-1)'s cocycle build, which spans the coboundaries,
 rel(N) in each column and the pads; for the matrix factorization homology,
 the other kernel build; otherwise an untagged basis of V and the pads,
-built for the count.  A count by degree refuses an inhomogeneous generator
-of U or V.
+built for the count.  Degrees follow modgb's grading rule (HomError for a
+question by degree on ungraded data or inhomogeneous generators U or V).
 
 The cocycles are the one Groebner build every subquotient, stable-Hom free
 cover and Ext^p starts from, and the same input keeps coming back (the
@@ -82,9 +82,9 @@ from __future__ import annotations
 from .errors import InvariantError
 from .findim import FiniteDimAlgebra
 from .modules import FPModule, FreeResolution, _column_degrees
-from .modgb import (SubmoduleGB, compose, lead_quotient_dim, vec_from_polys,
-                    vec_to_polys)
-from .poly import Memo, mon_mul
+from .modgb import (SubmoduleGB, answers, compose, lead_quotient_dim,
+                    term_degrees, vec_from_polys, vec_to_polys)
+from .poly import mon_mul
 from .quotient import QuotientRing
 
 
@@ -169,7 +169,7 @@ class MatrixSubquotient:
     def _generators(self, bound):
         """(U, u_leads) for a count in degree `bound`: the fixed ones if
         they cover it, else read afresh and not kept."""
-        if self._U is not None and _covers(self._bound, bound):
+        if self._U is not None and answers(self._bound, bound):
             return self._U, self._u_leads
         return self._read(bound)[:2]
 
@@ -178,7 +178,7 @@ class MatrixSubquotient:
         fixed by the first one."""
         if self._U is None:
             self._U, self._u_leads, self._bound = self._read(bound)
-        elif not _covers(self._bound, bound):
+        elif not answers(self._bound, bound):
             asked = "every degree" if bound is None else f"degree {bound}"
             raise InvariantError(
                 f"a basis question in {asked} asked of a subquotient whose "
@@ -201,23 +201,25 @@ class MatrixSubquotient:
         return self._big
 
     def _map_degrees(self, vecs):
-        """The set of map degrees of the terms of each vector (graded
-        context only)."""
+        """The set of map degrees of the terms of each vector
+        (modgb.term_degrees); HomError outside a graded context."""
         pos_degs = self._position_degrees()
         if pos_degs is None:
             raise HomError("not a graded context")
-        deg = Memo(self.ring.ambient.weighted_deg)
-        return [{deg[m] + pos_degs[p] for (p, m) in v} for v in vecs]
+        return [term_degrees(self.ring.ambient, v, pos_degs) for v in vecs]
 
     def gen_degrees(self):
         """Map degree of each U generator (graded context only)."""
-        return self._gen_degrees(self.U)
+        return self._single_degrees(self.U, "hom generator U")
 
-    def _gen_degrees(self, U):
+    def _single_degrees(self, vecs, name):
+        """The map degree of each of vecs, the generators `name`; HomError
+        outside a graded context or for one with no single degree."""
         out = []
-        for degs in self._map_degrees(U):
+        for k, degs in enumerate(self._map_degrees(vecs)):
             if len(degs) != 1:
-                raise HomError("inhomogeneous hom generator in graded context")
+                raise HomError(f"inhomogeneous {name}[{k}] in graded context: "
+                               f"map degrees {sorted(degs)}")
             out.append(degs.pop())
         return out
 
@@ -239,12 +241,8 @@ class MatrixSubquotient:
         pos_degs = None
         if degree is not None:
             # a count by degree is exact only for homogeneous generators
-            self._gen_degrees(U)
-            for k, degs in enumerate(self._map_degrees(self.V)):
-                if len(degs) > 1:
-                    raise HomError(f"inhomogeneous null generator V[{k}] in "
-                                   f"graded context: map degrees "
-                                   f"{sorted(degs)}")
+            self._single_degrees(U, "hom generator U")
+            self._single_degrees(self.V, "null generator V")
             pos_degs = self._position_degrees()
         npos = self.nrows * self.ncols
         w_leads = (self._null_leads(degree) if self._null_leads is not None else
@@ -364,12 +362,6 @@ def _cocycle_degrees(N: FPModule, col_degrees, next_degrees):
     return None if main is None or tags is None else main + tags
 
 
-def _covers(have, want):
-    """Whether generators read up to degree `have` answer a question in
-    degree `want` (None: every degree)."""
-    return have is None or (want is not None and want <= have)
-
-
 # one record per content key for the life of the process: _cocycles'
 # result, the lead monomials of both blocks of the same build, and the
 # position degrees and bound of that build (None, None when it is full)
@@ -389,10 +381,10 @@ def _serves(record, degrees, bound):
     _U, _span, _leads, rec_degrees, rec_bound = record
     if rec_bound is None:
         return True
-    if bound is None or degrees is None:
+    if degrees is None:
         return False
     c = degrees[0] - rec_degrees[0]
-    return bound <= rec_bound + c and all(
+    return answers(rec_bound + c, bound) and all(
         a - b == c for a, b in zip(degrees, rec_degrees))
 
 
@@ -455,11 +447,8 @@ def _subquotient(N: FPModule, r, d_next, null_extra, col_degrees,
     def cocycles(bound):
         degrees = None
         if bound is not None:
-            try:
-                next_degrees = _column_degrees(ring, d_next, col_degrees)
-            except ValueError:  # an inhomogeneous entry: nothing is cut
-                next_degrees = None
-            degrees = _cocycle_degrees(N, col_degrees, next_degrees)
+            degrees = _cocycle_degrees(
+                N, col_degrees, _column_degrees(ring, d_next, col_degrees))
         U, _span, u_leads, _degrees, _bound = _cocycle_entry(
             ring, h, r, d_next, N.relations, degrees, bound)
         return U, u_leads
@@ -756,8 +745,8 @@ def yoneda_extension(cocycle_cols, A: FPModule, B: FPModule,
     if A.gen_degrees is not None and B.gen_degrees is not None:
         degrees = tuple(B.gen_degrees) + tuple(A.gen_degrees)
     E = FPModule(ring, gE, cols, degrees)
-    if degrees is not None and not E.is_graded():
-        E = FPModule(ring, gE, cols, None)
+    if not E.is_graded():
+        E.gen_degrees = None
     return Extension(E, A, B)
 
 

@@ -54,6 +54,13 @@ of the tracked generators modulo the untracked ones and the pads.
 `lead_quotient_dim` counts dim Z/W for W in Z from the leads of a basis
 of each, with no basis of the quotient.
 
+One grading rule serves every layer: a vector, a matrix column or a
+resolution step has a degree only when all its terms (p, m) agree on
+deg m + degrees[p] (`term_degrees`), and is otherwise ungraded (None),
+never an error.  A question that names a degree refuses ungraded data and
+one that names none answers; what is exact up to degree D answers in
+degree d <= D (`answers`, None standing for every degree).
+
 A build given the degree of each position and a bound D is truncated when
 its input is homogeneous (Becker and Weispfenning, Groebner Bases, 1993,
 and Kreuzer and Robbiano, Computational Commutative Algebra 2, 2005, on
@@ -306,6 +313,19 @@ def compose(F, phi, h, psi, g) -> Vec:
     return {key: c for key, c in out.items() if not F.is_zero(c)}
 
 
+def term_degrees(ring: PolyRing, v, degrees) -> set:
+    """The set of deg m + degrees[p] over the terms (p, m) of the vector v
+    (any iterable of such pairs): v has a degree exactly when the set has
+    one element."""
+    return {ring.weighted_deg(m) + degrees[p] for p, m in v}
+
+
+def answers(bound, degree) -> bool:
+    """Whether something exact up to degree `bound` answers a question in
+    degree `degree`; None stands for every degree in both."""
+    return bound is None or (degree is not None and degree <= bound)
+
+
 class SubmoduleGB:
     """Reduced Groebner basis of the span of `gens` (plus the pads f*e_p)
     in S^npos, built as a graph module in which the first `tracked`
@@ -466,7 +486,7 @@ class SubmoduleGB:
     def _refuse_above_bound(self, what, degree):
         """InvariantError unless this build answers in `degree` (None: in
         every degree): a truncated basis never answers above its bound."""
-        if self.bound is not None and (degree is None or degree > self.bound):
+        if not answers(self.bound, degree):
             asked = "every degree" if degree is None else f"degree {degree}"
             raise InvariantError(
                 f"{what} in {asked} asked of a Groebner basis truncated at "
@@ -480,9 +500,8 @@ class SubmoduleGB:
         the untracked generators and the padded ideal part.
         """
         if self.bound is not None and v:
-            deg, pos_deg = self.ring.weighted_deg, self.degrees
             self._refuse_above_bound("a normal form", max(
-                deg(m) + pos_deg[p] for p, m in v))
+                term_degrees(self.ring, v, self.degrees)))
         pk = self._pk
         red = pk.reduce(self.field, pk.pack(v), self._index)
         limit = self.npos << pk.shift
@@ -570,17 +589,16 @@ def _input_degrees(ring: PolyRing, npos, tracked, gens, pads, degrees):
     enters, counts as degree 0."""
     if min(ring.weights, default=1) <= 0:
         return None
-    deg = Memo(ring.weighted_deg)
     out = []
     for j, g in enumerate(gens):
-        found = {deg[m] + degrees[p] for p, m in g}
+        found = term_degrees(ring, g, degrees)
         if j < tracked:
             found.add(degrees[npos + j])
         if len(found) > 1:
             return None
         out.append(found.pop() if found else 0)
     for f in pads:
-        found = {deg[m] for m in f.terms}
+        found = term_degrees(ring, vec_from_polys([f]), (0,))
         if len(found) != 1:
             return None
         d = found.pop()

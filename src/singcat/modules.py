@@ -9,14 +9,15 @@ tails over hypersurface rings tend to repeat literally; when d_{i+2} = d_i
 is detected the resolution is extended by copying.  A module caches its
 resolution, and a request for a longer one extends the cached one.  The
 checks on a resolution multiply its differentials, flattened column-major,
-with modgb.compose.
+with modgb.compose.  Column degrees follow modgb's grading rule: a step
+with a zero or inhomogeneous column is ungraded, as are the steps after.
 """
 
 from __future__ import annotations
 
-from .poly import Polynomial
 from .quotient import QuotientRing
-from .modgb import SubmoduleGB, compose, vec_from_polys, vec_to_polys
+from .modgb import (SubmoduleGB, compose, term_degrees, vec_from_polys,
+                    vec_to_polys)
 
 
 def syzygies(ring: QuotientRing, columns):
@@ -103,13 +104,15 @@ class FPModule:
     def from_submodule(cls, ring: QuotientRing, elements, ambient_rank: int = 1,
                        ambient_degrees=None) -> "FPModule":
         """Module generated by elements of R^ambient_rank, presented by their
-        syzygies.  Each element is a list of ambient_rank polynomials."""
+        syzygies.  Each element is a list of ambient_rank polynomials; with
+        ambient_degrees each must have a degree (modgb's grading rule)."""
         normed = [[ring.normal_form(p) for p in e] for e in elements]
         degrees = None
         if ambient_degrees is not None:
             degrees = _column_degrees(ring, normed, ambient_degrees)
             if degrees is None:
-                raise ValueError("zero generator in submodule presentation")
+                raise ValueError("zero or inhomogeneous generator in a graded "
+                                 "submodule presentation")
         return cls(ring, len(elements), _syzygy_columns(ring, normed, degrees),
                    degrees)
 
@@ -156,18 +159,12 @@ class FPModule:
         return self.rel_gb().quotient_graded_dim(degree, self.gen_degrees)
 
     def is_graded(self) -> bool:
-        if self.gen_degrees is None:
-            return False
-        for col in self.relations:
-            degs = set()
-            for i, p in enumerate(col):
-                if p.is_zero():
-                    continue
-                for m in p.terms:
-                    degs.add(self.ring.ambient.weighted_deg(m) + self.gen_degrees[i])
-            if len(degs) > 1:
-                return False
-        return True
+        """Whether the module has generator degrees under which no relation
+        column is inhomogeneous (a zero column has every degree)."""
+        return self.gen_degrees is not None and all(
+            len(term_degrees(self.ring.ambient, vec_from_polys(col),
+                             self.gen_degrees)) <= 1
+            for col in self.relations)
 
     def resolve(self, length: int) -> "FreeResolution":
         if self._resolution is None or len(self._resolution.diffs) < length:
@@ -176,13 +173,6 @@ class FPModule:
 
     def __repr__(self):
         return f"FPModule(g={self.ngens}, r={len(self.relations)} over {self.ring!r})"
-
-
-def _homogeneous_degree(ring: QuotientRing, p: Polynomial):
-    degs = {ring.ambient.weighted_deg(m) for m in p.terms}
-    if len(degs) != 1:
-        raise ValueError("inhomogeneous entry in graded context")
-    return degs.pop()
 
 
 def _sort_columns(ring: QuotientRing, cols):
@@ -305,17 +295,14 @@ def _resolve(module: FPModule, length: int) -> FreeResolution:
 
 
 def _column_degrees(ring: QuotientRing, cols, src_degrees):
+    """The degree of each column under row degrees src_degrees, or None
+    (ungraded) when some column is zero or inhomogeneous."""
     if src_degrees is None:
         return None
     out = []
     for col in cols:
-        d = None
-        for i, p in enumerate(col):
-            if p.is_zero():
-                continue
-            d = _homogeneous_degree(ring, p) + src_degrees[i]
-            break
-        if d is None:
+        degs = term_degrees(ring.ambient, vec_from_polys(col), src_degrees)
+        if len(degs) != 1:
             return None
-        out.append(d)
+        out.append(degs.pop())
     return tuple(out)

@@ -5,8 +5,9 @@ coefficient together with its ambient ring.  Term order is a property of the
 ring and is used for leading-term queries and printing.  Order keys are
 ascending: a smaller key is a larger monomial, so the leading term is the
 `min` under the key and a heap pops terms largest first.  Each ring
-computes the order key of a monomial once and keeps it: `ring.order_key(m)`
-is a dict lookup after the first call.
+computes the order key and the weighted degree of a monomial once and keeps
+them: `ring.order_key(m)` and `ring.weighted_deg(m)` are dict lookups after
+the first call.
 """
 
 from __future__ import annotations
@@ -78,6 +79,8 @@ class PolyRing:
         self.weights = tuple(weights) if weights is not None else (1,) * len(self.variables)
         if len(self.weights) != len(self.variables):
             raise ValueError("weight vector arity mismatch")
+        w = self.weights
+        self.weighted_deg = Memo(lambda m: sum(map(operator.mul, m, w))).__getitem__
 
     @property
     def nvars(self) -> int:
@@ -110,9 +113,6 @@ class PolyRing:
         if self.field.is_zero(c):
             return self.zero()
         return Polynomial(self, {tuple(exps): c})
-
-    def weighted_deg(self, m: Monomial) -> int:
-        return sum(e * w for e, w in zip(m, self.weights))
 
     def with_order(self, order: str) -> "PolyRing":
         return PolyRing(self.field, self.variables, order, self.weights)

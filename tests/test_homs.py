@@ -570,6 +570,18 @@ def test_graded_count_refuses_an_inhomogeneous_null_generator():
     assert [homogeneous.graded_dim(d) for d in range(3)] == [2, 1, 1]
 
 
+def test_ext_of_an_ungraded_resolution_counts_in_total_only():
+    # R^2/(x, y^2) with generator degrees: its relation column is
+    # inhomogeneous, so step 1 of its resolution is ungraded; the total
+    # Ext against k answers and a count by degree refuses
+    R = parse_ring("Q[x,y]")
+    M = FPModule(R, 2, [[R.parse("x"), R.parse("y^2")]], (0, 0))
+    k = FPModule.cyclic(R, [R.parse("x"), R.parse("y")])
+    assert ext_dims(M, k, 2) == {0: 2, 1: 1, 2: 0}
+    with pytest.raises(HomError, match="not a graded context"):
+        ext_space(M, k, 1).graded_dim(0)
+
+
 def test_auto_hom_space_walks_the_staircase_once(monkeypatch):
     # mode="auto" asks dim() and then basis_items(): one walk serves both
     from singcat import modgb

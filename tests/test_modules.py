@@ -83,6 +83,19 @@ def test_graded_dims_of_cone_ideal():
         assert I1.graded_dim(d) == (d + 1) ** 2 - (d + 1)
 
 
+def test_an_inhomogeneous_column_is_ungraded():
+    # a column has a degree only when all its terms agree, in every entry
+    # (modgb.term_degrees), not only in the first nonzero one
+    R = parse_ring("Q[x,y]")
+    x, y2 = R.parse("x"), R.parse("y^2")
+    with pytest.raises(ValueError, match="inhomogeneous generator"):
+        FPModule.from_submodule(R, [[y2, x]], ambient_rank=2,
+                                ambient_degrees=(0, 0))
+    M = FPModule(R, 2, [[x, y2]], (0, 0))
+    assert not M.is_graded()
+    assert M.resolve(2).step_degrees == [(0, 0), None, None]
+
+
 def test_periodic_tail_lifts_to_factorization():
     from singcat import models
     corpus = [

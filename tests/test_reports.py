@@ -31,6 +31,8 @@ CASES = [
                            "--M", "B/(w)", "--N", "B/(z)"]),
     ("readme-ext", ["ext", "--ring", "Q[z]/(z^2)", "--M", "A/(z)",
                     "--N", "A/(z)", "--pmax", "4", "--pmin", "1"]),
+    ("readme-ext-ungraded", ["ext", "--ring", "Q[x,y]", "--M", "A/(x+y^2)",
+                             "--N", "A/(x,y)", "--pmax", "2"]),
     ("readme-groebner", ["groebner", "--ring", "Q[x,y]",
                          "--gens", "x^2; x*y+y^2"]),
     ("readme-mf", ["mf", "--ring", "Q[z]/(z^2)", "--module", "A/(z)"]),

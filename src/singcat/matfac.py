@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from .poly import PolyRing, Polynomial
 from .quotient import QuotientRing
-from .modules import FPModule, _prune_columns, _sort_columns, find_unit
+from .modules import (FPModule, _prune_columns, _schur_at_unit, _sort_columns,
+                      find_unit)
 from .modgb import SubmoduleGB, compose, vec_from_polys, vec_to_polys
 from .homs import MatrixSubquotient, _flat
 
@@ -139,61 +140,28 @@ def reduce_trivial_blocks(X: MatrixFactorization) -> MatrixFactorization:
     object of the singularity category with no unit entries in A or B.
     When no block splits off, the result is X itself, not a checked copy.
 
-    Row operations on B are column operations on A and vice versa, so the
-    factorization identities are preserved at every step."""
-    ring = X.ring
-    F = ring.field
-    A = [[p for p in row] for row in X.A]
-    B = [[p for p in row] for row in X.B]
+    A unit of B at (i, j) replaces B by its Schur complement there
+    (modules._schur_at_unit) and A by A without row j and column i, and a
+    unit of A likewise with the roles swapped.  The row and column
+    operations that clear B around the unit are column and row operations
+    on A, which keep A*B = B*A = f*I; they write only A's column i and
+    row j, the ones that go with the block, so the rest of A stays."""
 
-    def eliminate(M, other, i, j):
-        # clear row i and column j of M around the unit at (i, j);
-        # mirror the inverse operations on `other`
-        unit = M[i][j]
-        inv = ring.const(F.inv(unit.constant_coeff()))
-        n = len(M)
-        # row ops on M: R_k -= (M[k][j]/u) R_i ; mirrored as column ops on other
-        for k in range(n):
-            if k == i:
-                continue
-            c = M[k][j] * inv
-            if c.is_zero():
-                continue
-            for t in range(n):
-                M[k][t] = M[k][t] - c * M[i][t]
-            for t in range(n):
-                other[t][i] = other[t][i] + c * other[t][k]
-        # column ops on M: C_t -= (M[i][t]/u) C_j ; mirrored as row ops on other
-        for t in range(n):
-            if t == j:
-                continue
-            c = M[i][t] * inv
-            if c.is_zero():
-                continue
-            for k in range(n):
-                M[k][t] = M[k][t] - M[k][j] * c
-            for k in range(n):
-                other[j][k] = other[j][k] + c * other[t][k]
+    def split(M, N, i, j):
+        return (_schur_at_unit(X.ring, M, i, j),
+                [row[:i] + row[i + 1:] for k, row in enumerate(N) if k != j])
 
+    A, B = X.A, X.B
     while True:
-        hit = find_unit(B)
-        if hit is not None:
-            i, j = hit
-            eliminate(B, A, i, j)
-            B = [[B[k][t] for t in range(len(B)) if t != j] for k in range(len(B)) if k != i]
-            A = [[A[k][t] for t in range(len(A)) if t != i] for k in range(len(A)) if k != j]
-            continue
-        hit = find_unit(A)
-        if hit is not None:
-            i, j = hit
-            eliminate(A, B, i, j)
-            A = [[A[k][t] for t in range(len(A)) if t != j] for k in range(len(A)) if k != i]
-            B = [[B[k][t] for t in range(len(B)) if t != i] for k in range(len(B)) if k != j]
-            continue
-        break
+        if (hit := find_unit(B)) is not None:
+            B, A = split(B, A, *hit)
+        elif (hit := find_unit(A)) is not None:
+            A, B = split(A, B, *hit)
+        else:
+            break
     if len(A) == X.size:
         return X
-    return MatrixFactorization(ring, X.f, A, B)
+    return MatrixFactorization(X.ring, X.f, A, B)
 
 
 def mf_from_module(M: FPModule) -> MatrixFactorization:
@@ -209,7 +177,8 @@ def mf_from_module(M: FPModule) -> MatrixFactorization:
     f_cols = [[f if t == i else S.zero() for t in range(g)] for i in range(g)]
     free_R = QuotientRing(S, [])
     pruned = _sort_columns(free_R,
-                           _prune_columns(free_R, M.relations + f_cols))
+                           _prune_columns(free_R, M.relations + f_cols,
+                                          M.gen_degrees))
     if len(pruned) == 0:
         return MatrixFactorization.zero(S, f)
     if len(pruned) != g:

@@ -4,17 +4,21 @@ An FPModule is coker(R^r -> R^g) given by relation columns.  One routine,
 _unit_pivots, drops the generators that constant relation entries make
 redundant: of a presentation in minimal_presentation (no Groebner build),
 and of a syzygy step, as the unit pivots of one syzygy build, minimal on
-homogeneous input.  Syzygy steps are sorted canonically, so resolution
-tails over hypersurface rings tend to repeat literally; when d_{i+2} = d_i
-is detected the resolution is extended by copying.  A module caches its
-resolution, and a request for a longer one extends the cached one.  The
-checks on a resolution multiply its differentials, flattened column-major,
-with modgb.compose.  Column degrees follow modgb's grading rule: a step
-with a zero or inhomogeneous column is ungraded, as are the steps after.
+homogeneous input.  Each drop is one Schur step at a unit entry
+(_schur_at_unit), the step that also splits trivial blocks off a matrix
+factorization (matfac.reduce_trivial_blocks).  Syzygy steps are sorted
+canonically, so resolution tails over hypersurface rings tend to repeat
+literally; when d_{i+2} = d_i is detected the resolution is extended by
+copying.  A module caches its resolution, and a request for a longer one
+extends the cached one.  The checks on a resolution multiply its
+differentials, flattened column-major, with modgb.compose.  Column degrees
+follow modgb's grading rule: a step with a zero or inhomogeneous column is
+ungraded, as are the steps after.
 """
 
 from __future__ import annotations
 
+from .poly import PolyRing
 from .quotient import QuotientRing
 from .modgb import (SubmoduleGB, compose, term_degrees, vec_from_polys,
                     vec_to_polys)
@@ -45,34 +49,40 @@ def find_unit(rows):
     return None
 
 
+def _schur_at_unit(ring: PolyRing, rows, i: int, j: int):
+    """The Schur complement at a nonzero constant u = rows[i][j] of a
+    matrix over `ring`: rows without row i and column j, after every other
+    row r becomes r - (r[j]/u)*rows[i].  The one elimination step of
+    _unit_pivots and of matfac.reduce_trivial_blocks; exact over any ring."""
+    pivot = rows[i]
+    inv = ring.const(ring.field.inv(pivot[j].constant_coeff()))
+    out = []
+    for row in rows[:i] + rows[i + 1:]:
+        q = row[j] * inv
+        if not q.is_zero():
+            row = [a - q * b for a, b in zip(row, pivot)]
+        out.append(row[:j] + row[j + 1:])
+    return out
+
+
 def _unit_pivots(ring: QuotientRing, ngens: int, cols):
     """(kept generators, relations left on them) of the presentation with
     `ngens` generators and relation columns `cols`: while some column c
-    has a nonzero constant u at generator i, every other column c' becomes
-    c' - (c'_i/u)*c, and c, generator i and the columns that are then zero
-    go.  The pivot is taken at the last such generator, so earlier
-    generators stay.
+    has a nonzero constant at generator i, one Schur step (_schur_at_unit,
+    each column a row of it) takes c out of every other column at i and
+    drops c and generator i; the columns that are then zero go too.  The
+    pivot is taken at the last such generator, so earlier generators stay.
 
-    The substitution is exact over any ring.  For homogeneous columns over
-    positive weights, once no constant entry is left the kept generators
-    are minimal (graded Nakayama)."""
+    For homogeneous columns over positive weights, once no constant entry
+    is left the kept generators are minimal (graded Nakayama)."""
     keep = list(range(ngens))
     while True:
         hit = find_unit([c[i] for c in cols] for i in reversed(range(len(keep))))
         if hit is None:
             return keep, cols
         i, j = len(keep) - 1 - hit[0], hit[1]
-        pivot = cols[j]
-        inv = ring.ambient.const(ring.field.inv(pivot[i].constant_coeff()))
-        rest = []
-        for col in cols[:j] + cols[j + 1:]:
-            q = col[i] * inv
-            if not q.is_zero():
-                col = [a - q * b for a, b in zip(col, pivot)]
-            col = col[:i] + col[i + 1:]
-            if any(not p.is_zero() for p in col):
-                rest.append(col)
-        cols = rest
+        cols = [c for c in _schur_at_unit(ring.ambient, cols, j, i)
+                if any(not p.is_zero() for p in c)]
         del keep[i]
 
 
@@ -188,7 +198,7 @@ def _canon_col_key(ring: QuotientRing, col):
     return sorted(items)
 
 
-def _prune_columns(ring: QuotientRing, cols, row_degrees=None):
+def _prune_columns(ring: QuotientRing, cols, row_degrees):
     """The nonzero columns that _unit_pivots keeps on the syzygies of all
     of them, read from one SubmoduleGB build: a column goes when a
     syzygy has a constant entry there.  With row degrees on homogeneous

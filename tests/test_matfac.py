@@ -1,11 +1,13 @@
 """Matrix factorizations: construction, shift, Knoerrer doubling, stable homs."""
 
+import random
+
 import pytest
 
 from singcat.fields import QQ
 from singcat.poly import PolyRing
 from singcat.quotient import parse_ring
-from singcat.modules import FPModule
+from singcat.modules import FPModule, find_unit
 from singcat.matfac import (MatrixFactorization, MFError, mf_check, mf_shift,
                             knorrer, mf_from_module, mf_stable_hom,
                             reduce_trivial_blocks)
@@ -52,6 +54,25 @@ def test_mf_from_cone_ideal():
     # cokernel presentation matches the module
     M = X.module()
     assert stable_hom(M, M).dim == 1
+
+
+def test_mf_from_module_makes_a_truncated_pruning_build(monkeypatch):
+    from singcat import modgb
+    builds = []
+    real_init = modgb.SubmoduleGB.__init__
+
+    def counting_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        builds.append((self.npos, self.bound))
+
+    C = models.cone_ring()
+    L1 = models.cone_L1(C)
+    monkeypatch.setattr(modgb.SubmoduleGB, "__init__", counting_init)
+    X = mf_from_module(L1)
+    assert X.size == 2
+    # the pruning build of relations and f*I, truncated at the degree of
+    # f*e_i (generators of degree 1), then the full build that lifts f*I
+    assert builds == [(2, 3), (2, None)]
 
 
 def test_mf_from_free_is_zero_object():
@@ -214,6 +235,117 @@ def test_reduce_trivial_blocks_returns_its_input_when_nothing_splits():
                             [[z, zero], [zero, z * z]])
     Z = reduce_trivial_blocks(Y)
     assert Z is not Y and Z.size == 1 and Z.A == [[z]] and Z.B == [[z]]
+
+
+def _mirrored_reduction(X):
+    """Reference reduction: clear row i and column j of one factor around
+    its unit at (i, j), repeat each row and column operation on the other
+    factor, then drop the block from both."""
+    ring = X.ring
+    A = [list(row) for row in X.A]
+    B = [list(row) for row in X.B]
+
+    def eliminate(M, other, i, j):
+        inv = ring.const(ring.field.inv(M[i][j].constant_coeff()))
+        n = len(M)
+        for k in range(n):
+            c = M[k][j] * inv
+            if k == i or c.is_zero():
+                continue
+            for t in range(n):
+                M[k][t] = M[k][t] - c * M[i][t]
+            for t in range(n):
+                other[t][i] = other[t][i] + c * other[t][k]
+        for t in range(n):
+            c = M[i][t] * inv
+            if t == j or c.is_zero():
+                continue
+            for k in range(n):
+                M[k][t] = M[k][t] - M[k][j] * c
+            for k in range(n):
+                other[j][k] = other[j][k] + c * other[t][k]
+
+    def drop(M, i, j):
+        return [[p for t, p in enumerate(row) if t != j]
+                for k, row in enumerate(M) if k != i]
+
+    while True:
+        if (hit := find_unit(B)) is not None:
+            i, j = hit
+            eliminate(B, A, i, j)
+            B, A = drop(B, i, j), drop(A, j, i)
+        elif (hit := find_unit(A)) is not None:
+            i, j = hit
+            eliminate(A, B, i, j)
+            A, B = drop(A, i, j), drop(B, j, i)
+        else:
+            return A, B
+
+
+def _matmul(S, M, N):
+    return [[sum((M[a][k] * N[k][b] for k in range(len(N))), S.zero())
+             for b in range(len(N[0]))] for a in range(len(M))]
+
+
+def _graded_automorphism(rng, S, degrees):
+    """(P, P^-1) for P a product of elementary matrices I + c*e_ab with c
+    of degree degrees[b] - degrees[a], either 0 (a nonzero constant) or 1
+    (a constant times a variable), so P keeps those row degrees."""
+    n = len(degrees)
+
+    def identity():
+        return [[S.one() if a == b else S.zero() for b in range(n)] for a in range(n)]
+
+    P, P_inv = identity(), identity()
+    pairs = [(a, b) for a in range(n) for b in range(n)
+             if a != b and degrees[b] - degrees[a] in (0, 1)]
+    for _ in range(rng.randint(n, 2 * n)):
+        a, b = rng.choice(pairs)
+        c = S.const(S.field.from_int(rng.choice([-2, -1, 1, 2, 3])))
+        if degrees[b] > degrees[a]:
+            c = c * rng.choice(S.gens())
+        E, E_inv = identity(), identity()
+        E[a][b], E_inv[a][b] = c, -c
+        P, P_inv = _matmul(S, P, E), _matmul(S, E_inv, P_inv)
+    return P, P_inv
+
+
+@pytest.mark.parametrize("field", ["Q", "F32003"])
+def test_reduce_trivial_blocks_on_conjugated_block_sums(field):
+    # P.diag(X, blocks).Q and Q^-1.diag(Y, blocks').P^-1 for the node pair
+    # (X, Y), with 0-3 blocks each of (1, f) and (f, 1).  P and Q keep the
+    # grading (X from degree 1 to 0), so the units left after conjugating
+    # are exactly the constants, and the reduction ends at the minimal size.
+    S = parse_ring(f"{field}[x,y,z,w]").ambient
+    x, y, z, w = S.gens()
+    f = x * y + z * w
+    X, Y = [[x, -w], [z, y]], [[y, w], [-z, x]]
+    base = MatrixFactorization(S, f, X, Y)
+    want = mf_stable_hom(base, base)
+    rng = random.Random(29)
+    splits = 0
+    for trial in range(20):
+        # (A entry, B entry, row degree, column degree) of each block
+        blocks = ([(S.one(), f, d, d) for d in rng.choices([0, 1], k=rng.randint(0, 3))]
+                  + [(f, S.one(), d, d + 2)
+                     for d in rng.choices([-1, 0], k=rng.randint(0, 3))])
+        rng.shuffle(blocks)
+        n = 2 + len(blocks)
+        DA = [X[a] + [S.zero()] * (n - 2) if a < 2 else [S.zero()] * n for a in range(n)]
+        DB = [Y[a] + [S.zero()] * (n - 2) if a < 2 else [S.zero()] * n for a in range(n)]
+        for k, (u, v, _r, _c) in enumerate(blocks, 2):
+            DA[k][k], DB[k][k] = u, v
+        P, P_inv = _graded_automorphism(rng, S, [0, 0] + [b[2] for b in blocks])
+        Q, Q_inv = _graded_automorphism(rng, S, [1, 1] + [b[3] for b in blocks])
+        big = MatrixFactorization(S, f, _matmul(S, _matmul(S, P, DA), Q),
+                                  _matmul(S, _matmul(S, Q_inv, DB), P_inv))
+        Z = reduce_trivial_blocks(big)
+        assert (Z.A, Z.B) == _mirrored_reduction(big), trial
+        assert find_unit(Z.A) is None and find_unit(Z.B) is None, trial
+        assert Z.size == 2 and Z.is_valid(), trial
+        assert mf_stable_hom(Z, Z) == want, trial
+        splits += Z is not big
+    assert splits >= 15, splits
 
 
 def test_claims_build_each_factorization_once(monkeypatch):

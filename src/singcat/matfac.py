@@ -145,7 +145,11 @@ def reduce_trivial_blocks(X: MatrixFactorization) -> MatrixFactorization:
     unit of A likewise with the roles swapped.  The row and column
     operations that clear B around the unit are column and row operations
     on A, which keep A*B = B*A = f*I; they write only A's column i and
-    row j, the ones that go with the block, so the rest of A stays."""
+    row j, the ones that go with the block, so the rest of A stays.
+
+    A unit is a nonzero constant (find_unit), so a block that is trivial
+    only after localizing, one whose unit entry is 1 + 2x say, stays: the
+    result is still a factorization of the same object, only larger."""
 
     def split(M, N, i, j):
         return (_schur_at_unit(X.ring, M, i, j),

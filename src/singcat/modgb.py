@@ -45,10 +45,11 @@ Fraction that comes out integral is stored as an int where it is made; a
 division by a lead other than one, and every operation over another
 field, goes through the Field's methods.  A new basis element is made
 monic by no operation when its lead is one and by negation when it is
-minus one.  The reduced basis comes from a minimal basis by reducing each
-tail once.  One staircase enumerator, `_standard_monomials`, gives the
-standard monomials of each position, all of them or those of one degree;
-the quotient dimensions are the lengths of those lists, with None for an
+minus one.  A full build gets its reduced basis from a minimal basis by
+reducing each tail once; a truncated one interreduces by lookup (below).
+One staircase enumerator, `_standard_monomials`, gives the standard
+monomials of each position, all of them or those of one degree; the
+quotient dimensions are the lengths of those lists, with None for an
 infinite staircase.  The tag block's staircase is a k-basis of the span
 of the tracked generators modulo the untracked ones and the pads.
 `lead_quotient_dim` counts dim Z/W for W in Z from the leads of a basis
@@ -70,7 +71,15 @@ and those above D are dropped, and the reduced basis is the degree-<=D
 part of the full one, so every answer in degree <= D is exact.  Asked
 above D, for a normal form or a staircase, it raises InvariantError;
 `basis`, `leads` and `syzygies` hold degree <= D.  Any other build runs
-in full, with the pairs taken by unweighted lcm degree.
+in full, its inputs first, then the pairs by unweighted lcm degree.
+
+A truncated build runs degree by degree: its inputs wait in the pair
+queue at their degree, beside the S-pairs, so each basis element is found
+in nondecreasing degree and reduced by every element found before it.  The
+basis is then minimal as found, and since the weights are positive a
+later lead divides a tail term only by being equal to it.  The final pass
+walks back from the last element found, keeping the leads found after
+each, and tail-reduces only the elements whose tail holds one of them.
 
 A matrix over S is a vector too: an h-row matrix is flattened column-major,
 its entry (row a, column j) at position j*h + a (`vec_from_polys` of its
@@ -360,15 +369,14 @@ class SubmoduleGB:
             for p in range(npos):
                 graph.append(pk.pack({(p, m): c for m, c in f.terms.items()}))
         self.degrees = degrees
-        self.bound = None
+        self.bound = in_degs = None
         if bound is not None and degrees is not None:
             in_degs = _input_degrees(ring, npos, self.tracked, gens, self.pads,
                                      degrees)
             if in_degs is not None:
                 self.bound = bound
-                graph = [g for g, d in zip(graph, in_degs) if d <= bound]
         # the reduced basis: `reducer` entries in ascending order of lead
-        self._basis = self._buchberger(graph)
+        self._basis = self._buchberger(graph, in_degs)
         self._index = {}
         for entry in self._basis:
             self._index.setdefault(entry[1] >> pk.shift, []).append(entry)
@@ -385,7 +393,10 @@ class SubmoduleGB:
 
     # -- basis construction -------------------------------------------------
 
-    def _buchberger(self, gens):
+    def _buchberger(self, gens, in_degs):
+        """The reduced basis of the span of the packed vectors `gens`.  In a
+        truncated build in_degs[k] is the degree of gens[k], and the build
+        runs degree by degree; in a full build it is None."""
         F, pk = self.field, self._pk
         shift, code_mask = pk.shift, pk.code_mask
         # every basis element is pushed monic, so an S-pair is u*x^a - v*x^b
@@ -398,9 +409,21 @@ class SubmoduleGB:
         # basis indices of each lead position, in ascending order: only
         # elements that lead at the same position form a pair
         index_at: dict = {}
+        # the heap of (degree, -1, k, 0) for the input gens[k] and (degree,
+        # i, j, lcm) for the S-pair of basis elements j < i, lcm its packed
+        # lcm; a full build ranks every input (at -1) before every pair
+        truncated = in_degs is not None
+        if truncated:
+            degree = sum if set(self.ring.weights) == {1} else \
+                self.ring.weighted_deg
+            bound, pos_deg = self.bound, self.degrees
+            queue = [(d, -1, k, 0) for k, d in enumerate(in_degs) if d <= bound]
+            heapify(queue)
+        else:
+            queue = [(-1, -1, k, 0) for k in range(len(gens))]
 
         def push(v):
-            lead = min(v)
+            lead = next(iter(v))  # the reducer lists its terms lead first
             c = v[lead]
             if c == minus_one:
                 v = {t: -a for t, a in v.items()} if native else \
@@ -408,53 +431,53 @@ class SubmoduleGB:
             elif c != one:
                 c = F.inv(c)
                 v = {t: F.mul(c, a) for t, a in v.items()}
+            pos, m, k = lead >> shift, pk.mon[lead & code_mask], len(basis)
+            group = index_at.setdefault(pos, [])
+            for t in group:
+                lcm = mon_lcm(m, leads[t])
+                if not truncated:
+                    heappush(queue, (sum(lcm), k, t, pk.code[lcm]))
+                elif (d := degree(lcm) + pos_deg[pos]) <= bound:
+                    heappush(queue, (d, k, t, pk.code[lcm]))
             entry = pk.reducer(lead, v)
             basis.append(entry)
-            leads.append(pk.mon[lead & code_mask])
-            by_pos.setdefault(lead >> shift, []).append(entry)
-            index_at.setdefault(lead >> shift, []).append(len(basis) - 1)
-            return lead >> shift
+            leads.append(m)
+            by_pos.setdefault(pos, []).append(entry)
+            group.append(k)
 
-        for g in gens:
-            g = pk.reduce(F, g, by_pos)
-            if g:
-                push(g)
-
-        if self.bound is None:
-            def pair_entry(i, j):
-                return (sum(mon_lcm(leads[i], leads[j])), i, j)
-        else:
-            # a truncated build: the degree of the pair, lcm plus position
-            degree = sum if set(self.ring.weights) == {1} else \
-                self.ring.weighted_deg
-            bound, pos_deg = self.bound, self.degrees
-
-            def pair_entry(i, j):
-                d = (degree(mon_lcm(leads[i], leads[j]))
-                     + pos_deg[basis[i][1] >> shift])
-                return (d, i, j) if d <= bound else None
-
-        pairs = [pair_entry(i, j) for group in index_at.values()
-                 for a, i in enumerate(group) for j in group[:a]]
-        if self.bound is not None:
-            pairs = [e for e in pairs if e is not None]
-        heapify(pairs)
-        while pairs:
-            _deg, i, j = heappop(pairs)
-            _key, li, u = basis[i]
-            _key, lj, v = basis[j]
-            lcm = pk.code[mon_lcm(leads[i], leads[j])]
-            s, heap = {}, []
-            pk.add_multiple(F, s, u, one, lcm - (li & code_mask), heap)
-            pk.add_multiple(F, s, v, minus_one, lcm - (lj & code_mask), heap)
+        while queue:
+            _deg, i, j, lcm = heappop(queue)
+            if i < 0:
+                s, heap = gens[j], None
+            else:
+                _key, li, u = basis[i]
+                _key, lj, v = basis[j]
+                s, heap = {}, []
+                pk.add_multiple(F, s, u, one, lcm - (li & code_mask), heap)
+                pk.add_multiple(F, s, v, minus_one, lcm - (lj & code_mask),
+                                heap)
             s = pk.reduce(F, s, by_pos, heap)
             if s:
-                group = index_at[push(s)]
-                k = group[-1]
-                for t in group[:-1]:
-                    entry = pair_entry(k, t)
-                    if entry is not None:
-                        heappush(pairs, entry)
+                push(s)
+        if truncated:
+            # Each element was found in nondecreasing degree and reduced by
+            # every earlier one, so no lead divides another and, the weights
+            # being positive, a later lead divides a tail term only by being
+            # equal to it.  Walking back, each element whose tail holds a
+            # later lead subtracts that lead's element, already reduced: its
+            # tail holds no lead, so nothing is left to reduce and the heap
+            # add_multiple fills is a throwaway list.
+            later = {}
+            for k in reversed(range(len(basis))):
+                _key, lead, v = basis[k]
+                hits = [t for t in v if t in later]
+                if hits:
+                    for t in hits:
+                        c = -v[t] if native else F.neg(v[t])
+                        pk.add_multiple(F, v, later[t], c, 0, [])
+                    basis[k] = pk.reducer(lead, dict(sorted(v.items())))
+                later[lead] = basis[k][2]
+            return sorted(basis, key=itemgetter(1))
         # A minimal basis (no lead divides another at its position), then one
         # pass of tail reduction modulo it, gives the unique reduced basis.
         # Leads are distinct: each element was reduced by all earlier ones.

@@ -415,9 +415,9 @@ def _typed(v):
     return {t: (c, type(c)) for t, c in v.items()}
 
 
-def _homogeneous_vec(rng, pos_degs, d, nterms):
+def _homogeneous_vec(rng, pos_degs, d, nterms, F=QQ):
     """Up to nterms terms of degree d over x, y, z when position p has
-    degree pos_degs[p], with coefficients in Q."""
+    degree pos_degs[p], with coefficients in F."""
     v = {}
     for _ in range(nterms):
         p = rng.randrange(len(pos_degs))
@@ -425,8 +425,8 @@ def _homogeneous_vec(rng, pos_degs, d, nterms):
             continue
         a = rng.randint(0, d - pos_degs[p])
         b = rng.randint(0, d - pos_degs[p] - a)
-        c = QQ.from_fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3)))
-        if c:
+        c = F.from_fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3)))
+        if not F.is_zero(c):
             v[(p, (a, b, d - pos_degs[p] - a - b))] = c
     return v
 
@@ -495,6 +495,58 @@ def test_native_q_kernel_matches_the_method_kernel(order, monkeypatch):
               for c, _type in v.values()]
     assert all(_canonical_q(c) for c in coeffs)
     assert sum(type(c) is Fraction for c in coeffs) > 1000
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "F32003"])
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_truncated_build_is_the_low_degree_part_of_the_full_build(field,
+                                                                  order):
+    # A build truncated at D runs degree by degree and interreduces by
+    # lookup; the full build of the same input reduces a minimal basis.
+    # Tagged, partly tagged and untagged, padded and not, the truncated
+    # basis, leads and syzygies are those of the full build in degree <= D.
+    rng = random.Random(67)
+    R = PolyRing(field, ["x", "y", "z"], order=order)
+    pad = Polynomial(R, {(1, 1, 0): field.from_int(2),
+                         (0, 0, 2): field.from_int(-1)})
+    checked = cut = syzygies = 0
+    for _trial in range(10):
+        npos = rng.randint(1, 2)
+        pos_degs = [rng.randint(0, 1) for _ in range(npos)]
+        gen_degs = [rng.randint(1, 3) for _ in range(rng.randint(2, 4))]
+        gens = [_homogeneous_vec(rng, pos_degs, d, 3, field)
+                for d in gen_degs]
+        keep = [j for j, g in enumerate(gens) if g]
+        gens, gen_degs = [gens[j] for j in keep], [gen_degs[j] for j in keep]
+        for tracked in (len(gens), rng.randint(0, len(gens)), 0):
+            for pads in ([], [pad]):
+                degrees = pos_degs + gen_degs[:tracked]
+                full = SubmoduleGB(R, npos, gens, pad_polys=pads,
+                                   tracked=tracked)
+                degree = {lead: R.weighted_deg(lead[1]) + degrees[lead[0]]
+                          for lead, _v in full.basis}
+                for D in range(0, 6):
+                    gb = SubmoduleGB(R, npos, gens, pad_polys=pads,
+                                     tracked=tracked, degrees=degrees,
+                                     bound=D)
+                    assert gb.bound == D
+                    low = [(lead, v) for lead, v in full.basis
+                           if degree[lead] <= D]
+                    assert gb.basis == low
+                    count = npos + tracked
+                    assert gb.leads(0, count) == tuple(
+                        tuple(lead[1] for lead, _v in low if lead[0] == p)
+                        for p in range(count))
+                    if tracked:
+                        tags = [lead for lead, _v in full.basis
+                                if lead[0] >= npos]
+                        assert gb.syzygies() == [
+                            s for s, lead in zip(full.syzygies(), tags)
+                            if degree[lead] <= D]
+                        syzygies += len(gb.syzygies())
+                    checked += 1
+                    cut += len(low) < len(full.basis)
+    assert checked == 360 and cut > 200 and syzygies > 150
 
 
 # -- packed terms ----------------------------------------------------------------

@@ -348,6 +348,44 @@ def test_reduce_trivial_blocks_on_conjugated_block_sums(field):
     assert splits >= 15, splits
 
 
+def test_a_block_trivial_only_after_localizing_stays():
+    # P.diag(X, 1, f).Q and Q^-1.diag(Y, f, 1).P^-1 for the node pair (X, Y)
+    # with the ungraded P = I + (x+1)*e_20 and Q = I + 2y*e_02: conjugating
+    # leaves the entry 2x^2y + 2xy + 1 of A, a unit at the origin but not a
+    # constant, so find_unit splits off only the (f, 1) block.  The smaller
+    # pair is still a factorization of the same object.
+    S = parse_ring("Q[x,y,z,w]").ambient
+    x, y, z, w = S.gens()
+    one, zero = S.one(), S.zero()
+    f = x * y + z * w
+    X, Y = [[x, -w], [z, y]], [[y, w], [-z, x]]
+    want = mf_stable_hom(MatrixFactorization(S, f, X, Y),
+                         MatrixFactorization(S, f, X, Y))
+
+    def padded(M, u, v):
+        return [M[0] + [zero, zero], M[1] + [zero, zero],
+                [zero, zero, u, zero], [zero, zero, zero, v]]
+
+    def elementary(a, b, c):
+        E = [[one if r == t else zero for t in range(4)] for r in range(4)]
+        E[a][b] = c
+        return E
+
+    two = S.const(S.field.from_int(2))
+    P, P_inv = elementary(2, 0, x + one), elementary(2, 0, -(x + one))
+    Q, Q_inv = elementary(0, 2, two * y), elementary(0, 2, -(two * y))
+    big = MatrixFactorization(S, f,
+                              _matmul(S, _matmul(S, P, padded(X, one, f)), Q),
+                              _matmul(S, _matmul(S, Q_inv, padded(Y, f, one)),
+                                      P_inv))
+    assert two * x * x * y + two * x * y + one in (p for row in big.A
+                                                   for p in row)
+    Z = reduce_trivial_blocks(big)
+    assert Z.size == 3 and find_unit(Z.A) is None and find_unit(Z.B) is None
+    assert Z.is_valid()
+    assert mf_stable_hom(Z, Z) == want
+
+
 def test_claims_build_each_factorization_once(monkeypatch):
     from singcat import manifest
     calls = []

@@ -1,8 +1,9 @@
 """Degree-truncated Groebner bases: a build truncated at D agrees with the
 full build in every degree <= D, refuses every question above D, and an
 inhomogeneous build is never truncated.  The last test checks Buchberger's
-criterion on the truncated builds of a cone-pair run with a reducer of its
-own, trusting nothing of the engine but its `basis`."""
+criterion, and that the basis is reduced, on every build of a cone-pair
+run, truncated and full, with a reducer of its own, trusting nothing of
+the engine but its `basis`."""
 
 import random
 
@@ -277,7 +278,22 @@ def _spair(F, g, lead_g, h, lead_h, lcm):
     return out
 
 
+def _assert_reduced(basis):
+    """A reduced basis: at each position, the only lead that divides a term
+    of a basis element is that element's own lead, dividing its lead."""
+    leads = {}
+    for lead, _v in basis:
+        leads.setdefault(lead[0], []).append(lead[1])
+    for lead, v in basis:
+        for t in v:
+            divisors = [m for m in leads.get(t[0], ()) if mon_divides(m, t[1])]
+            assert divisors == ([lead[1]] if t == lead else []), (lead, t)
+
+
 def test_truncated_builds_of_a_cone_pair_run_meet_buchberger(monkeypatch):
+    # every build of the run, truncated or full: its basis is reduced, and
+    # every input and S-pair (of degree <= D when truncated at D) reduces
+    # to zero modulo it
     builds = []
     real_init = SubmoduleGB.__init__
 
@@ -285,8 +301,7 @@ def test_truncated_builds_of_a_cone_pair_run_meet_buchberger(monkeypatch):
                   degrees=None, bound=None):
         gens = list(gens)
         real_init(self, ring, npos, gens, pad_polys, tracked, degrees, bound)
-        if self.bound is not None:
-            builds.append((self, gens))
+        builds.append((self, gens))
 
     monkeypatch.setattr(SubmoduleGB, "__init__", recording)
     P = projective_cone_ring("Q")
@@ -297,33 +312,40 @@ def test_truncated_builds_of_a_cone_pair_run_meet_buchberger(monkeypatch):
             for p in (3, 2, 1):
                 ext_space(Fa, G, p).graded_dim(0)
             hom_space(Fa, G, mode="graded0")
-    assert len(builds) >= 20
-    pairs = inputs = 0
+    checked = {True: [0, 0, 0], False: [0, 0, 0]}  # builds, inputs, pairs
     for gb, gens in builds:
         F, ring, D, npos = gb.field, gb.ring, gb.bound, gb.npos
-        degree = _term_degree(ring, gb.degrees)
+        truncated = D is not None
+        if truncated:
+            degree = _term_degree(ring, gb.degrees)
         basis = gb.basis
         assert all(v[lead] == F.one() for lead, v in basis)
-        # every input of degree <= D: the generators with their tags, then
-        # the pads in each position
+        _assert_reduced(basis)
+        # every input (of degree <= D): the generators with their tags,
+        # then the pads in each position
         graph = [dict(g) for g in gens]
         for j in range(gb.tracked):
             graph[j][(npos + j, (0,) * ring.nvars)] = F.one()
         graph += [{(p, m): c for m, c in f.terms.items()}
                   for f in gb.pads for p in range(npos)]
+        count = checked[truncated]
+        count[0] += 1
         for v in graph:
-            if v and degree(next(iter(v))) <= D:
+            if v and (not truncated or degree(next(iter(v))) <= D):
                 assert _reduce_to_zero(F, ring.order_key, basis, v)
-                inputs += 1
-        # every S-pair of degree <= D
+                count[1] += 1
+        # every S-pair (of degree <= D)
         for a, (lead_g, g) in enumerate(basis):
             for lead_h, h in basis[:a]:
                 if lead_g[0] != lead_h[0]:
                     continue
                 lcm = mon_lcm(lead_g[1], lead_h[1])
-                if degree((lead_g[0], lcm)) > D:
+                if truncated and degree((lead_g[0], lcm)) > D:
                     continue
                 assert _reduce_to_zero(F, ring.order_key, basis,
                                        _spair(F, g, lead_g, h, lead_h, lcm))
-                pairs += 1
-    assert pairs > 200 and inputs > 200
+                count[2] += 1
+    builds_t, inputs_t, pairs_t = checked[True]
+    builds_f, inputs_f, pairs_f = checked[False]
+    assert builds_t >= 20 and pairs_t > 200 and inputs_t > 200
+    assert builds_f >= 15 and pairs_f > 50 and inputs_f > 100

@@ -69,8 +69,14 @@ class FiniteDimAlgebra:
         return [self.field.mul(c, x) for x in a]
 
     def mul(self, a, b):
-        return self._dense(
-            self._product(self._sparse(a), self._sparse(b)).items())
+        F = self.field
+        v, out = self._sparse(b), {}
+        for x, prods in zip(a, self.products):
+            if not F.is_zero(x):
+                for j, row in prods.items():
+                    if j in v:
+                        self._add_multiple(out, F.mul(x, v[j]), row)
+        return self._dense(out.items())
 
     def eq(self, a, b):
         F = self.field
@@ -115,12 +121,6 @@ class FiniteDimAlgebra:
                               self._product({i: one}, dict(P[j].get(l, ()))))
                    for i, j, l in itertools.product(range(self.dim), repeat=3))
 
-    def unit_acts_trivially(self) -> bool:
-        one, unit = self.field.one(), self._sparse(self.unit)
-        return all(self._same(self._product(unit, {b: one}), {b: one})
-                   and self._same(self._product({b: one}, unit), {b: one})
-                   for b in range(self.dim))
-
     def is_commutative(self) -> bool:
         P = self.products
         return all(self._same(dict(P[i].get(j, ())), dict(P[j].get(i, ())))
@@ -147,35 +147,42 @@ class FiniteDimAlgebra:
     def radical_layers(self):
         """[dim A/rad, dim rad/rad^2, ...] up to the first zero power.
 
-        Each power is kept as an echelon basis of sparse rows, and each
-        product of a power with the radical is reduced into the next as it
-        is made.  Raises AlgebraError when the powers stop shrinking, as
-        they do where the trace form vanishes (over F2).
+        Past rad, rad^(s+1) = rad^s V for V a complement of rad^2 in rad,
+        exact once rad V = rad^2 (then rad^(s+1) = rad rad^(s-1) V), as for
+        any nilpotent ideal.  Each power is an echelon basis of sparse rows
+        that each product is reduced into as it is made.  AlgebraError when
+        rad V falls short of rad^2 or the powers stop shrinking (over F2).
         """
         rad = [self._sparse(v) for v in self.radical()]
-        layers = [self.dim - len(rad)]
-        power = rad
+        square = self._span(rad, rad)
+        rows, layers, power = dict(square), [self.dim - len(rad)], rad
+        V = [b for b in rad if self._reduce_into(rows, b)] if square else []
         for _ in range(self.dim if rad else 0):
-            nxt = {}
-            for a in power:
-                for b in rad:
-                    self._reduce_into(nxt, self._product(a, b))
-            d_now, d_next = len(power), len(nxt)
-            if d_next == d_now:
-                # a nilpotent ideal shrinks at every power; the trace form can
-                # vanish on all of A in small characteristic
-                raise AlgebraError(f"radical powers stop shrinking at dimension "
-                                   f"{d_now} over {self.field.name} (dim A = {self.dim}): "
-                                   "the trace-form radical is not nilpotent")
-            layers.append(d_now - d_next)
-            if d_next == 0:
+            nxt = self._span(power, V)
+            if len(nxt) == len(power) or (
+                    power is rad and len(nxt) != len(square)):
+                raise AlgebraError(
+                    f"radical powers from dimension {len(rad)} never reach 0 "
+                    f"over {self.field.name} (dim A = {self.dim}): the "
+                    "trace-form radical is not nilpotent")
+            layers.append(len(power) - len(nxt))
+            if not nxt:
                 break
             power = list(nxt.values())
         return layers
 
+    def _span(self, us, vs):
+        """Echelon rows, as _reduce_into keeps them, of the products u v."""
+        rows = {}
+        for a in us:
+            for b in vs:
+                self._reduce_into(rows, self._product(a, b))
+        return rows
+
     def _reduce_into(self, rows, vec):
         """Reduce the sparse vec by the echelon rows (pivot -> row, lowest
-        index the pivot with coefficient one) and add what is left, if any."""
+        index the pivot with coefficient one) and add what is left, if any;
+        whether a row was added."""
         F = self.field
         vec = dict(vec)
         while vec:
@@ -183,9 +190,10 @@ class FiniteDimAlgebra:
             if p not in rows:
                 inv = F.inv(vec[p])
                 rows[p] = {k: F.mul(inv, c) for k, c in vec.items()}
-                return
+                return True
             self._add_multiple(vec, F.neg(vec[p]), rows[p].items())
             vec = {k: c for k, c in vec.items() if not F.is_zero(c)}
+        return False
 
     def subspace_dim(self, vectors) -> int:
         rows = {}

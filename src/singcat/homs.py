@@ -62,13 +62,14 @@ of the full U, in the same order, so the basis items are the full basis's
 items of degree <= D.  A later basis question above D raises
 InvariantError, as would a truncated SubmoduleGB asked above its bound.
 
-structure_constants is the one multiplication-table builder: from Hom
-blocks Hom(F_j, F_i) it composes every composable pair of basis maps on
-their sparse flattened vectors (modgb.compose, which visits only nonzero
-terms), reads the product's coordinates from big_gb and emits them as
-the sparse row FiniteDimAlgebra stores, so no dense row is padded.  End(M)
-(MorphismSpace.algebra) is its single-block case, and the deformation
-parameter algebras of ncdef are its r-block case.
+structure_constants is the one multiplication-table builder, from Hom
+blocks: the product of basis maps x^m U_a and x^m' U'_b is x^(m m') (U_a o
+U'_b), so each ordered pair of generators is composed once (modgb.compose)
+and read by a certificate, and its multiples are walked through the target
+block's multiplication maps on the tag staircase (as in FGLM: Faugere,
+Gianni, Lazard and Mora 1993), where only a multiple off the staircase
+needs a normal form.  End(M) (MorphismSpace.algebra) is its single-block
+case, and the parameter algebras of ncdef its r-block case.
 
 Stable Hom follows the free-cover recipe: Hom(M,N) modulo the image of
 Hom(M, R^{g_N}) -> Hom(M,N) induced by the generator surjection R^{g_N} -> N.
@@ -84,7 +85,7 @@ from .findim import FiniteDimAlgebra
 from .modules import FPModule, FreeResolution, _column_degrees
 from .modgb import (SubmoduleGB, answers, compose, lead_quotient_dim,
                     term_degrees, vec_from_polys, vec_to_polys)
-from .poly import mon_mul
+from .poly import mon_divides, mon_mul
 from .quotient import QuotientRing
 
 
@@ -495,22 +496,6 @@ class MorphismSpace:
         return self.msq.coords(vec_from_polys([p for col in matrix_cols
                                                for p in col]), self.basis)
 
-    def verify_bases_are_morphisms(self) -> bool:
-        """Exact check: every basis map sends rel(M) into rel(N)-span; each
-        column of item_vec o rel(M) (modgb.compose) is tested against
-        rel_gb."""
-        h, g = self.N.ngens, self.M.ngens
-        rels = vec_from_polys([p for col in self.M.relations for p in col])
-        relN_gb = self.N.rel_gb()
-        for it in self.basis:
-            image = {}
-            for (p, m), c in compose(self.M.ring.field, self.msq.item_vec(it),
-                                     h, rels, g).items():
-                image.setdefault(p // h, {})[(p % h, m)] = c
-            if not all(relN_gb.contains(col) for col in image.values()):
-                return False
-        return True
-
     def algebra(self) -> FiniteDimAlgebra:
         """End(M) on the basis: the single-block case of structure_constants
         (requires M == N presentation)."""
@@ -533,48 +518,73 @@ class MorphismSpace:
 def structure_constants(blocks, r):
     """Multiplication table of End(F_0 (+) ... (+) F_(r-1)) on its block basis.
 
-    blocks[(i, j)] is the MorphismSpace Hom(F_j, F_i) with a k-basis.  The
-    algebra's basis is the layout list of (i, j, k), the k-th basis map of
-    blocks[(i, j)].  The product of phi: F_j -> F_i and psi: F_l -> F_j is
-    phi o psi in blocks[(i, l)], composed on the sparse flattened vectors
-    of the two maps (modgb.compose) with no normal form of any entry, and
-    read in coordinates by that block's big_gb; phi o psi' is zero when the
-    target of psi' is not F_j, and is never composed.  Returns (layout,
-    table, idents): the sparse rows FiniteDimAlgebra takes, and idents[i]
-    the coordinate vector of the identity of F_i.
+    blocks[(i, j)] is the MorphismSpace Hom(F_j, F_i) with a k-basis, whose
+    k-th item (a, m), x^m U_a, is the algebra's basis element (i, j, k) of
+    layout.  The multiples x^n G of G = U_a o U'_b in blocks[(i, l)] are
+    walked from G, lowering n's first nonzero exponent: x_v x^m U_c is its
+    own coordinate unless a tag lead at c divides it, and is otherwise read
+    once by a certificate, exact up to a truncated basis's bound, which no
+    degree-zero product passes.  Returns (layout, table, idents): the
+    sparse rows FiniteDimAlgebra takes, and idents[i] the coordinate vector
+    of the identity of F_i.
     """
     F = blocks[(0, 0)].M.ring.field
+    one = F.one()
     layout = [(i, j, k) for i in range(r) for j in range(r)
               for k in range(blocks[(i, j)].dim)]
     index = {}
     for t, (i, j, k) in enumerate(layout):
         index.setdefault((i, j), {})[blocks[(i, j)].basis[k]] = t
-    vecs = {key: [space.msq.item_vec(it) for it in space.basis]
-            for key, space in blocks.items()}
     rows = [blocks[(i, i)].M.ngens for i in range(r)]
+    known, walks = {}, {}
 
-    def placed(i, j, vec):
-        # a product of basis maps lies in the block's span, over its basis
-        slot = index[(i, j)]
-        return tuple(sorted((slot[it], c) for it, c
-                            in blocks[(i, j)].msq._certificate(vec).items()))
+    def times(msq, item, v):  # x_v times the staircase item (c, m)
+        if (msq, item, v) not in known:
+            (c, m), big = item, msq.big_gb()
+            m = m[:v] + (m[v] + 1,) + m[v + 1:]
+            off = any(mon_divides(lead, m)
+                      for lead in big.leads(big.npos + c, 1)[0])
+            known[(msq, item, v)] = (msq._certificate(msq.item_vec((c, m)))
+                                     if off else {(c, m): one})
+        return known[(msq, item, v)]
+
+    def product(i, j, l, a, b, mon):
+        msq = blocks[(i, l)].msq
+        walk = walks.get((i, j, l, a, b))
+        if walk is None:
+            walk = walks[(i, j, l, a, b)] = {(0,) * len(mon): msq._certificate(
+                compose(F, blocks[(i, j)].msq.U[a], rows[i],
+                        blocks[(j, l)].msq.U[b], rows[j]))}
+        path = []
+        while mon not in walk:
+            v = next(v for v, e in enumerate(mon) if e)
+            path.append((mon, v))
+            mon = mon[:v] + (mon[v] - 1,) + mon[v + 1:]
+        val = walk[mon]
+        for mon, v in reversed(path):
+            out = {}
+            for item, c in val.items():
+                for key, d in times(msq, item, v).items():
+                    e = c if d == one else F.mul(c, d)
+                    out[key] = F.add(out[key], e) if key in out else e
+            val = walk[mon] = {key: c for key, c in out.items()
+                               if not F.is_zero(c)}
+        return val
+
+    def placed(i, j, cert):
+        return tuple(sorted((index[(i, j)][it], c) for it, c in cert.items()))
 
     table = []
-    for (i1, j1, k1) in layout:
-        phi = vecs[(i1, j1)][k1]
-        prods = {}
-        for t, (i2, j2, k2) in enumerate(layout):
-            if i2 == j1:
-                psi = vecs[(i2, j2)][k2]
-                row = placed(i1, j2, compose(F, phi, rows[i1], psi, rows[j1]))
-                if row:
-                    prods[t] = row
-        table.append(prods)
+    for (i, j, k) in layout:
+        a, m = blocks[(i, j)].basis[k]
+        table.append({t: placed(i, l, val) for l in range(r)
+                      for (b, m2), t in index.get((j, l), {}).items()
+                      if (val := product(i, j, l, a, b, mon_mul(m, m2)))})
     idents = []
     for i in range(r):
-        one = blocks[(i, i)].M.ring.one()
-        ident = dict(placed(i, i, _flat(rows[i], [(b, b, one)
-                                                  for b in range(rows[i])])))
+        unit = blocks[(i, i)].M.ring.one()
+        ident = dict(placed(i, i, blocks[(i, i)].msq._certificate(
+            _flat(rows[i], [(b, b, unit) for b in range(rows[i])]))))
         idents.append([ident.get(t, F.zero()) for t in range(len(layout))])
     return layout, table, idents
 

@@ -29,22 +29,8 @@ class Matrix:
             m.rows[i][i] = field.one()
         return m
 
-    @classmethod
-    def from_int_rows(cls, field: Field, rows) -> "Matrix":
-        return cls(field, [[field.from_int(x) for x in r] for r in rows])
-
     def col(self, j: int):
         return [r[j] for r in self.rows]
-
-    def mul_vec(self, v):
-        F = self.field
-        out = []
-        for r in self.rows:
-            s = F.zero()
-            for a, b in zip(r, v):
-                s = F.add(s, F.mul(a, b))
-            out.append(s)
-        return out
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and other.field == self.field

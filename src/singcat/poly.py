@@ -28,10 +28,6 @@ def mon_divides(a: Monomial, b: Monomial) -> bool:
     return all(map(operator.le, a, b))
 
 
-def mon_div(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(operator.sub, a, b))
-
-
 def mon_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(max, a, b))
 

@@ -9,7 +9,7 @@ import pytest
 from singcat import models
 from singcat.fields import QQ, GF, QuadraticExtension
 from singcat.findim import FiniteDimAlgebra, algebra_idempotents, AlgebraError, univariate_roots
-from singcat.linalg import Matrix, kernel_basis
+from singcat.linalg import Matrix, kernel_basis, rref
 from singcat.ncdef import SimpleCollection, run
 
 
@@ -26,6 +26,12 @@ def sparse_products(field, table):
                 prods[j] = pairs
         out.append(prods)
     return out
+
+
+def unit_acts_trivially(A):
+    """The unit times each basis element, on either side, is that element."""
+    return all(A.eq(A.mul(A.unit, e), e) and A.eq(A.mul(e, A.unit), e)
+               for e in A.basis)
 
 
 def from_table(field, labels, table, unit):
@@ -67,7 +73,7 @@ def brute_force_idempotents_f5(A):
 def test_y1_algebra_idempotents_over_f5():
     F5 = GF(5)
     A = dual_numbers_style(F5, F5.from_int(-1))  # k[t]/(t^2+1)
-    assert A.is_associative() and A.unit_acts_trivially()
+    assert A.is_associative() and unit_acts_trivially(A)
     found = sorted(tuple(v) for v in algebra_idempotents(A))
     oracle = brute_force_idempotents_f5(A)
     assert found == oracle
@@ -205,6 +211,54 @@ def test_radical_layers_of_a_semisimple_algebra():
     assert matrix_algebra_2(QQ).radical_layers() == [4]
 
 
+def all_products_layers(A):
+    """The radical layers with rad^(s+1) spanned by all products of rad^s
+    and rad; None where the powers stop shrinking."""
+    rad = A.radical()
+    layers, power = [A.dim - len(rad)], rad
+    while power:
+        echelon, pivots = rref(Matrix(A.field, [A.mul(a, b) for a in power
+                                                for b in rad]))
+        if len(pivots) == len(power):
+            return None
+        layers.append(len(power) - len(pivots))
+        power = echelon.rows[:len(pivots)]
+    return layers
+
+
+def direct_product(A, B):
+    """A x B on A's basis, then B's; the products across are zero."""
+    n = A.dim
+    shifted = [{j + n: tuple((k + n, c) for k, c in row)
+                for j, row in prods.items()} for prods in B.products]
+    return FiniteDimAlgebra(A.field, A.labels + B.labels,
+                            A.products + shifted, A.unit + B.unit)
+
+
+LAYER_CASES = {
+    **RADICAL_CASES,
+    # the trace form vanishes on M_2 over F2, so the trace-form radical
+    # (x, y) x M_2 is an ideal with rad V = (x, y)^2 x 0 short of rad^2
+    "truncation-1-times-M2-F2": lambda: direct_product(
+        truncation("F2", 1), matrix_algebra_2(GF(2))),
+    **{f"truncation-{n}-{field}": partial(truncation, field, n)
+       for field in ("Q", "F32003") for n in range(7, 13)},
+}
+
+
+@pytest.mark.parametrize("case", LAYER_CASES)
+def test_radical_layers_match_the_all_products_powers(case):
+    # rad^(s+1) = rad^s V for a complement V of rad^2 in rad; where the
+    # trace-form radical is not nilpotent both ways refuse
+    A = LAYER_CASES[case]()
+    want = all_products_layers(A)
+    if want is None:
+        with pytest.raises(AlgebraError, match="not nilpotent"):
+            A.radical_layers()
+    else:
+        assert A.radical_layers() == want
+
+
 def test_short_entry_vectors_and_units_are_refused():
     # a sparse row names its entries, so the short vector of a dense table
     # is now an entry or a product outside the basis, or a missing row
@@ -333,7 +387,7 @@ def test_verify_isomorphism_refuses_a_map_that_misses_the_unit():
     # identity is bijective and multiplicative, and only the unit check
     # sees that it sends (1, 1) elsewhere
     B = from_table(QQ, ["a", "b"], A.mult_table, [o, z])
-    assert not B.unit_acts_trivially()
+    assert not unit_acts_trivially(B)
     assert A.verify_isomorphism(A, A.basis)
     assert not A.verify_isomorphism(B, A.basis)
     # doubling sends 1 to 2 on k[t]/(t^3)

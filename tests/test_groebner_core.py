@@ -7,11 +7,16 @@ import pytest
 
 from singcat.errors import InvariantError
 from singcat.fields import QQ, GF, RationalField
-from singcat.poly import PolyRing, Polynomial, mon_div, mon_divides
+from singcat.poly import PolyRing, Polynomial, mon_divides
 from singcat.modgb import (ExponentBoundError, PolyReducer, SubmoduleGB,
                            groebner_basis, packing, vec_from_polys,
                            vec_to_polys)
 from singcat.quotient import QuotientRing, parse_ring
+
+
+def mon_div(a, b):
+    """The monomial a / b, for b dividing a."""
+    return tuple(x - y for x, y in zip(a, b))
 
 
 def test_gb_spair_example():

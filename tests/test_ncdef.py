@@ -13,7 +13,7 @@ from singcat.ncdef import (SimpleCollection, DeformationError, simple_check,
                            initial_state, deform_step, run,
                            flatness_filtration_check)
 
-from test_findim import sparse_products
+from test_findim import sparse_products, unit_acts_trivially
 
 
 def cone_collection(field="Q"):
@@ -56,7 +56,7 @@ def test_cone_run_terminates_with_four_dimensional_algebra():
     assert rep.dim_r_trajectory == [2, 4]
     alg = rep.algebra()
     assert alg.dim == 4
-    assert alg.is_associative() and alg.unit_acts_trivially()
+    assert alg.is_associative() and unit_acts_trivially(alg)
     # radical-square-zero with two arrows between the idempotents
     rad = alg.radical()
     assert len(rad) == 2
@@ -269,16 +269,91 @@ def assert_state_matches_reference(state):
 
 
 def test_builder_matches_double_loop_on_the_cone_pair():
-    state = run(cone_collection(), max_iter=8).final_state
-    assert len(state.collection) == 2 and state.dim_R() == 4
-    assert_state_matches_reference(state)
+    # mode graded0: the products are read from bases truncated at degree 0
+    for field in ("Q", "F32003"):
+        rep = run(cone_collection(field), max_iter=8)
+        assert rep.final_state.collection.mode == "graded0"
+        assert len(rep.final_state.collection) == 2
+        assert rep.dim_r_trajectory[-1] == 4
+        for state in rep.states:
+            assert_state_matches_reference(state)
 
 
 def test_builder_matches_double_loop_on_the_node_tower():
-    _B, coll = node_collection()
-    rep = run(coll, max_iter=4)
+    for field in ("Q", "F32003"):
+        B = models.node_surface(field)
+        state = initial_state(SimpleCollection([models.node_point_module(B)]))
+        for n in range(1, 13):
+            state = deform_step(state)
+            assert state.dim_R() == 2 * n + 1
+            assert_state_matches_reference(state)
+
+
+def two_generator_modules(B, n):
+    """B/(x^(n+1), y^(n+1)) on two generators g = x g', g' with the
+    redundant relation y g, and the sum B/(x^2, y^2) (+) B/(x^(n+2),
+    y^(n+2)) with the redundant relation x^3 g."""
+    one, zero = B.one(), B.zero()
+    glued = FPModule(B, 2, [[-one, B.parse("x")],
+                            [zero, B.parse(f"x^{n + 1}")],
+                            [zero, B.parse(f"y^{n + 1}")],
+                            [B.parse("y"), zero]], (1, 0))
+    summed = FPModule(B, 2, [[B.parse("x^2"), zero], [B.parse("y^2"), zero],
+                             [zero, B.parse(f"x^{n + 2}")],
+                             [zero, B.parse(f"y^{n + 2}")],
+                             [B.parse("x^3"), zero]], (0, 0))
+    return glued, summed
+
+
+@pytest.mark.parametrize("field", ["Q", "F32003"])
+def test_builder_matches_double_loop_on_two_generator_presentations(field):
+    # blocks whose Hom spaces are spanned by several generators U, with
+    # basis maps x^m U_a on more than one of them; on the glued
+    # presentation some x_v x^m U_c off the staircase is a nonzero class
+    B = models.node_surface(field)
     for n in range(1, 4):
-        assert_state_matches_reference(rep.states[n])
+        glued, summed = two_generator_modules(B, n)
+        cyclic = FPModule.cyclic(B, [B.parse(f"x^{n + 1}"),
+                                     B.parse(f"y^{n + 1}")], degree=0)
+        End = hom_space(summed, summed)
+        assert len({a for a, _m in End.basis}) >= 2
+        assert End.dim == 3 + 3 + 4 + 2 * n + 3  # the four Hom blocks
+        for F in ([glued], [summed], [cyclic, glued], [glued, summed]):
+            r = len(F)
+            blocks = {(i, j): hom_space(F[j], F[i])
+                      for i in range(r) for j in range(r)}
+            assert all(len(b.msq.U) >= 2 for (i, j), b in blocks.items()
+                       if F[j] is not cyclic)
+            assert_builder_matches(blocks, r, reference_table(blocks, r))
+        # in degree zero a product x^m U_a o U'_b is walked up from the
+        # degree of U_a o U'_b, below 0, through classes of no basis item
+        shifted = FPModule(B, 1, cyclic.relations, (1,))
+        F = [cyclic, glued, shifted]
+        blocks = {(i, j): hom_space(F[j], F[i], mode="graded0")
+                  for i in range(3) for j in range(3)}
+        assert {m for _a, m in blocks[(0, 2)].basis} == {(1, 0), (0, 1)}
+        assert_builder_matches(blocks, 3, reference_table(blocks, 3))
+
+
+def test_certificates_per_node_level_grow_with_dim_r(monkeypatch):
+    # one certificate per generator product, block identity and product
+    # x_v x^m U_c off the staircase: about dim R per level, not dim R^2
+    from singcat.homs import MatrixSubquotient
+    calls = []
+    real = MatrixSubquotient._certificate
+
+    def counting(self, vec):
+        calls.append(1)
+        return real(self, vec)
+
+    monkeypatch.setattr(MatrixSubquotient, "_certificate", counting)
+    _B, coll = node_collection()
+    state = initial_state(coll)
+    for n in range(1, 21):
+        state = deform_step(state)
+        calls.clear()
+        dim = state.dim_R()
+        assert len(calls) <= 2 * dim, (n, dim, len(calls))
 
 
 @pytest.mark.parametrize("field", ["Q", "F5"])

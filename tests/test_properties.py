@@ -12,6 +12,9 @@ from singcat.modgb import groebner_basis
 from singcat.toric import (TDivisor, canonical_divisor, cohomology,
                            fan_library, intersect_curve)
 
+from test_findim import unit_acts_trivially
+from test_homs import bases_are_morphisms
+
 
 def test_polynomial_ring_axioms_random():
     rng = random.Random(2024)
@@ -172,7 +175,7 @@ def test_every_constructed_algebra_is_associative_and_unital():
     algebras.append(rep.algebra())
     for alg in algebras:
         assert alg.is_associative()
-        assert alg.unit_acts_trivially()
+        assert unit_acts_trivially(alg)
 
 
 def test_report_determinism():
@@ -185,4 +188,4 @@ def test_hom_basis_elements_are_morphisms():
     L1, L2 = models.cone_L1(C), models.cone_L2(C)
     for M, N in [(L1, L1), (L1, L2)]:
         sp = hom_space(M, N)
-        assert sp.verify_bases_are_morphisms()
+        assert bases_are_morphisms(sp)

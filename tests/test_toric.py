@@ -17,6 +17,8 @@ from singcat.toric import (Fan, TDivisor, ToricError, fan_library, cohomology,
                            canonical_divisor, divisor_from_combo, _cech_profile,
                            fm_eliminate, fm_feasible)
 
+from test_linalg import from_int_rows
+
 LIBRARY = ["P2", "P1xP1", "P3", "blowupP3_1pt", "blowupP3_2pts",
            "coneP1xP1_projective", "coneP1xP1_smallres"]
 
@@ -147,7 +149,7 @@ def _nerve_cech_profile(fan, plus_rays):
                 bigger = tuple(sorted(sub + (extra,)))
                 if bigger in tgt:
                     rows[tgt[bigger]][col] += (-1) ** bigger.index(extra)
-        ranks.append(rank(Matrix.from_int_rows(QQ, rows)) if src and tgt else 0)
+        ranks.append(rank(from_int_rows(QQ, rows)) if src and tgt else 0)
     ranks.append(0)
     out = [len(levels[p]) - ranks[p] - (ranks[p - 1] if p else 0)
            for p in range(t)]
@@ -594,7 +596,7 @@ def test_integer_rank_matches_rational_rank():
             s, t = rng.randint(-2, 2), rng.randint(-2, 2)
             rows[i] = [s * x + t * y for x, y in zip(rows[j], rows[k])]
         echelon, pivots = toric._echelon(rows)
-        want = rank(Matrix.from_int_rows(QQ, rows))
+        want = rank(from_int_rows(QQ, rows))
         assert len(pivots) == want, rows
         deficient += want < min(nr, nc)
         # each free column gives a kernel vector read off the echelon form

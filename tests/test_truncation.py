@@ -16,7 +16,9 @@ from singcat.modgb import SubmoduleGB
 from singcat.models import cone_L1, cone_L2, projective_cone_ring
 from singcat.modules import FPModule
 from singcat.ncdef import SimpleCollection, run
-from singcat.poly import Memo, Polynomial, mon_div, mon_divides, mon_lcm
+from singcat.poly import Memo, Polynomial, mon_divides, mon_lcm
+
+from test_groebner_core import mon_div
 
 FIELDS = ["Q", "F32003"]
 

@@ -152,13 +152,14 @@ def cmd_stable_hom(args):
 
 def cmd_mf(args):
     from .quotient import parse_ring
-    from .matfac import mf_from_module, mf_shift
+    from .matfac import mf_check, mf_from_module, mf_shift
     if args.input:
         X = parse_mf_arg(args.input)
-        report = {"schema": "singcat-report/1", "size": X.size,
-                  "valid": X.is_valid()}
-        emit(report, args.report)
-        return 0 if X.is_valid() else 1
+        # a pair that is not square of one size is an input error (MFError)
+        valid = mf_check(X.ring, X.A, X.B, X.f)
+        emit({"schema": "singcat-report/1", "size": X.size, "valid": valid},
+             args.report)
+        return 0 if valid else 1
     ring = parse_ring(args.ring)
     M = parse_module_arg(ring, args.module)
     X = mf_from_module(M)
@@ -288,10 +289,7 @@ def cmd_ncdef(args):
 
 def cmd_reproduce(args):
     from .manifest import run_claims
-    kw = {}
-    if args.m:
-        kw["m"] = args.m
-    report = run_claims(section=args.section, cid=args.claim, **kw)
+    report = run_claims(section=args.section, cid=args.claim)
     if not report["claims"]:
         raise InputError("no claims match the selection")
     for claim in report["claims"]:
@@ -375,7 +373,6 @@ def build_parser():
     r = sub.add_parser("reproduce", help="run the named-claim manifest")
     r.add_argument("--section", choices=["4", "6", "7.1", "7.2", "7.3"])
     r.add_argument("--claim")
-    r.add_argument("--m", type=int)
     r.add_argument("--report")
     r.set_defaults(func=cmd_reproduce)
     return p

@@ -121,11 +121,6 @@ class FiniteDimAlgebra:
                               self._product({i: one}, dict(P[j].get(l, ()))))
                    for i, j, l in itertools.product(range(self.dim), repeat=3))
 
-    def is_commutative(self) -> bool:
-        P = self.products
-        return all(self._same(dict(P[i].get(j, ())), dict(P[j].get(i, ())))
-                   for i in range(self.dim) for j in range(i))
-
     def radical(self):
         """Basis (list of coefficient vectors) of the Jacobson radical.
 

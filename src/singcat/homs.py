@@ -336,14 +336,9 @@ def _unit_images(h, r, d):
 
 
 def _relation_blocks(h, ncols, relations):
-    """Each relation column placed in each of ncols columns; zeros dropped."""
-    out = []
-    for l in range(ncols):
-        for t in relations:
-            vec = _flat(h, [(l, i, p) for i, p in enumerate(t)])
-            if vec:
-                out.append(vec)
-    return out
+    """Each relation column (none is zero) placed in each of ncols columns."""
+    return [_flat(h, [(l, i, p) for i, p in enumerate(t)])
+            for l in range(ncols) for t in relations]
 
 
 def _map_degree_list(rows, cols):
@@ -704,30 +699,6 @@ class Extension:
         self.E = E
         self.A = A
         self.B = B
-
-    def verify_exact(self) -> bool:
-        """Exactness by Groebner checks: ker(A -> E) = rel(A), which fails
-        for a non-cocycle, and ker(E -> B) = image of A plus relations."""
-        ring = self.E.ring
-        gB, gA = self.B.ngens, self.A.ngens
-        # ker(incl): u with (0, u) in rel(E)-span must lie in rel(A)-span
-        incl_vecs = []
-        for i in range(gA):
-            col = [ring.zero()] * self.E.ngens
-            col[gB + i] = ring.one()
-            incl_vecs.append(vec_from_polys(col))
-        gens = incl_vecs + [vec_from_polys(c) for c in self.E.relations]
-        gb = SubmoduleGB(ring.ambient, self.E.ngens, gens, pad_polys=ring.gb,
-                         tracked=gA)
-        relA_gb = self.A.rel_gb()
-        for ker_elt in gb.syzygies():
-            if not relA_gb.contains(ker_elt):
-                return False
-        # ker(proj) subset image(incl) + rel(E), the span of the same gens
-        for relcol in self.B.relations:
-            if not gb.contains(vec_from_polys(relcol)):
-                return False
-        return True
 
 
 def yoneda_extension(cocycle_cols, A: FPModule, B: FPModule,

@@ -35,8 +35,8 @@ class Claim:
         self.provenance = provenance
         self.runner = runner
 
-    def run(self, **kw):
-        computed, expected, ok = self.runner(**kw)
+    def run(self):
+        computed, expected, ok = self.runner()
         return {
             "claim_id": self.cid,
             "statement": self.statement,
@@ -50,7 +50,7 @@ class Claim:
 # -- the one-dimensional local models ----------------------------------------
 
 
-def _claim_x0(**kw):
+def _claim_x0():
     A = models.dual_numbers("Q")
     V1 = models.point_module(A)
     d = stable_hom(V1, V1).dim
@@ -61,7 +61,7 @@ def _claim_x0(**kw):
     return computed, expected, computed == expected
 
 
-def _claim_x1(**kw):
+def _claim_x1():
     B = models.node_curve("Q")
     Mz, Mw = models.branch_module_z(B), models.branch_module_w(B)
     Xz, Xw = mf_from_module(Mz), mf_from_module(Mw)
@@ -75,7 +75,7 @@ def _claim_x1(**kw):
     return computed, expected, computed == expected
 
 
-def _claim_y1(**kw):
+def _claim_y1():
     C = models.nonsplit_curve("Q")
     Cp = models.normalization_module(C)
     S = stable_hom(Cp, Cp)
@@ -98,7 +98,7 @@ def _claim_y1(**kw):
     return computed, expected, computed == expected
 
 
-def _claim_x2(**kw):
+def _claim_x2():
     A = models.dual_numbers("Q")
     V1 = models.point_module(A)
     X = mf_from_module(V1)
@@ -122,7 +122,7 @@ def _claim_x2(**kw):
     return computed, expected, computed == expected
 
 
-def _claim_x3(**kw):
+def _claim_x3():
     B = models.node_curve("Q")
     Mz, Mw = models.branch_module_z(B), models.branch_module_w(B)
     Xz, Xw = mf_from_module(Mz), mf_from_module(Mw)
@@ -146,7 +146,7 @@ def _claim_x3(**kw):
     return computed, expected, computed == expected
 
 
-def _claim_y3(**kw):
+def _claim_y3():
     C = models.nonsplit_curve("Q")
     Cp = models.normalization_module(C)
     X = mf_from_module(Cp)
@@ -162,7 +162,7 @@ def _claim_y3(**kw):
 # -- the cone point: rank-one modules and their extensions ---------------------
 
 
-def _claim_cone_vanishing(**kw):
+def _claim_cone_vanishing():
     fan, div, _ = fan_library("coneP1xP1_projective")
     combo = lambda a, b: div["O(1,0)"].scale(a) + div["O(0,1)"].scale(b)
     rows = {}
@@ -176,7 +176,7 @@ def _claim_cone_vanishing(**kw):
     return rows, "all listed rows vanish; the structure sheaf has (1,0,0,0)", ok
 
 
-def _claim_cone_extensions(**kw):
+def _claim_cone_extensions():
     coll, report = cone_pair()
     state = report.states[1]
     ext1 = state.ext1_dims()
@@ -204,7 +204,7 @@ def _claim_cone_extensions(**kw):
     return computed, expected, computed == expected
 
 
-def _claim_cone_ext_table(**kw):
+def _claim_cone_ext_table():
     C = models.cone_ring("Q")
     L1, L2 = models.cone_L1(C), models.cone_L2(C)
     self_dims = ext_dims(L1, L1, 6, p_min=1)
@@ -223,7 +223,7 @@ def _claim_cone_ext_table(**kw):
     return computed, expected, computed == expected
 
 
-def _claim_corollary_les(**kw):
+def _claim_corollary_les():
     # global tables equal the local ones under the verified global vanishing;
     # the two sequences then force the extension-object rows
     self_row = [1, 0, 1, 0, 1]
@@ -248,31 +248,26 @@ def _claim_corollary_les(**kw):
     return computed, expected, computed == expected
 
 
-def _claim_corollary_ff(**kw):
+def _claim_corollary_ff():
     dims = {f"F{a+1}-F{b+1}": list(row)
             for (a, b), row in cone_pair_ext_table().items()}
     ok = all(all(v == 0 for v in row) for row in dims.values())
     return dims, "all positive-degree self-extension rows vanish", ok
 
 
-def _claim_generators(m=None, **kw):
+def _claim_generators():
     C = models.cone_ring("Q")
     origin = [C.parse(v) for v in ["x", "y", "z", "w"]]
-    ms = [m] if m else [1, 2, 3, 4]
-    computed = {}
-    ok = True
-    for mm in ms:
-        M = models.cone_power_ideal(C, mm)
-        n = fiber_generators(M, origin)
-        computed[f"m={mm}"] = n
-        ok = ok and n == mm + 1
-    return computed, {f"m={mm}": mm + 1 for mm in ms}, ok
+    computed = {f"m={m}": fiber_generators(models.cone_power_ideal(C, m), origin)
+                for m in range(1, 5)}
+    expected = {f"m={m}": m + 1 for m in range(1, 5)}
+    return computed, expected, computed == expected
 
 
 # -- the two projective geometries ---------------------------------------------
 
 
-def _claim_71_intersections(**kw):
+def _claim_71_intersections():
     fan, div, walls = fan_library("coneP1xP1_smallres")
     i1 = intersect_curve(div["O(0,1)"], walls["C"], fan)
     i2 = intersect_curve(div["O(1,0)"], walls["C"], fan)
@@ -280,7 +275,7 @@ def _claim_71_intersections(**kw):
         (i1, i2) == (1, -1)
 
 
-def _claim_71_cartier(**kw):
+def _claim_71_cartier():
     fan, div, _ = fan_library("coneP1xP1_projective")
     ok = True
     table = {}
@@ -293,7 +288,7 @@ def _claim_71_cartier(**kw):
     return table, "invertible exactly on the diagonal classes", ok
 
 
-def _claim_71_audit(**kw):
+def _claim_71_audit():
     report = verify_odp_hypotheses("quadric_cone")
     computed = {
         "conditions_pass": all(c["pass"] for c in report["conditions"].values()),
@@ -308,7 +303,7 @@ def _claim_71_audit(**kw):
     return computed, expected, computed == expected
 
 
-def _claim_71_sod_rows(**kw):
+def _claim_71_sod_rows():
     fan, div, _ = fan_library("coneP1xP1_projective")
     combo = lambda a, b: div["O(1,0)"].scale(a) + div["O(0,1)"].scale(b)
     rows = {
@@ -322,7 +317,7 @@ def _claim_71_sod_rows(**kw):
     return rows, "twisted rows vanish; the structure sheaf row is (1,0,0,0)", ok
 
 
-def _claim_72_manifest(**kw):
+def _claim_72_manifest():
     results = run_blowup_vanishing_manifest()
     bad = [r for r in results if not r["pass"]]
     return ({"entries": len(results), "failures": bad},
@@ -330,14 +325,14 @@ def _claim_72_manifest(**kw):
             len(results) >= 20 and not bad)
 
 
-def _claim_72_h1(**kw):
+def _claim_72_h1():
     fan, _walls, _eight, _five, (D1, D2) = blowup_collections()
     row = cohomology(fan, D2 - D1)
     return {"H^p(-D1+D2)": list(row)}, {"H^p(-D1+D2)": [0, 1, 0, 0]}, \
         list(row) == [0, 1, 0, 0]
 
 
-def _claim_72_eight(**kw):
+def _claim_72_eight():
     fan, _walls, eight, _five, _D = blowup_collections()
     report = check_exceptional(fan, [d for _n, d in eight], [n for n, _d in eight])
     return ({"exceptional": report["exceptional"],
@@ -345,14 +340,14 @@ def _claim_72_eight(**kw):
             {"exceptional": True, "witnesses": []}, report["exceptional"])
 
 
-def _claim_72_five(**kw):
+def _claim_72_five():
     fan, _walls, _eight, five, _D = blowup_collections()
     report = check_exceptional(fan, [d for _n, d in five], [n for n, _d in five])
     return ({"exceptional": report["exceptional"], "strong": report["strong"]},
             {"exceptional": True, "strong": True}, report["strong"])
 
 
-def _claim_72_orthogonality(**kw):
+def _claim_72_orthogonality():
     fan, _walls, _eight, five, (D1, D2) = blowup_collections()
     report = check_orthogonal_to_deformation(fan, [d for _n, d in five],
                                              [D1, D2], [n for n, _d in five])
@@ -360,7 +355,7 @@ def _claim_72_orthogonality(**kw):
             {"pass": True, "rows": "all ten rows vanish"}, report["pass"])
 
 
-def _claim_72_audit(**kw):
+def _claim_72_audit():
     report = verify_odp_hypotheses("blowup")
     computed = {name: cond["pass"] for name, cond in report["conditions"].items()}
     computed["conclusions"] = report["conclusions"]["dim_R"]
@@ -368,7 +363,7 @@ def _claim_72_audit(**kw):
                       "global_vanishing": True, "conclusions": 4}, report["pass"]
 
 
-def _claim_73_node(**kw):
+def _claim_73_node():
     B = models.node_surface("Q")
     coll = SimpleCollection([models.node_point_module(B)])
     rep = run(coll, max_iter=5)
@@ -478,8 +473,8 @@ def claims_by_section(section=None, cid=None):
     return out
 
 
-def run_claims(section=None, cid=None, **kw):
-    results = [c.run(**kw) for c in claims_by_section(section, cid)]
+def run_claims(section=None, cid=None):
+    results = [c.run() for c in claims_by_section(section, cid)]
     return {
         "schema": "singcat-report/1",
         "claims": results,

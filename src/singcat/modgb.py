@@ -583,14 +583,6 @@ class SubmoduleGB:
         std = self._staircase(0, self.npos)
         return None if std is None else len(std)
 
-    def quotient_graded_dim(self, degree: int, pos_degrees):
-        """dim_k of the graded piece of S^npos / span in the given degree.
-
-        pos_degrees[i] is the internal degree of basis vector e_i; monomial
-        degrees use the ring's grading weights.  Works for infinite staircases.
-        """
-        return len(self._staircase(0, self.npos, degree, pos_degrees))
-
     def tracked_staircase(self, degree=None, pos_degrees=None):
         """_staircase of the tag block: the tag-led elements are the reduced
         basis of syzygies(), so the pairs (j, m) give the k-basis x^m gens_j

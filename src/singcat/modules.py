@@ -1,6 +1,8 @@
 """Finitely presented modules over affine quotient rings, and free resolutions.
 
-An FPModule is coker(R^r -> R^g) given by relation columns.  One routine,
+An FPModule is coker(R^r -> R^g) given by relation columns; its
+constructor, the one presentation boundary, keeps the nonzero normal forms
+of the columns, so no presentation holds a zero column.  One routine,
 _unit_pivots, drops the generators that constant relation entries make
 redundant: of a presentation in minimal_presentation (no Groebner build),
 and of a syzygy step, as the unit pivots of one syzygy build, minimal on
@@ -12,8 +14,8 @@ literally; when d_{i+2} = d_i is detected the resolution is extended by
 copying.  A module caches its resolution, and a request for a longer one
 extends the cached one.  The checks on a resolution multiply its
 differentials, flattened column-major, with modgb.compose.  Column degrees
-follow modgb's grading rule: a step with a zero or inhomogeneous column is
-ungraded, as are the steps after.
+(_column_degrees, also for is_graded) follow modgb's grading rule: a step
+with an inhomogeneous column is ungraded, as are the steps after.
 """
 
 from __future__ import annotations
@@ -70,8 +72,8 @@ def _unit_pivots(ring: QuotientRing, ngens: int, cols):
     `ngens` generators and relation columns `cols`: while some column c
     has a nonzero constant at generator i, one Schur step (_schur_at_unit,
     each column a row of it) takes c out of every other column at i and
-    drops c and generator i; the columns that are then zero go too.  The
-    pivot is taken at the last such generator, so earlier generators stay.
+    drops c and generator i (a column left zero stays; FPModule drops it).
+    The pivot is taken at the last such generator, so earlier ones stay.
 
     For homogeneous columns over positive weights, once no constant entry
     is left the kept generators are minimal (graded Nakayama)."""
@@ -81,20 +83,24 @@ def _unit_pivots(ring: QuotientRing, ngens: int, cols):
         if hit is None:
             return keep, cols
         i, j = len(keep) - 1 - hit[0], hit[1]
-        cols = [c for c in _schur_at_unit(ring.ambient, cols, j, i)
-                if any(not p.is_zero() for p in c)]
+        cols = _schur_at_unit(ring.ambient, cols, j, i)
         del keep[i]
 
 
 class FPModule:
     def __init__(self, ring: QuotientRing, ngens: int, relations, gen_degrees=None):
+        if gen_degrees is not None and len(gen_degrees) != ngens:
+            raise ValueError(f"{len(gen_degrees)} generator degrees for "
+                             f"{ngens} generators")
         self.ring = ring
         self.ngens = ngens
         self.relations = []
         for col in relations:
             if len(col) != ngens:
                 raise ValueError("relation column has wrong length")
-            self.relations.append([ring.normal_form(p) for p in col])
+            col = [ring.normal_form(p) for p in col]
+            if any(not p.is_zero() for p in col):
+                self.relations.append(col)
         self.gen_degrees = tuple(gen_degrees) if gen_degrees is not None else None
         self._rel_gb = None
         self._resolution = None
@@ -140,19 +146,17 @@ class FPModule:
 
     def minimal_presentation(self) -> "FPModule":
         """The same module on the generators _unit_pivots keeps, with their
-        degrees and the relations left on them; FPModule takes the normal
-        forms once.  Minimal for a graded module over positive weights; in
-        every other case maybe not.  Returns self when nothing drops."""
+        degrees and the relations left on them, of which FPModule keeps the
+        nonzero normal forms.  Minimal for a graded module over positive
+        weights; in every other case maybe not.  Returns self when nothing
+        drops."""
         keep, cols = _unit_pivots(self.ring, self.ngens, self.relations)
         if len(keep) == self.ngens:
             return self
         degrees = None
         if self.gen_degrees is not None:
             degrees = [self.gen_degrees[i] for i in keep]
-        M = FPModule(self.ring, len(keep), cols, degrees)
-        # a column can vanish only modulo the ideal (x*y over k[x,y]/(xy))
-        M.relations = [c for c in M.relations if any(not p.is_zero() for p in c)]
-        return M
+        return FPModule(self.ring, len(keep), cols, degrees)
 
     # -- cached machinery ----------------------------------------------------
 
@@ -163,18 +167,11 @@ class FPModule:
                                        pad_polys=self.ring.gb, tracked=0)
         return self._rel_gb
 
-    def graded_dim(self, degree: int):
-        if self.gen_degrees is None:
-            raise ValueError("module is not graded")
-        return self.rel_gb().quotient_graded_dim(degree, self.gen_degrees)
-
     def is_graded(self) -> bool:
-        """Whether the module has generator degrees under which no relation
-        column is inhomogeneous (a zero column has every degree)."""
-        return self.gen_degrees is not None and all(
-            len(term_degrees(self.ring.ambient, vec_from_polys(col),
-                             self.gen_degrees)) <= 1
-            for col in self.relations)
+        """Whether the module has generator degrees under which every
+        relation column has a degree (_column_degrees)."""
+        return _column_degrees(self.ring, self.relations,
+                               self.gen_degrees) is not None
 
     def resolve(self, length: int) -> "FreeResolution":
         if self._resolution is None or len(self._resolution.diffs) < length:
@@ -186,8 +183,7 @@ class FPModule:
 
 
 def _sort_columns(ring: QuotientRing, cols):
-    return sorted((c for c in cols if any(not p.is_zero() for p in c)),
-                  key=lambda col: _canon_col_key(ring, col))
+    return sorted(cols, key=lambda col: _canon_col_key(ring, col))
 
 
 def _canon_col_key(ring: QuotientRing, col):

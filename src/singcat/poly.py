@@ -205,11 +205,6 @@ class Polynomial:
             n >>= 1
         return out
 
-    def lead_monomial(self) -> Monomial:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        return min(self.terms, key=self.ring.order_key)
-
     def total_deg(self) -> int:
         if self.is_zero():
             return -1

@@ -80,6 +80,15 @@ def test_mf_check_invalid(capsys):
     assert not report["valid"]
 
 
+def test_mf_check_refuses_a_pair_that_is_not_square(capsys):
+    # a 1x2 A against a 2x1 B is malformed input, not a falsified claim
+    bad = "mf over Q[x,y] potential x*y A=[[\"x\",\"y\"]] B=[[\"y\"],[\"x\"]]"
+    code = main(["mf", "--input", bad])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "square of equal size" in captured.err
+
+
 def test_input_error_exit_code(capsys):
     code = main(["stable-hom", "--ring", "Q[z,w]/(z*w", "--M", "B/(w)",
                  "--N", "B/(z)"])
@@ -170,8 +179,7 @@ def test_module_grammar():
 
 
 def test_reproduce_single_claim(capsys):
-    code, report = run_cli(capsys, "reproduce", "--claim", "remark-generators",
-                           "--m", "3")
+    code, report = run_cli(capsys, "reproduce", "--claim", "remark-generators")
     assert code == 0
     claim = report["claims"][0]
     assert claim["verdict"] == "pass"
@@ -258,6 +266,20 @@ def test_ncdef_from_module_file(capsys, tmp_path):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["dim_R_trajectory"] == [1, 3]
+
+
+def test_ncdef_report_ignores_a_relation_zero_modulo_the_ideal(capsys, tmp_path):
+    # x*y+z*w is zero in the ring, so both files present the same module
+    reports = []
+    for name, line in (("plain", "A/(x, z)"), ("padded", "A/(x, z, x*y+z*w)")):
+        mods, out = tmp_path / f"{name}.txt", tmp_path / f"{name}.json"
+        mods.write_text(line + "\n")
+        code = main(["ncdef", "--ring", "Q[x,y,z,w,u]/(x*y+z*w)", "--modules",
+                     str(mods), "--max-iter", "3", "--report", str(out)])
+        assert code == 0, capsys.readouterr().err
+        reports.append(out.read_text())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["dim_R_trajectory"] == [1, 2, 3]
 
 
 def test_user_fan_grammar(capsys):

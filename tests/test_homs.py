@@ -18,7 +18,29 @@ from singcat.modgb import SubmoduleGB, compose, vec_from_polys, vec_to_polys
 from singcat.homs import ext_is_zero
 from singcat.models import cone_ring, cone_L1, cone_L2, projective_cone_ring
 
-from test_findim import unit_acts_trivially
+from test_findim import is_commutative, unit_acts_trivially
+from test_groebner_core import quotient_graded_dim
+
+
+def extension_is_exact(ext):
+    """Exactness of 0 -> A -> E -> B -> 0 by Groebner checks: ker(A -> E) =
+    rel(A), which fails for a non-cocycle, and ker(E -> B) = image of A
+    plus relations."""
+    ring, E = ext.E.ring, ext.E
+    gB, gA = ext.B.ngens, ext.A.ngens
+    # ker(incl): u with (0, u) in rel(E)-span must lie in rel(A)-span
+    incl_vecs = []
+    for i in range(gA):
+        col = [ring.zero()] * E.ngens
+        col[gB + i] = ring.one()
+        incl_vecs.append(vec_from_polys(col))
+    gens = incl_vecs + [vec_from_polys(c) for c in E.relations]
+    gb = SubmoduleGB(ring.ambient, E.ngens, gens, pad_polys=ring.gb, tracked=gA)
+    relA_gb = ext.A.rel_gb()
+    if not all(relA_gb.contains(k) for k in gb.syzygies()):
+        return False
+    # ker(proj) subset image(incl) + rel(E), the span of the same gens
+    return all(gb.contains(vec_from_polys(c)) for c in ext.B.relations)
 
 
 def bases_are_morphisms(space):
@@ -84,7 +106,7 @@ def test_stable_end_of_normalization_is_kt_mod_t2_plus_1():
     S = stable_hom(Cp, Cp)
     assert S.dim == 2
     alg = S.algebra()
-    assert alg.is_associative() and alg.is_commutative()
+    assert alg.is_associative() and is_commutative(alg)
     # multiplication by z factors through the free cover, so z*id = 0 stably
     zid = [[C.parse("z"), C.zero()], [C.zero(), C.parse("z")]]
     assert all(C.field.is_zero(c) for c in S.coords(zid))
@@ -264,7 +286,7 @@ def test_split_extension():
     Mw = FPModule.cyclic(B, [B.parse("z")])
     zero_cocycle = [[B.zero()] for _ in Mw.relations]
     ext = yoneda_extension(zero_cocycle, Mz, Mw)
-    assert ext.verify_exact()
+    assert extension_is_exact(ext)
     direct = Mz.direct_sum(Mw)
     # split extension: presentation matches the direct sum after reordering
     assert ext.E.ngens == direct.ngens
@@ -289,7 +311,7 @@ def test_nontrivial_flag_refuses_a_non_cocycle():
     cols[0][0] = C.one()
     with pytest.raises(HomError, match="does not lie in the hom space"):
         yoneda_extension(cols, L2, L1, require_nontrivial=True)
-    assert not yoneda_extension(cols, L2, L1).verify_exact()
+    assert not extension_is_exact(yoneda_extension(cols, L2, L1))
 
 
 def make_extension(quotient, sub, graded=True):
@@ -308,7 +330,7 @@ def test_g1_on_projective_model():
     P = projective_cone_ring()
     L1, L2 = cone_L1(P), cone_L2(P)
     ext = make_extension(L1, L2)
-    assert ext.verify_exact()
+    assert extension_is_exact(ext)
     G1 = ext.E
     assert hom_space(G1, L1).dim == 1
     assert hom_space(G1, L2).dim == 0
@@ -321,7 +343,7 @@ def test_g2_on_projective_model():
     P = projective_cone_ring()
     L1, L2 = cone_L1(P), cone_L2(P)
     ext = make_extension(L2, L1)
-    assert ext.verify_exact()
+    assert extension_is_exact(ext)
     G2 = ext.E
     assert hom_space(G2, L2).dim == 1
     assert hom_space(G2, L1).dim == 0
@@ -336,7 +358,7 @@ def test_g1_affine_total_ext_dims():
     C = cone_ring()
     L1, L2 = cone_L1(C), cone_L2(C)
     ext = make_extension(L1, L2, graded=False)
-    assert ext.verify_exact()
+    assert extension_is_exact(ext)
     G1 = ext.E
     assert ext_dims(G1, L1, 3, p_min=1) == {1: 0, 2: 0, 3: 0}
     assert ext_dims(G1, L2, 3, p_min=1) == {1: 0, 2: 0, 3: 0}
@@ -407,7 +429,7 @@ def _assert_matches_reference(msq):
     graded = msq.row_degrees is not None and msq.col_degrees is not None
     if graded:
         degs = msq.gen_degrees()
-        assert msq.graded_dim(0) == ref.quotient_graded_dim(0, degs)
+        assert msq.graded_dim(0) == quotient_graded_dim(ref, 0, degs)
         assert msq.basis_items(0) == ref._staircase(0, ref.npos, 0, degs)
     if msq.dim() is None:
         with pytest.raises(ValueError, match="infinite staircase"):
@@ -587,6 +609,19 @@ def test_graded_count_refuses_an_inhomogeneous_null_generator():
                                          col_degrees=(0,),
                                          u_leads=[[one], [one]])
     assert [homogeneous.graded_dim(d) for d in range(3)] == [2, 1, 1]
+
+
+def test_ext_by_degree_with_a_relation_zero_modulo_the_ideal():
+    # x*y is zero in k[x,y]/(xy): the module stays graded, so Ext^1 answers
+    # by degree, as for the module presented without it
+    B = parse_ring("Q[x,y]/(x*y)")
+    x, y = B.parse("x"), B.parse("y")
+    k = FPModule.cyclic(B, [x, y])
+    padded = FPModule.cyclic(B, [x, x * y])
+    plain = FPModule.cyclic(B, [x])
+    got = [ext_space(padded, k, 1).graded_dim(d) for d in range(-2, 2)]
+    assert got == [ext_space(plain, k, 1).graded_dim(d) for d in range(-2, 2)]
+    assert got == [0, 1, 0, 0]
 
 
 def test_ext_of_an_ungraded_resolution_counts_in_total_only():

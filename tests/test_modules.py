@@ -9,6 +9,9 @@ from singcat.homs import ext_dims, hom_space, stable_hom
 from singcat.quotient import QuotientRing, parse_ring
 from singcat.modules import FPModule, FreeResolution, _column_degrees
 
+from test_groebner_core import quotient_graded_dim
+from test_poly import lead_monomial
+
 
 def cone_ring():
     return parse_ring("Q[x,y,z,w]/(x*y+z*w)")
@@ -76,11 +79,12 @@ def test_graded_dims_of_cone_ideal():
                                  ambient_rank=1, ambient_degrees=[0])
     assert I1.is_graded()
     # degree-1 piece of (x,z) is spanned by x, z; degree 2 by x^2,xz,z^2,xy,xw,zy(=?)...
-    assert I1.graded_dim(1) == 2
+    assert quotient_graded_dim(I1.rel_gb(), 1, I1.gen_degrees) == 2
     # dimensions of (x,z)_d match the cone ring count minus non-ideal part:
     # R_d has dim (d+1)^2; (x,z)_d = R_d - dim(R/(x,z))_d = (d+1)^2 - (d+1)
     for d in range(1, 4):
-        assert I1.graded_dim(d) == (d + 1) ** 2 - (d + 1)
+        assert (quotient_graded_dim(I1.rel_gb(), d, I1.gen_degrees)
+                == (d + 1) ** 2 - (d + 1))
 
 
 def test_an_inhomogeneous_column_is_ungraded():
@@ -94,6 +98,29 @@ def test_an_inhomogeneous_column_is_ungraded():
     M = FPModule(R, 2, [[x, y2]], (0, 0))
     assert not M.is_graded()
     assert M.resolve(2).step_degrees == [(0, 0), None, None]
+
+
+def test_generator_degrees_must_match_the_generators():
+    R = parse_ring("Q[x,y]")
+    x, y = R.parse("x"), R.parse("y")
+    with pytest.raises(ValueError, match="1 generator degrees for 2 generators"):
+        FPModule(R, 2, [[x, y]], [0])
+    with pytest.raises(ValueError, match="3 generator degrees for 1 generators"):
+        FPModule(R, 1, [[x]], [0, 5, 7])
+
+
+def test_a_relation_zero_modulo_the_ideal_is_dropped():
+    # x*y+z*w is zero in the ring: no presentation holds a zero column, so
+    # the module is graded and resolves as the one without it
+    P = models.projective_cone_ring()
+    x, z = P.parse("x"), P.parse("z")
+    plain = FPModule.cyclic(P, [x, z])
+    padded = FPModule.cyclic(P, [x, z, P.parse("x*y+z*w")])
+    assert padded.relations == plain.relations == [[x], [z]]
+    assert padded.is_graded()
+    assert padded.resolve(3).step_degrees == plain.resolve(3).step_degrees
+    zero_column = [P.zero(), P.parse("x*y+z*w")]
+    assert FPModule(P, 2, [zero_column], [0, 1]).relations == []
 
 
 def test_periodic_tail_lifts_to_factorization():
@@ -389,7 +416,7 @@ def _scrambled(rng, M, extra):
     F, z = R.field, R.parse("z")
     degs = list(M.gen_degrees)
     cols = [list(c) for c in M.relations]
-    col_degs = [R.ambient.weighted_deg(c[0].lead_monomial()) + degs[0]
+    col_degs = [R.ambient.weighted_deg(lead_monomial(c[0])) + degs[0]
                 for c in cols]
 
     def unit():

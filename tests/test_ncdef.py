@@ -13,7 +13,8 @@ from singcat.ncdef import (SimpleCollection, DeformationError, simple_check,
                            initial_state, deform_step, run,
                            flatness_filtration_check)
 
-from test_findim import sparse_products, unit_acts_trivially
+from test_findim import is_commutative, sparse_products, unit_acts_trivially
+from test_homs import extension_is_exact
 
 
 def cone_collection(field="Q"):
@@ -64,6 +65,17 @@ def test_cone_run_terminates_with_four_dimensional_algebra():
     ok, detail = flatness_filtration_check(rep.final_state)
     assert ok, detail
     assert detail["multiplicities"] == [2, 2]
+
+
+@pytest.mark.parametrize("field", ["Q", "F32003"])
+def test_a_relation_zero_modulo_the_ideal_leaves_the_run_unchanged(field):
+    # x*y+z*w is zero in the ring, so both collections hold the same module
+    P = models.projective_cone_ring(field)
+    x, z, f = P.parse("x"), P.parse("z"), P.parse("x*y+z*w")
+    plain, padded = (run(SimpleCollection([FPModule.cyclic(P, gens)]), max_iter=3)
+                     for gens in ([x, z], [x, z, f]))
+    assert padded.dim_r_trajectory == plain.dim_r_trajectory == [1, 2, 3]
+    assert padded.algebra().mult_table == plain.algebra().mult_table
 
 
 def test_cone_step_filtration_matches_odp_extensions():
@@ -377,7 +389,7 @@ def test_builder_matches_double_loop_on_a_noncommutative_end():
     End = hom_space(kA, kA)
     _layout, table, (ident,) = reference_table({(0, 0): End}, 1)
     alg = End.algebra()
-    assert alg.dim == 5 and not alg.is_commutative()
+    assert alg.dim == 5 and not is_commutative(alg)
     assert alg.mult_table == table and alg.unit == ident
     F = [k, kA]
     blocks = {(i, j): hom_space(F[j], F[i]) for i in range(2) for j in range(2)}
@@ -570,4 +582,4 @@ def test_universal_extension_matches_the_hand_laid_reference(field, model,
         assert next(new, None) is None
         state, steps = nxt, steps + 1
     assert steps == (1 if model == "cone" else 4)
-    assert built and all(ext.verify_exact() for ext in built)
+    assert built and all(extension_is_exact(ext) for ext in built)

@@ -13,23 +13,9 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 
 from .errors import InvariantError
 from .fields import QuadraticExtension, RationalField
-
-
-def _sanitize(obj):
-    if isinstance(obj, Fraction):
-        return str(obj.numerator) if obj.denominator == 1 else \
-            f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if hasattr(obj, "terms"):  # polynomial
-        return repr(obj)
-    return obj
 
 
 def _field_value(field, c):
@@ -43,7 +29,7 @@ def _field_value(field, c):
 
 
 def emit(report, out=None):
-    text = json.dumps(_sanitize(report), indent=2, default=repr)
+    text = json.dumps(report, indent=2, default=repr)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -160,6 +146,8 @@ def cmd_mf(args):
         emit({"schema": "singcat-report/1", "size": X.size, "valid": valid},
              args.report)
         return 0 if valid else 1
+    if not (args.ring and args.module):
+        raise InputError("pass --input, or --ring with --module")
     ring = parse_ring(args.ring)
     M = parse_module_arg(ring, args.module)
     X = mf_from_module(M)
@@ -389,7 +377,7 @@ def main(argv=None):
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

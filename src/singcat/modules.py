@@ -120,16 +120,19 @@ class FPModule:
     def from_submodule(cls, ring: QuotientRing, elements, ambient_rank: int = 1,
                        ambient_degrees=None) -> "FPModule":
         """Module generated by elements of R^ambient_rank, presented by their
-        syzygies.  Each element is a list of ambient_rank polynomials; with
-        ambient_degrees each must have a degree (modgb's grading rule)."""
+        syzygies.  Each element is a list of ambient_rank polynomials; an
+        element zero modulo the ideal is dropped, as FPModule drops a zero
+        relation column.  With ambient_degrees each element must have a
+        degree (modgb's grading rule)."""
         normed = [[ring.normal_form(p) for p in e] for e in elements]
+        normed = [e for e in normed if any(not p.is_zero() for p in e)]
         degrees = None
         if ambient_degrees is not None:
             degrees = _column_degrees(ring, normed, ambient_degrees)
             if degrees is None:
-                raise ValueError("zero or inhomogeneous generator in a graded "
+                raise ValueError("inhomogeneous generator in a graded "
                                  "submodule presentation")
-        return cls(ring, len(elements), _syzygy_columns(ring, normed, degrees),
+        return cls(ring, len(normed), _syzygy_columns(ring, normed, degrees),
                    degrees)
 
     def direct_sum(self, other: "FPModule") -> "FPModule":

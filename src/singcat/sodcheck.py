@@ -10,7 +10,10 @@ never guessed.
 The audit bundles tie everything together for the two geometries carrying a
 non-factorial double point: the projective cone over a quadric surface and
 the two-point blow-up of projective three-space contracted along the line
-joining the centers.  Both rest on one local model, the cone pair L1, L2
+joining the centers.  Each is the small contraction X of a (-1,-1) curve on
+a smooth fan (toric.contract_wall), and both audits compute their global
+vanishing condition on X itself, with one pass rule.  Both rest on one
+local model, the cone pair L1, L2
 and its rank-two extensions F1, F2: cone_pair builds the collection and
 its deformation run once per process, and cone_pair_ext_table holds the
 one table of dim Ext^p(F_a, F_b)_0.  The audits and the section 6 claims
@@ -25,7 +28,8 @@ import functools
 from . import models
 from .homs import HomError, ext_space
 from .ncdef import SimpleCollection, flatness_filtration_check, run
-from .toric import cohomology, divisor_from_combo, fan_library, intersect_curve
+from .toric import (TDivisor, cohomology, contract_wall, divisor_from_combo,
+                    fan_library, intersect_curve)
 
 
 class SodError(ValueError):
@@ -380,12 +384,29 @@ def _deformation_conclusions():
     }
 
 
+def _vanishing_on_contraction(fan, wall, D1, D2, names):
+    """Condition 3 on the singular X, the small contraction of the curve
+    V(wall) (toric.contract_wall): H^p(X, O(G)) for the twists
+    G = D2 - D1, D1 - D2 and 0, keyed by `names`.  X keeps every ray of
+    `fan`, so a divisor carries over by its coefficients.  Passes when the
+    mixed twists have no cohomology and O_X has (1, 0, 0, 0).  Returns
+    (twists, rows, pass)."""
+    X = contract_wall(fan, wall)
+    twists = dict(zip(names, (D2 - D1, D1 - D2, D1 - D1)))
+    rows = {name: list(cohomology(X, TDivisor(X, G.coeffs)))
+            for name, G in twists.items()}
+    ok = (not any(rows[names[0]] + rows[names[1]])
+          and rows[names[2]] == [1, 0, 0, 0])
+    return twists, rows, ok
+
+
 def verify_odp_hypotheses(bundle: str = "quadric_cone"):
     """Per-condition audit for the two geometries.
 
     Condition 1: intersection numbers against the contracted curve.
     Condition 2: the rank-one modules form a simple collection.
-    Condition 3: global vanishing of the mixed pushforward twists.
+    Condition 3: global vanishing of the mixed pushforward twists, computed
+    on the small contraction of the curve (_vanishing_on_contraction).
     Conclusions: the deformation terminates with the four-dimensional
     parameter algebra, flat with vanishing self-extensions.
     """
@@ -393,27 +414,20 @@ def verify_odp_hypotheses(bundle: str = "quadric_cone"):
     if bundle == "quadric_cone":
         fan, div, walls = fan_library("coneP1xP1_smallres")
         c = walls["C"]
-        i1 = intersect_curve(div["O(0,1)"], c, fan)
-        i2 = intersect_curve(div["O(1,0)"], c, fan)
+        D1, D2 = div["O(0,1)"], div["O(1,0)"]
+        i1 = intersect_curve(D1, c, fan)
+        i2 = intersect_curve(D2, c, fan)
         report["conditions"]["intersection"] = {
             "(D'1,C)": i1, "(D'2,C)": i2, "pass": (i1, i2) == (1, -1)}
         report["conditions"]["simple_collection"] = _local_cone_conditions()
-        pfan, pdiv, _ = fan_library("coneP1xP1_projective")
-        combo = lambda a, b: pdiv["O(1,0)"].scale(a) + pdiv["O(0,1)"].scale(b)
-        rows = {
-            "O(1,-1)": cohomology(pfan, combo(1, -1)),
-            "O(-1,1)": cohomology(pfan, combo(-1, 1)),
-            "O": cohomology(pfan, combo(0, 0)),
-        }
-        cond3 = (all(h == 0 for h in rows["O(1,-1)"])
-                 and all(h == 0 for h in rows["O(-1,1)"])
-                 and rows["O"] == (1, 0, 0, 0))
-        report["conditions"]["global_vanishing"] = {
-            "rows": {k: list(v) for k, v in rows.items()}, "pass": cond3}
+        _twists, rows, ok = _vanishing_on_contraction(
+            fan, c, D1, D2, ("O(1,-1)", "O(-1,1)", "O"))
+        report["conditions"]["global_vanishing"] = {"rows": rows, "pass": ok}
     elif bundle == "blowup":
         fan, walls, _eight, _five, (D1, D2) = blowup_collections()
-        i1 = intersect_curve(D1, walls["l"], fan)
-        i2 = intersect_curve(D2, walls["l"], fan)
+        wall = walls["l"]
+        i1 = intersect_curve(D1, wall, fan)
+        i2 = intersect_curve(D2, wall, fan)
         report["conditions"]["intersection"] = {
             "(D1,l)": i1, "(D2,l)": i2, "pass": (i1, i2) == (1, -1)}
         # global Hom data of the pushforwards via the resolution
@@ -426,8 +440,14 @@ def verify_odp_hypotheses(bundle: str = "quadric_cone"):
             "local_model": _local_cone_conditions(),
             "pass": simple_pass,
         }
-        report["conditions"]["global_vanishing"] = _blowup_condition3(
-            fan, walls["l"], D1, D2)
+        twists, down, ok = _vanishing_on_contraction(
+            fan, wall, D1, D2, ("-D1+D2", "D1-D2", "0"))
+        report["conditions"]["global_vanishing"] = {
+            "rows": {name: {"curve_degree": intersect_curve(G, wall, fan),
+                            "upstairs": list(cohomology(fan, G)),
+                            "downstairs": down[name]}
+                     for name, G in twists.items()},
+            "pass": ok}
     else:
         raise SodError(f"unknown bundle {bundle!r}")
     report["conclusions"] = copy.deepcopy(_deformation_conclusions())
@@ -437,47 +457,3 @@ def verify_odp_hypotheses(bundle: str = "quadric_cone"):
                       and report["conclusions"]["flatness_filtration"]
                       and report["conclusions"]["ext_FF_vanish"])
     return report
-
-
-def _blowup_condition3(fan, wall, D1, D2):
-    """H^p of the pushforward twists on the contraction of the curve on
-    the wall `wall`.
-
-    The contracted curve has normal degree (-1,-1): a twist of degree >= -1
-    along the curve pushes forward with vanishing higher direct images, so
-    the downstairs cohomology equals the upstairs one.  The degree -2 twist
-    needs the five-term sequence; its one-dimensional first cohomology maps
-    onto the length-one higher direct image (restriction to the curve is
-    surjective on first cohomology), which forces the downstairs vanishing.
-    """
-    out = {"rows": {}, "annotations": []}
-    ok = True
-    for name, G in [("-D1+D2", D2 - D1), ("D1-D2", D1 - D2), ("0", D1 - D1)]:
-        g = intersect_curve(G, wall, fan)
-        row = cohomology(fan, G)
-        out["rows"][name] = {"curve_degree": g, "upstairs": list(row)}
-        if g >= -1:
-            downstairs = list(row)
-            out["rows"][name]["downstairs"] = downstairs
-            if any(h != 0 for h in downstairs[1:]):
-                ok = False
-        else:
-            # five-term exact sequence with the surjectivity annotation
-            if g != -2:
-                ok = False
-                continue
-            length_r1 = 1  # degree -2 on a (-1,-1) curve
-            surj = row[1] >= length_r1
-            forced_h1 = row[1] - length_r1 if surj else None
-            out["annotations"].append({
-                "twist": name,
-                "statement": "restriction to the contracted curve is "
-                             "surjective on first cohomology",
-                "rank": length_r1,
-            })
-            downstairs = [row[0], forced_h1, row[2], row[3]]
-            out["rows"][name]["downstairs"] = downstairs
-            if forced_h1 != 0 or any(h != 0 for h in row[2:]):
-                ok = False
-    out["pass"] = ok
-    return out

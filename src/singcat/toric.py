@@ -487,6 +487,16 @@ def cohomology(fan: Fan, D: TDivisor):
 # intersection numbers, class group, Cartier test
 
 
+def _wall_cones(fan: Fan, wall):
+    """(the wall's rays sorted, its two maximal cones); ToricError if the
+    rays do not form a wall of the fan."""
+    wall = tuple(sorted(wall))
+    walls = fan.walls()
+    if wall not in walls:
+        raise ToricError(f"{wall} is not a wall of the fan")
+    return wall, [fan.max_cones[i] for i in walls[wall]]
+
+
 def intersect_curve(D: TDivisor, wall, fan: Fan | None = None) -> int:
     """(D . V(wall)) for a wall between two unimodular maximal cones.
 
@@ -498,11 +508,7 @@ def intersect_curve(D: TDivisor, wall, fan: Fan | None = None) -> int:
     with 0 at u_a.
     """
     fan = fan or D.fan
-    walls = fan.walls()
-    wall = tuple(sorted(wall))
-    if wall not in walls:
-        raise ToricError(f"{wall} is not a wall of the fan")
-    ca, cb = (fan.max_cones[i] for i in walls[wall])
+    wall, (ca, cb) = _wall_cones(fan, wall)
     smith = _cone_smith(fan)
     for cone in (ca, cb):
         if len(cone) != fan.rank:
@@ -519,6 +525,24 @@ def intersect_curve(D: TDivisor, wall, fan: Fan | None = None) -> int:
         raise ToricError("wall relation is not solvable")
     return D.coeffs[extra_a] + D.coeffs[extra_b] - sum(
         alpha[i] * D.coeffs[i] for i in wall)
+
+
+def contract_wall(fan: Fan, wall) -> Fan:
+    """The fan of the small contraction of the (-1,-1) curve V(wall): the
+    two maximal cones on the wall merge into one, and every ray is kept.
+
+    Refused unless the wall has two rays and the two rays off it sum to the
+    two rays on it, u_a + u_b = u_c + u_d, the relation of an ordinary
+    double point."""
+    wall, (ca, cb) = _wall_cones(fan, wall)
+    off = sorted(set(ca + cb).difference(wall))
+    total = lambda idx: [sum(x) for x in zip(*(fan.rays[i] for i in idx))]
+    if len(wall) != 2 or len(off) != 2 or total(off) != total(wall):
+        raise ToricError(f"{wall} is not a (-1,-1) wall: its two rays must "
+                         "sum to the two rays off it")
+    cones = [c for c in fan.max_cones if c not in (ca, cb)]
+    return Fan(fan.rank, fan.rays, cones + [wall + tuple(off)],
+               f"{fan.name}/{wall}")
 
 
 def smith_normal_form(mat):

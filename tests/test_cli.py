@@ -89,6 +89,35 @@ def test_mf_check_refuses_a_pair_that_is_not_square(capsys):
     assert "square of equal size" in captured.err
 
 
+def test_mf_shift_swaps_the_factors(capsys):
+    argv = ["mf", "--ring", "Q[x,y]/(x^2*y)", "--module", "A/(x)"]
+    code, plain = run_cli(capsys, *argv)
+    assert code == 0 and plain["A"] == [["x"]] and plain["B"] == [["x*y"]]
+    code, shifted = run_cli(capsys, *argv, "--shift")
+    assert code == 0
+    assert (shifted["A"], shifted["B"]) == (plain["B"], plain["A"])
+    assert shifted["potential"] == plain["potential"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["groebner"], ["ext"], ["stable-hom"], ["mf"], ["mf", "--module", "A/(z)"],
+    ["mf", "--ring", "Q[z]/(z^2)"], ["knorrer"], ["toric-cohomology"],
+    ["intersect"], ["sod-verify"], ["ncdef"],
+])
+def test_a_subcommand_without_its_inputs_is_an_input_error(capsys, argv):
+    # exit 2, from argparse or as an input error; never 1 (a falsified
+    # claim) and never a traceback
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse: a required option is missing
+        code = exc.code
+        assert "required" in capsys.readouterr().err
+    else:
+        captured = capsys.readouterr()
+        assert captured.out == "" and "input error:" in captured.err
+    assert code == 2
+
+
 def test_input_error_exit_code(capsys):
     code = main(["stable-hom", "--ring", "Q[z,w]/(z*w", "--M", "B/(w)",
                  "--N", "B/(z)"])

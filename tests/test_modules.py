@@ -123,6 +123,20 @@ def test_a_relation_zero_modulo_the_ideal_is_dropped():
     assert FPModule(P, 2, [zero_column], [0, 1]).relations == []
 
 
+@pytest.mark.parametrize("degrees", [None, [0]])
+def test_a_generator_zero_modulo_the_ideal_is_dropped(degrees):
+    # x*y is zero in Q[x,y]/(xy): the submodule (x, x*y) is (x), graded or not
+    R = parse_ring("Q[x,y]/(x*y)")
+    x = R.parse("x")
+    plain = FPModule.from_submodule(R, [[x]], ambient_degrees=degrees)
+    padded = FPModule.from_submodule(R, [[x], [R.parse("x*y")]],
+                                     ambient_degrees=degrees)
+    assert padded.ngens == plain.ngens == 1
+    assert padded.relations == plain.relations == [[R.parse("y")]]
+    assert padded.gen_degrees == plain.gen_degrees
+    assert padded.resolve(3).diffs == plain.resolve(3).diffs
+
+
 def test_periodic_tail_lifts_to_factorization():
     from singcat import models
     corpus = [

@@ -136,9 +136,6 @@ _BLOWUP_REPORT = {
     "bundle": "blowup", "conclusions": _CONCLUSIONS, "pass": True,
     "conditions": {
         "global_vanishing": {
-            "annotations": [{"rank": 1, "twist": "-D1+D2",
-                             "statement": "restriction to the contracted curve "
-                                          "is surjective on first cohomology"}],
             "pass": True,
             "rows": {"-D1+D2": {"curve_degree": -2, "downstairs": [0, 0, 0, 0],
                                 "upstairs": [0, 1, 0, 0]},

@@ -486,6 +486,50 @@ def test_smallres_flopping_curve():
     assert intersect_curve(div["O(1,0)"], walls["C"], fan) == -1
 
 
+def test_contracting_the_flopping_curve_gives_the_projective_cone():
+    fan, _div, walls = fan_library("coneP1xP1_smallres")
+    X = toric.contract_wall(fan, walls["C"])
+    cone, _d, _w = fan_library("coneP1xP1_projective")
+    assert X.rays == cone.rays
+    assert set(X.max_cones) == set(cone.max_cones)
+    assert X.is_complete()
+
+
+def test_contract_wall_refuses_what_is_not_a_double_point_wall():
+    fan, _div, _walls = fan_library("blowupP3_2pts")
+    # u0 and v1 are opposite rays: no cone holds both
+    with pytest.raises(ToricError, match="not a wall"):
+        toric.contract_wall(fan, (3, 4))
+    # a wall of two smooth cones whose rays do not satisfy the relation
+    fan, _div, walls = fan_library("P3")
+    with pytest.raises(ToricError, match=r"not a \(-1,-1\) wall"):
+        toric.contract_wall(fan, walls["line"])
+    fan, _div, _walls = fan_library("P2")
+    with pytest.raises(ToricError, match=r"not a \(-1,-1\) wall"):
+        toric.contract_wall(fan, (0,))
+
+
+@pytest.mark.parametrize("name, curve", [("blowupP3_2pts", "l"),
+                                         ("coneP1xP1_smallres", "C")])
+def test_cohomology_on_the_contraction_agrees_with_the_resolution(name, curve):
+    # pi: Y -> X contracts a (-1,-1) curve and keeps every ray, so
+    # pi_* O_Y(D) = O_X(D): h^0 always agrees, and every h^p does when
+    # D has degree >= -1 on the curve, where R^1 pi_* O_Y(D) vanishes
+    fan, _div, walls = fan_library(name)
+    X = toric.contract_wall(fan, walls[curve])
+    rng = random.Random(19)
+    differ = 0
+    for _ in range(300):
+        coeffs = [rng.randint(-3, 3) for _ in fan.rays]
+        up = cohomology(fan, TDivisor(fan, coeffs))
+        down = cohomology(X, TDivisor(X, coeffs))
+        assert down[0] == up[0], coeffs
+        if intersect_curve(TDivisor(fan, coeffs), walls[curve], fan) >= -1:
+            assert down == up, coeffs
+        differ += down != up
+    assert differ  # X is not Y: the curve was contracted
+
+
 def test_wall_smoothness_guard():
     fan, div, walls = fan_library("coneP1xP1_projective")
     # the projective cone has no wall inside the non-simplicial cone

@@ -7,17 +7,17 @@ extension objects whose connecting ranks are either forced by vanishing or
 supplied as explicit annotations; unforced ranks are reported as intervals,
 never guessed.
 
-The audit bundles tie everything together for the two geometries carrying a
-non-factorial double point: the projective cone over a quadric surface and
-the two-point blow-up of projective three-space contracted along the line
-joining the centers.  Each is the small contraction X of a (-1,-1) curve on
-a smooth fan (toric.contract_wall), and both audits compute their global
-vanishing condition on X itself, with one pass rule.  Both rest on one
-local model, the cone pair L1, L2
-and its rank-two extensions F1, F2: cone_pair builds the collection and
-its deformation run once per process, and cone_pair_ext_table holds the
-one table of dim Ext^p(F_a, F_b)_0.  The audits and the section 6 claims
-of the manifest read them.
+One audit, odp_audit, checks the hypotheses at a threefold X with an
+ordinary double point, given as the small contraction of a (-1,-1) curve on
+a smooth fan (toric.contract_wall): the curve degrees of D1 and D2 on the
+resolution, the local model, and the global vanishing on X itself.  One
+table, ODP_BUNDLES, names the two geometries it is run on: the projective
+cone over a quadric surface and the two-point blow-up of projective
+three-space contracted along the line joining the centers.  The local
+model is the cone pair L1, L2 and its rank-two extensions F1, F2:
+cone_pair builds the collection and its deformation run once per process,
+and cone_pair_ext_table holds the one table of dim Ext^p(F_a, F_b)_0.  The
+audit and the section 6 claims of the manifest read them.
 """
 
 from __future__ import annotations
@@ -255,6 +255,13 @@ def run_blowup_vanishing_manifest():
 # collection data for the two geometries
 
 
+# the audited double points: bundle -> (smooth fan, curve, D1 combo, D2 combo)
+ODP_BUNDLES = {
+    "quadric_cone": ("coneP1xP1_smallres", "C", {"O(0,1)": 1}, {"O(1,0)": 1}),
+    "blowup": ("blowupP3_2pts", "l", {"H": -1, "E1": 1, "E2": 1}, {"E1": -1}),
+}
+
+
 def blowup_collections():
     """The 8-term collection on the resolution and the 5-term pushforward
     collection, as divisor dictionaries on the blow-up fan."""
@@ -277,8 +284,8 @@ def blowup_collections():
         ("O(C4)", combo(-1, 1, 0)),
         ("O(C5)", combo(0, 0, 0)),
     ]
-    D1 = combo(-1, 1, 1)
-    D2 = combo(0, -1, 0)
+    _name, _curve, c1, c2 = ODP_BUNDLES["blowup"]
+    D1, D2 = divisor_from_combo(div, c1), divisor_from_combo(div, c2)
     return fan, walls, eight, five, (D1, D2)
 
 
@@ -293,16 +300,24 @@ def check_collection_manifest(data: dict):
 
     Combos are integer combinations of the fan's named divisors.  Returns
     the exceptionality report, extended with the orthogonality rows when
-    deformation divisors are supplied.
+    deformation divisors are supplied; SodError on any other shape.
     """
-    fan, div, _walls = fan_library(data["fan"])
-    objects = [divisor_from_combo(div, o["combo"]) for o in data["objects"]]
-    names = [o["name"] for o in data["objects"]]
+    try:
+        fan, div, _walls = fan_library(data["fan"])
+        objects = [divisor_from_combo(div, o["combo"]) for o in data["objects"]]
+        names = [o["name"] for o in data["objects"]]
+        dvs = [divisor_from_combo(div, o["combo"])
+               for o in data.get("orthogonal_to") or []]
+    except KeyError as exc:
+        raise SodError(f"collection manifest without the key {exc}") from None
+    except TypeError as exc:
+        raise SodError(f"collection manifest of the wrong shape: {exc}") from None
+    check = data.get("check", "exceptional")
+    if check not in ("exceptional", "strong"):
+        raise SodError(f"unknown check {check!r}: use 'exceptional' or 'strong'")
     report = check_exceptional(fan, objects, names)
-    want_strong = data.get("check", "exceptional") == "strong"
-    report["pass"] = report["strong"] if want_strong else report["exceptional"]
-    if data.get("orthogonal_to"):
-        dvs = [divisor_from_combo(div, o["combo"]) for o in data["orthogonal_to"]]
+    report["pass"] = report[check]
+    if dvs:
         orth = check_orthogonal_to_deformation(fan, objects, dvs, names)
         report["orthogonality"] = orth
         report["pass"] = report["pass"] and orth["pass"]
@@ -384,76 +399,48 @@ def _deformation_conclusions():
     }
 
 
-def _vanishing_on_contraction(fan, wall, D1, D2, names):
-    """Condition 3 on the singular X, the small contraction of the curve
-    V(wall) (toric.contract_wall): H^p(X, O(G)) for the twists
-    G = D2 - D1, D1 - D2 and 0, keyed by `names`.  X keeps every ray of
-    `fan`, so a divisor carries over by its coefficients.  Passes when the
-    mixed twists have no cohomology and O_X has (1, 0, 0, 0).  Returns
-    (twists, rows, pass)."""
-    X = contract_wall(fan, wall)
-    twists = dict(zip(names, (D2 - D1, D1 - D2, D1 - D1)))
-    rows = {name: list(cohomology(X, TDivisor(X, G.coeffs)))
-            for name, G in twists.items()}
-    ok = (not any(rows[names[0]] + rows[names[1]])
-          and rows[names[2]] == [1, 0, 0, 0])
-    return twists, rows, ok
+def odp_audit(fan, wall, D1, D2, curve="C"):
+    """Per-condition audit of the double point X obtained by contracting
+    the (-1,-1) curve V(wall) of the smooth fan (toric.contract_wall).
 
-
-def verify_odp_hypotheses(bundle: str = "quadric_cone"):
-    """Per-condition audit for the two geometries.
-
-    Condition 1: intersection numbers against the contracted curve.
-    Condition 2: the rank-one modules form a simple collection.
-    Condition 3: global vanishing of the mixed pushforward twists, computed
-    on the small contraction of the curve (_vanishing_on_contraction).
+    Condition 1: (D1 . curve) = 1 and (D2 . curve) = -1 on the resolution.
+    Condition 2: the rank-one modules of the local model form a simple
+    collection (_local_cone_conditions).
+    Condition 3: H^p(X, O(G)) vanishes for the mixed twists G = -D1+D2 and
+    D1-D2, and O_X has (1, 0, 0, 0).  X keeps every ray of `fan`, so a
+    divisor carries over by its coefficients.
     Conclusions: the deformation terminates with the four-dimensional
     parameter algebra, flat with vanishing self-extensions.
     """
-    report = {"bundle": bundle, "conditions": {}, "conclusions": {}}
-    if bundle == "quadric_cone":
-        fan, div, walls = fan_library("coneP1xP1_smallres")
-        c = walls["C"]
-        D1, D2 = div["O(0,1)"], div["O(1,0)"]
-        i1 = intersect_curve(D1, c, fan)
-        i2 = intersect_curve(D2, c, fan)
-        report["conditions"]["intersection"] = {
-            "(D'1,C)": i1, "(D'2,C)": i2, "pass": (i1, i2) == (1, -1)}
-        report["conditions"]["simple_collection"] = _local_cone_conditions()
-        _twists, rows, ok = _vanishing_on_contraction(
-            fan, c, D1, D2, ("O(1,-1)", "O(-1,1)", "O"))
-        report["conditions"]["global_vanishing"] = {"rows": rows, "pass": ok}
-    elif bundle == "blowup":
-        fan, walls, _eight, _five, (D1, D2) = blowup_collections()
-        wall = walls["l"]
-        i1 = intersect_curve(D1, wall, fan)
-        i2 = intersect_curve(D2, wall, fan)
-        report["conditions"]["intersection"] = {
-            "(D1,l)": i1, "(D2,l)": i2, "pass": (i1, i2) == (1, -1)}
-        # global Hom data of the pushforwards via the resolution
-        h12 = cohomology(fan, D1 - D2)
-        h21 = cohomology(fan, D2 - D1)
-        simple_pass = h12[0] == 0 and h21[0] == 0
-        report["conditions"]["simple_collection"] = {
-            "hom(L1,L2)_sections": h12[0],
-            "hom(L2,L1)_sections": h21[0],
-            "local_model": _local_cone_conditions(),
-            "pass": simple_pass,
-        }
-        twists, down, ok = _vanishing_on_contraction(
-            fan, wall, D1, D2, ("-D1+D2", "D1-D2", "0"))
-        report["conditions"]["global_vanishing"] = {
-            "rows": {name: {"curve_degree": intersect_curve(G, wall, fan),
-                            "upstairs": list(cohomology(fan, G)),
-                            "downstairs": down[name]}
-                     for name, G in twists.items()},
-            "pass": ok}
-    else:
+    i1, i2 = intersect_curve(D1, wall, fan), intersect_curve(D2, wall, fan)
+    X = contract_wall(fan, wall)
+    rows = {name: list(cohomology(X, TDivisor(X, G.coeffs)))
+            for name, G in (("-D1+D2", D2 - D1), ("D1-D2", D1 - D2),
+                            ("0", D1 - D1))}
+    conditions = {
+        "intersection": {f"(D1,{curve})": i1, f"(D2,{curve})": i2,
+                         "pass": (i1, i2) == (1, -1)},
+        "simple_collection": _local_cone_conditions(),
+        "global_vanishing": {
+            "rows": rows,
+            "pass": (not any(rows["-D1+D2"] + rows["D1-D2"])
+                     and rows["0"] == [1, 0, 0, 0])},
+    }
+    conclusions = copy.deepcopy(_deformation_conclusions())
+    return {"conditions": conditions, "conclusions": conclusions,
+            "pass": (all(c["pass"] for c in conditions.values())
+                     and conclusions["terminated"]
+                     and conclusions["dim_R"] == 4
+                     and conclusions["flatness_filtration"]
+                     and conclusions["ext_FF_vanish"])}
+
+
+def verify_odp_hypotheses(bundle: str = "quadric_cone"):
+    """odp_audit of a geometry named in ODP_BUNDLES."""
+    if bundle not in ODP_BUNDLES:
         raise SodError(f"unknown bundle {bundle!r}")
-    report["conclusions"] = copy.deepcopy(_deformation_conclusions())
-    report["pass"] = (all(c["pass"] for c in report["conditions"].values())
-                      and report["conclusions"]["terminated"]
-                      and report["conclusions"]["dim_R"] == 4
-                      and report["conclusions"]["flatness_filtration"]
-                      and report["conclusions"]["ext_FF_vanish"])
-    return report
+    name, curve, c1, c2 = ODP_BUNDLES[bundle]
+    fan, div, walls = fan_library(name)
+    return {"bundle": bundle,
+            **odp_audit(fan, walls[curve], divisor_from_combo(div, c1),
+                        divisor_from_combo(div, c2), curve)}

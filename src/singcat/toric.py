@@ -30,9 +30,10 @@ matrix, computed once per fan.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
 from math import gcd
-from operator import mul
+from operator import add, mul
 
 from .errors import InvariantError
 
@@ -731,13 +732,13 @@ def _fan_library_build(name: str):
         H = TDivisor(fan, [0, 0, 0, 1, 0, 1])
         return fan, {"H": H, "E1": E1, "E2": E2}, {"l": (1, 2)}
     if name == "coneP1xP1_projective":
-        rays = [(1, 0, 0), (0, 1, 0), (-1, 0, 1), (0, -1, 1), (0, 0, -1)]
-        cones = [(0, 1, 2, 3), (0, 1, 4), (1, 2, 4), (2, 3, 4), (0, 3, 4)]
-        fan = Fan(3, rays, cones, "coneP1xP1_projective")
-        # O(a, b) = a*D_a + b*D_b with [D_a] = [D_c], [D_b] = [D_d],
-        # hyperplane = [D_infinity] = O(1,1)
-        return fan, {"O(1,0)": TDivisor(fan, [1, 0, 0, 0, 0]),
-                     "O(0,1)": TDivisor(fan, [0, 1, 0, 0, 0])}, {}
+        # the small contraction of C keeps every ray, so O(a, b) carries
+        # over by its coefficients; [D_a] = [D_c], [D_b] = [D_d], and the
+        # hyperplane [D_infinity] = O(1,1)
+        res, div, walls = fan_library("coneP1xP1_smallres")
+        fan = contract_wall(res, walls["C"])
+        fan.name = name
+        return fan, {k: TDivisor(fan, D.coeffs) for k, D in div.items()}, {}
     if name == "coneP1xP1_smallres":
         rays = [(1, 0, 0), (0, 1, 0), (-1, 0, 1), (0, -1, 1), (0, 0, -1)]
         cones = [(0, 1, 2), (0, 2, 3), (0, 1, 4), (1, 2, 4), (2, 3, 4), (0, 3, 4)]
@@ -749,11 +750,11 @@ def _fan_library_build(name: str):
 
 def divisor_from_combo(divisors: dict, combo: dict) -> TDivisor:
     """Integer combination of named divisors, e.g. {'H': -4, 'E1': 3}."""
-    out = None
-    for name, mult in combo.items():
-        term = divisors[name].scale(mult)
-        out = term if out is None else out + term
-    return out
+    if not (isinstance(combo, dict) and combo
+            and combo.keys() <= divisors.keys()):
+        raise ToricError(f"combo {combo!r} is not a nonempty combination of "
+                         f"the fan's divisors {', '.join(divisors)}")
+    return reduce(add, (divisors[n].scale(m) for n, m in combo.items()))
 
 
 def canonical_divisor(fan: Fan) -> TDivisor:

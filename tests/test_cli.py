@@ -241,6 +241,26 @@ def test_sod_verify_manifest_file(capsys, tmp_path):
     assert len(report["report"]["orthogonality"]["rows"]) == 4
 
 
+@pytest.mark.parametrize("manifest", [
+    {"objects": []},
+    {"fan": "blowupP3_2pts", "objects": [{"name": "O"}]},
+    [1, 2],
+    {"fan": "blowupP3_2pts", "objects": [{"name": "O", "combo": {"Q": 1}}]},
+    {"fan": "blowupP3_2pts", "objects": [{"name": "O", "combo": {}}]},
+    {"fan": "blowupP3_2pts", "objects": [{"name": "O", "combo": {"H": 0}}],
+     "check": "weak"},
+], ids=["no-fan", "no-combo", "not-an-object", "unknown-divisor",
+        "empty-combo", "unknown-check"])
+def test_a_malformed_collection_manifest_is_an_input_error(capsys, tmp_path,
+                                                           manifest):
+    path = tmp_path / "collection.json"
+    path.write_text(json.dumps(manifest))
+    code = main(["sod-verify", "--manifest", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "input error:" in captured.err
+
+
 def test_ncdef_command(capsys, tmp_path):
     out = tmp_path / "node.json"
     code = main(["ncdef", "--model", "node", "--max-iter", "3",

@@ -4,7 +4,8 @@ import pytest
 
 from singcat import sodcheck
 from singcat.findim import FiniteDimAlgebra
-from singcat.toric import fan_library, divisor_from_combo
+from singcat.toric import (Fan, TDivisor, contract_wall, divisor_from_combo,
+                           fan_library)
 from singcat.sodcheck import (check_exceptional, check_orthogonal_to_deformation,
                               les_propagate, LESError,
                               blowup_collections, run_blowup_vanishing_manifest,
@@ -122,30 +123,21 @@ _CONCLUSIONS = {
     "flatness_filtration": True, "radical_square_zero": True,
     "terminated": True, "termination_step": 1,
 }
+_ROWS = {"-D1+D2": [0, 0, 0, 0], "D1-D2": [0, 0, 0, 0], "0": [1, 0, 0, 0]}
 _QUADRIC_REPORT = {
     "bundle": "quadric_cone", "conclusions": _CONCLUSIONS, "pass": True,
     "conditions": {
-        "global_vanishing": {"pass": True,
-                             "rows": {"O": [1, 0, 0, 0], "O(-1,1)": [0, 0, 0, 0],
-                                      "O(1,-1)": [0, 0, 0, 0]}},
-        "intersection": {"(D'1,C)": 1, "(D'2,C)": -1, "pass": True},
+        "global_vanishing": {"pass": True, "rows": _ROWS},
+        "intersection": {"(D1,C)": 1, "(D2,C)": -1, "pass": True},
         "simple_collection": _LOCAL_MODEL,
     },
 }
 _BLOWUP_REPORT = {
     "bundle": "blowup", "conclusions": _CONCLUSIONS, "pass": True,
     "conditions": {
-        "global_vanishing": {
-            "pass": True,
-            "rows": {"-D1+D2": {"curve_degree": -2, "downstairs": [0, 0, 0, 0],
-                                "upstairs": [0, 1, 0, 0]},
-                     "0": {"curve_degree": 0, "downstairs": [1, 0, 0, 0],
-                           "upstairs": [1, 0, 0, 0]},
-                     "D1-D2": {"curve_degree": 2, "downstairs": [0, 0, 0, 0],
-                               "upstairs": [0, 0, 0, 0]}}},
+        "global_vanishing": {"pass": True, "rows": _ROWS},
         "intersection": {"(D1,l)": 1, "(D2,l)": -1, "pass": True},
-        "simple_collection": {"hom(L1,L2)_sections": 0, "hom(L2,L1)_sections": 0,
-                              "local_model": _LOCAL_MODEL, "pass": True},
+        "simple_collection": _LOCAL_MODEL,
     },
 }
 
@@ -184,12 +176,39 @@ def test_deformation_conclusions_run_once_per_process(monkeypatch):
     quadric["conclusions"]["dim_R_trajectory"].append(6)
     quadric["conditions"]["simple_collection"]["hom_matrix"][0][0] = 7
     assert blowup["conclusions"] == _CONCLUSIONS
-    assert blowup["conditions"]["simple_collection"]["local_model"] == _LOCAL_MODEL
+    assert blowup["conditions"]["simple_collection"] == _LOCAL_MODEL
     assert verify_odp_hypotheses("quadric_cone")["conclusions"] == _CONCLUSIONS
     # the section 6 claims on the extensions read the same run
     for cid in ("odp-extension-objects", "odp-ff-vanishing"):
         assert run_claims(cid=cid)["pass"]
     assert len(runs) == 1 and len(collections) == 1
+
+
+@pytest.mark.parametrize("bundle", ["quadric_cone", "blowup"])
+def test_a_failing_local_model_fails_both_audits(monkeypatch, bundle):
+    monkeypatch.setattr(sodcheck, "_local_cone_conditions",
+                        lambda: {**_LOCAL_MODEL, "pass": False})
+    report = verify_odp_hypotheses(bundle)
+    assert not report["conditions"]["simple_collection"]["pass"]
+    assert not report["pass"]
+
+
+def test_the_other_small_resolution_passes_with_the_divisors_swapped():
+    # the flop of C: the square cone cut along its other diagonal (1,3); it
+    # contracts to the same projective cone, and O(1,0) now has degree 1
+    # on the flopped curve and O(0,1) degree -1
+    fan, div, walls = fan_library("coneP1xP1_smallres")
+    flop = Fan(3, fan.rays, [(0, 1, 3), (1, 2, 3), (0, 1, 4), (1, 2, 4),
+                             (2, 3, 4), (0, 3, 4)], "coneP1xP1_flop")
+    assert flop.is_complete()
+    O10, O01 = (TDivisor(flop, div[k].coeffs) for k in ("O(1,0)", "O(0,1)"))
+    assert sodcheck.odp_audit(flop, (1, 3), O10, O01)["pass"]
+    assert (set(contract_wall(flop, (1, 3)).max_cones)
+            == set(contract_wall(fan, walls["C"]).max_cones))
+    unswapped = sodcheck.odp_audit(flop, (1, 3), O01, O10)
+    assert unswapped["conditions"]["intersection"] == {
+        "(D1,C)": -1, "(D2,C)": 1, "pass": False}
+    assert not unswapped["pass"]
 
 
 def _make_extensions():
